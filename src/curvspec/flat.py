@@ -2,24 +2,56 @@
 
 A group is described by a full-rank lattice together with the finitely many
 cosets (B, b) representing the isometries x -> B(x + b) modulo the lattice
-translations.  All structural computations (lattice membership, fixed spaces,
-torsion tests, exterior traces) are exact over the rationals; only the final
-phase sums exp(-2 pi i <v, b>) are floating point, and every multiplicity is
-checked to be a nonnegative integer before it is reported.
+translations.
+
+The kernel runs on integers.  A dual-lattice vector is an integer coordinate
+vector x on the dual basis; the dual ball is enumerated once per lattice by
+an integer Fincke-Pohst walk.  On lattice coordinates a rotation B is the
+integer matrix R = dual B basis^T, and on dual coordinates it is
+A = basis B dual^T = (R^-1)^T, so the fixed-vector test is the integer
+equation A x = x.  The translations are integer residue vectors modulo their
+common denominator D, so each phase <v, b> is a residue r mod D.  Validation,
+Betti numbers and exterior traces work with R alone.  The only floating point
+is the final phase sum over a residue histogram, sum_r c_r exp(-2 pi i r / D),
+and every multiplicity is checked to be a nonnegative integer before it is
+reported.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import add, mul
+from typing import NamedTuple
 
 from . import ratlinalg as rl
 from .errors import IntegralityError, InvariantViolation
-from .liealg import exterior_trace
+from .liealg import exterior_trace  # noqa: F401 (perfbench/tracer.py wraps flat.exterior_trace)
 
 DEFAULT_TOL = 1e-6
+
+IntMat = tuple[tuple[int, ...], ...]
+
+
+def _integral(rows) -> tuple[IntMat, int]:
+    """(M, d) with rows = M / d and d the least common denominator."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows), den
+
+
+def _eye(n: int, c: int = 1) -> IntMat:
+    return tuple(tuple(c if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def _divide(a, den: int) -> IntMat | None:
+    """a / den if every entry is divisible, else None."""
+    if any(x % den for row in a for x in row):
+        return None
+    return tuple(tuple(x // den for x in row) for row in a)
 
 
 @dataclass(frozen=True)
@@ -27,6 +59,9 @@ class Lattice:
     """Full-rank lattice given by basis vectors as the rows of `basis`."""
 
     basis: rl.Mat
+    _dual: rl.Mat = field(init=False, repr=False, compare=False)
+    # dual ball: {"mu": cutoff walked, "shells": {norm: [dual coordinates]}}
+    _ball: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         basis = rl.as_mat(self.basis)
@@ -34,22 +69,28 @@ class Lattice:
         n = len(basis)
         if n == 0 or any(len(r) != n for r in basis):
             raise ValueError("basis must be square")
-        if rl.det(basis) == 0:
-            raise ValueError("basis is singular")
+        try:
+            dual = rl.transpose(rl.mat_inv(basis))
+        except ValueError:
+            raise ValueError("basis is singular") from None
+        object.__setattr__(self, "_dual", dual)
 
     @property
     def n(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _scaled(self) -> tuple[tuple[IntMat, int], tuple[IntMat, int]]:
+        """The basis and the dual basis as (integer matrix, denominator)."""
+        return _integral(self.basis), _integral(self._dual)
+
     def dual_basis(self) -> rl.Mat:
         """Rows d_j with <b_i, d_j> = delta_ij."""
-        return rl.transpose(rl.mat_inv(self.basis))
+        return self._dual
 
     def coords(self, v) -> rl.Vec:
         """Coordinates of an ambient vector on the lattice basis."""
-        x = rl.solve(rl.transpose(self.basis), v)
-        assert x is not None
-        return x
+        return rl.mat_vec(self._dual, rl.as_vec(v))
 
     def contains(self, v) -> bool:
         return all(x.denominator == 1 for x in self.coords(v))
@@ -59,59 +100,115 @@ class Lattice:
         frac = [x - (x.numerator // x.denominator) for x in self.coords(v)]
         return rl.mat_vec(rl.transpose(self.basis), frac)
 
+    def _dual_ball(self, mu_max) -> dict[Fraction, list[tuple[int, ...]]]:
+        """Dual-lattice vectors of squared norm <= mu_max as integer
+        coordinates on the dual basis, grouped by the exact norm in increasing
+        order.  The walk runs once, at the largest cutoff asked for so far;
+        smaller cutoffs filter its result."""
+        mu_max = Fraction(mu_max)
+        if mu_max < 0:
+            raise ValueError("cutoff must be nonnegative")
+        ball = self._ball
+        if ball.get("mu", -1) < mu_max:
+            ball["shells"] = _fincke_pohst(*self._scaled[1], mu_max)
+            ball["mu"] = mu_max
+        if ball["mu"] == mu_max:
+            return ball["shells"]
+        return {mu: xs for mu, xs in ball["shells"].items() if mu <= mu_max}
 
-@lru_cache(maxsize=None)
-def shells(lattice: Lattice, mu_max: Fraction) -> dict[Fraction, tuple[rl.Vec, ...]]:
-    """Dual-lattice vectors of squared norm <= mu_max, grouped by the exact
-    norm.  Enumeration is a rational Fincke-Pohst walk on the LDL^T form of
-    the dual Gram matrix; no floating point enters."""
-    mu_max = Fraction(mu_max)
-    if mu_max < 0:
-        raise ValueError("cutoff must be nonnegative")
-    dual = lattice.dual_basis()
-    n = lattice.n
-    gram = rl.mat_mul(dual, rl.transpose(dual))
-    # G = L diag(d) L^T with L unit lower triangular
+
+def _fincke_pohst(dual: IntMat, den: int, mu_max: Fraction) -> dict[Fraction, list[tuple[int, ...]]]:
+    """Integer vectors x with |x dual|^2 <= mu_max (dual = dual / den), by norm.
+
+    The integer Gram matrix G of the scaled rows factors over the rationals
+    as L diag(d) L^T with L unit lower triangular.  Clearing denominators row
+    by row turns K x^T G x into sum_i w_i y_i^2 with
+    y_i = m_i x_i + sum_{j>i} a_ij x_j and positive integers K, w_i, m_i and
+    integers a_ij, so the walk over x_{n-1}, ..., x_0 bounds each y_i by an
+    integer square root and never leaves the integers.
+    """
+    n = len(dual)
+    gram = [[sum(map(mul, r, s)) for s in dual] for r in dual]
     low = [[Fraction(0)] * n for _ in range(n)]
     diag = [Fraction(0)] * n
     for i in range(n):
         for j in range(i + 1):
-            s = gram[i][j] - sum(low[i][k] * low[j][k] * diag[k] for k in range(j))
+            s = Fraction(gram[i][j]) - sum(low[i][k] * low[j][k] * diag[k] for k in range(j))
             if i == j:
                 diag[i] = s
                 low[i][i] = Fraction(1)
             else:
                 low[i][j] = s / diag[j]
     assert all(d > 0 for d in diag)
-    upper = [[low[j][i] for j in range(n)] for i in range(n)]  # U = L^T
+    steps, coeffs, weights = [], [], []
+    for i in range(n):
+        upper = [low[j][i] for j in range(i + 1, n)]
+        m = math.lcm(*(u.denominator for u in upper))
+        steps.append(m)
+        coeffs.append([int(u * m) for u in upper])
+        weights.append(diag[i] / (m * m))
+    scale = math.lcm(*(w.denominator for w in weights))
+    weights = [int(w * scale) for w in weights]
+    bound = scale * math.floor(mu_max * den * den)
 
-    found: dict[Fraction, list[rl.Vec]] = {}
-    coords = [0] * n
+    found: dict[int, list[tuple[int, ...]]] = {}
+    x = [0] * n
 
-    def descend(level: int, remaining: Fraction):
+    def descend(level: int, budget: int):
         if level < 0:
-            v = rl.mat_vec(rl.transpose(dual), coords)
-            norm = mu_max - remaining
-            found.setdefault(norm, []).append(v)
+            found.setdefault(budget, []).append(tuple(x))
             return
-        center = sum(
-            (upper[level][j] * coords[j] for j in range(level + 1, n)), Fraction(0)
-        )
-        t = -center
-        t0 = t.numerator // t.denominator  # floor
-        for start, step in ((t0, -1), (t0 + 1, 1)):
-            x = start
-            while True:
-                used = diag[level] * (x + center) ** 2
-                if used > remaining:
-                    break
-                coords[level] = x
-                descend(level - 1, remaining - used)
-                x += step
-        coords[level] = 0
+        m, w = steps[level], weights[level]
+        s = sum(map(mul, coeffs[level], x[level + 1:]))
+        y_max = math.isqrt(budget // w)
+        for xi in range(-((y_max + s) // m), (y_max - s) // m + 1):
+            y = m * xi + s
+            x[level] = xi
+            descend(level - 1, budget - w * y * y)
+        x[level] = 0
 
-    descend(n - 1, mu_max)
-    return {norm: tuple(vs) for norm, vs in sorted(found.items())}
+    descend(n - 1, bound)
+    norm_den = scale * den * den
+    return {
+        Fraction(bound - left, norm_den): found[left] for left in sorted(found, reverse=True)
+    }
+
+
+@lru_cache(maxsize=None)
+def shells(lattice: Lattice, mu_max: Fraction) -> dict[Fraction, tuple[rl.Vec, ...]]:
+    """Dual-lattice vectors of squared norm <= mu_max, grouped by the exact
+    norm, as ambient vectors.  The enumeration is the lattice's cached
+    integer Fincke-Pohst walk; no floating point enters."""
+    dual, den = lattice._scaled[1]
+    cols = rl.transpose(dual)
+    return {
+        mu: tuple(tuple(Fraction(sum(map(mul, x, col)), den) for col in cols) for x in xs)
+        for mu, xs in lattice._dual_ball(mu_max).items()
+    }
+
+
+class _Coset(NamedTuple):
+    """A validated coset in integer coordinates."""
+
+    fixes: IntMat  # the nonzero rows of A - 1, A = (R^-1)^T on dual coordinates
+    shift: tuple[int, ...]  # D times the lattice coordinates of b, mod D
+    traces: tuple[int, ...]  # tr Lambda^p(B) for p = 0..n
+
+
+def _exterior_traces(r: IntMat) -> tuple[int, ...]:
+    """tr Lambda^p(R) for p = 0..n, read off det(xI - R) = sum c_j x^j as
+    (-1)^p c_{n-p}.  Integer Faddeev-LeVerrier: c_{n-k} = -tr(R M_k) / k, an
+    exact division for an integer matrix."""
+    n = len(r)
+    traces = [1]
+    m = _eye(n)
+    for k in range(1, n + 1):
+        rm = rl.mat_mul(r, m)
+        c, rest = divmod(-sum(rm[i][i] for i in range(n)), k)
+        assert rest == 0
+        traces.append(-c if k % 2 else c)
+        m = tuple(tuple(x + c if i == j else x for j, x in enumerate(row)) for i, row in enumerate(rm))
+    return tuple(traces)
 
 
 @dataclass(frozen=True)
@@ -122,6 +219,9 @@ class BieberbachGroup:
     cosets: tuple[tuple[rl.Mat, rl.Vec], ...]
     name: str = ""
     _cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    # the cosets in integer coordinates, in the order of `cosets`
+    _holonomy: tuple[_Coset, ...] = field(init=False, compare=False, repr=False)
+    _denom: int = field(init=False, compare=False, repr=False)  # D
 
     def __post_init__(self):
         cosets = tuple(
@@ -129,49 +229,73 @@ class BieberbachGroup:
         )
         object.__setattr__(self, "cosets", cosets)
         n = self.lattice.n
-        ident = rl.identity(n)
-        rotations = []
+        (basis, basis_den), (dual, dual_den) = self.lattice._scaled
+        basis_t, dual_t = rl.transpose(basis), rl.transpose(dual)
+        ident = _eye(n)
+        seen, rots, inverses, fixes, coords = [], [], [], [], []
         for b, t in cosets:
             if len(b) != n or len(t) != n:
                 raise InvariantViolation("coset data has wrong dimension")
-            if rl.mat_mul(rl.transpose(b), b) != ident:
+            b_int, b_den = _integral(b)
+            if rl.mat_mul(rl.transpose(b_int), b_int) != _eye(n, b_den * b_den):
                 raise InvariantViolation("rotation part is not orthogonal")
-            if b in rotations:
+            if b in seen:
                 raise InvariantViolation("two cosets share a rotation part")
-            rotations.append(b)
-            for row in self.lattice.basis:
-                if not self.lattice.contains(rl.mat_vec(b, row)):
-                    raise InvariantViolation("rotation part does not preserve the lattice")
+            seen.append(b)
+            den = dual_den * b_den * basis_den
+            rot = _divide(rl.mat_mul(rl.mat_mul(dual, b_int), basis_t), den)
+            if rot is None:
+                raise InvariantViolation("rotation part does not preserve the lattice")
+            # R is unimodular, so A = (R^-1)^T is integral too
+            dual_rot = _divide(rl.mat_mul(rl.mat_mul(basis, b_int), dual_t), den)
+            assert dual_rot is not None
+            rots.append(rot)
+            inverses.append(rl.transpose(dual_rot))
+            # a dual vector x is fixed by B exactly when (A - 1) x = 0
+            moved = [list(row) for row in dual_rot]
+            for i in range(n):
+                moved[i][i] -= 1
+            fixes.append(tuple(tuple(row) for row in moved if any(row)))
+            coords.append(self.lattice.coords(t))
+        d = math.lcm(*(x.denominator for s in coords for x in s))
+        shifts = [tuple(x.numerator * (d // x.denominator) % d for x in s) for s in coords]
         try:
-            id_index = rotations.index(ident)
+            id_index = rots.index(ident)
         except ValueError:
             raise InvariantViolation("identity coset missing") from None
-        if not self.lattice.contains(cosets[id_index][1]):
+        if any(shifts[id_index]):
             raise InvariantViolation("identity coset carries a non-lattice translation")
-        for b1, t1 in cosets:
-            for b2, t2 in cosets:
-                prod_rot = rl.mat_mul(b1, b2)
-                # the inverse of an orthogonal matrix is its transpose
-                prod_tr = rl.vec_add(rl.mat_vec(rl.transpose(b2), t1), t2)
-                match = next((t for b, t in cosets if b == prod_rot), None)
-                if match is None or not self.lattice.contains(rl.vec_sub(prod_tr, match)):
+        index = {r: i for i, r in enumerate(rots)}
+        for r1, s1 in zip(rots, shifts):
+            for r2, inv2, s2 in zip(rots, inverses, shifts):
+                match = index.get(rl.mat_mul(r1, r2))
+                # (B1, b1)(B2, b2) = (B1 B2, b2 + B2^-1 b1), on lattice coordinates
+                if match is None or any(
+                    (x + y - z) % d for x, y, z in zip(s2, rl.mat_vec(inv2, s1), shifts[match])
+                ):
                     raise InvariantViolation("coset system is not closed under composition")
-        for b, t in cosets:
-            if b == ident:
+        for r, s in zip(rots, shifts):
+            if r == ident:
                 continue
-            diff = tuple(
-                tuple(b[i][j] - (1 if i == j else 0) for j in range(n)) for i in range(n)
-            )
-            fixed = rl.kernel_basis(diff)
-            if not fixed:
+            # N = 1 + R + ... + R^(m-1) is m times the projector onto the fixed
+            # space of R; some element of the coset fixes a point exactly when
+            # N s lies in N Z^n (closure bounds the order m)
+            total, power = ident, r
+            while power != ident:
+                total = tuple(tuple(map(add, u, v)) for u, v in zip(total, power))
+                power = rl.mat_mul(power, r)
+            if not any(map(any, total)):
                 raise InvariantViolation("holonomy element acts with a fixed point")
-            proj = rl.orthogonal_projector(fixed)
-            pb = rl.mat_vec(proj, t)
-            gens = [rl.mat_vec(proj, row) for row in self.lattice.basis]
-            if rl.in_integer_span(pb, gens):
+            image = [Fraction(x, d) for x in rl.mat_vec(total, s)]
+            if rl.in_integer_span(image, rl.transpose(total)):
                 raise InvariantViolation(
                     "group has torsion: a holonomy coset contains a fixed-point isometry"
                 )
+        holonomy = tuple(
+            _Coset(f, s, _exterior_traces(r)) for r, f, s in zip(rots, fixes, shifts)
+        )
+        object.__setattr__(self, "_holonomy", holonomy)
+        object.__setattr__(self, "_denom", d)
 
     @property
     def n(self) -> int:
@@ -183,22 +307,28 @@ class BieberbachGroup:
 
 
 def is_orientable(group: BieberbachGroup) -> bool:
-    return all(rl.det(b) == 1 for b, _ in group.cosets)
+    return all(c.traces[-1] == 1 for c in group._holonomy)  # tr Lambda^n = det
 
 
 def e_mu_gamma(group: BieberbachGroup, coset_index: int, mu) -> complex:
     """Sum of exp(-2 pi i <v, b>) over the dual vectors of squared norm mu
-    fixed by the rotation part of the chosen coset."""
+    fixed by the rotation part of the chosen coset, evaluated as
+    sum_r c_r exp(-2 pi i r / D) over the counts c_r of the exact residues
+    r = D <v, b> mod D."""
     mu = Fraction(mu)
     key = ("e", coset_index, mu)
     cached = group._cache.get(key)
     if cached is not None:
         return cached
-    b, t = group.cosets[coset_index]
-    total = 0j
-    for v in shells(group.lattice, mu).get(mu, ()):
-        if rl.mat_vec(b, v) == v:
-            total += cmath.exp(-2j * cmath.pi * float(rl.dot(v, t)))
+    coset, d = group._holonomy[coset_index], group._denom
+    residues = Counter(
+        sum(map(mul, coset.shift, x)) % d
+        for x in group.lattice._dual_ball(mu).get(mu, ())
+        if not any(sum(map(mul, row, x)) for row in coset.fixes)
+    )
+    total = sum(
+        (c * cmath.exp(-2j * cmath.pi * r / d) for r, c in residues.items()), 0j
+    )
     group._cache[key] = total
     return total
 
@@ -208,8 +338,7 @@ def betti(group: BieberbachGroup, p: int) -> int:
     computed exactly."""
     if not 0 <= p <= group.n:
         raise ValueError("form degree out of range")
-    total = sum((exterior_trace(b, p) for b, _ in group.cosets), Fraction(0))
-    val = Fraction(total, group.holonomy_order)
+    val = Fraction(sum(c.traces[p] for c in group._holonomy), group.holonomy_order)
     if val.denominator != 1 or val < 0:
         raise IntegralityError(f"holonomy trace average {val} is not a nonnegative integer")
     return int(val)
@@ -229,8 +358,8 @@ def d_lambda(group: BieberbachGroup, p: int, mu, tol: float = DEFAULT_TOL) -> in
     if cached is not None:
         return cached
     total = 0j
-    for idx, (b, _) in enumerate(group.cosets):
-        total += float(exterior_trace(b, p)) * e_mu_gamma(group, idx, mu)
+    for idx, coset in enumerate(group._holonomy):
+        total += coset.traces[p] * e_mu_gamma(group, idx, mu)
     avg = total / group.holonomy_order
     nearest = round(avg.real)
     if abs(avg - nearest) > tol or nearest < 0:

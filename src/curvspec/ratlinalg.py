@@ -7,7 +7,9 @@ Gaussian elimination with Fractions is plenty fast.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 Vec = tuple[Fraction, ...]
@@ -34,12 +36,12 @@ def transpose(a: Mat) -> Mat:
 
 
 def mat_vec(a: Mat, v: Sequence) -> Vec:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
     bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def vec_add(u: Sequence, v: Sequence) -> Vec:
@@ -48,11 +50,6 @@ def vec_add(u: Sequence, v: Sequence) -> Vec:
 
 def vec_sub(u: Sequence, v: Sequence) -> Vec:
     return tuple(Fraction(x) - Fraction(y) for x, y in zip(u, v))
-
-
-def vec_scale(c, v: Sequence) -> Vec:
-    c = Fraction(c)
-    return tuple(c * Fraction(x) for x in v)
 
 
 def dot(u: Sequence, v: Sequence) -> Fraction:
@@ -190,9 +187,7 @@ def in_integer_span(vec: Sequence, generators: Sequence[Sequence]) -> bool:
     if not gens:
         return all(x == 0 for x in v)
     denoms = [x.denominator for g in gens for x in g] + [x.denominator for x in v]
-    scale = 1
-    for d in denoms:
-        scale = scale * d // _gcd(scale, d)
+    scale = math.lcm(*denoms)
     int_gens = [[int(x * scale) for x in g] for g in gens]
     target = [int(x * scale) for x in v]
     basis = _hnf_rows(int_gens)
@@ -204,12 +199,6 @@ def in_integer_span(vec: Sequence, generators: Sequence[Sequence]) -> bool:
             target = [x - q * y for x, y in zip(target, row)]
         # if not divisible the final all-zero check fails anyway
     return all(x == 0 for x in target)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a) if a else abs(b)
 
 
 def kernel_basis(a: Mat) -> list[Vec]:
@@ -251,7 +240,6 @@ def orthogonal_projector(subspace_basis: Sequence[Sequence]) -> Mat:
     """
     b = as_mat(subspace_basis)
     if not b:
-        n = 0
         return tuple()
     bt = transpose(b)
     gram_inv = mat_inv(mat_mul(b, bt))

@@ -447,3 +447,141 @@ def test_all_fixture_multiplicities_are_integral():
                     continue
                 val = d_lambda(group, p, mu)
                 assert isinstance(val, int) and val >= 0
+
+
+# ---------------------------------------------------------------- integer kernel
+
+
+def _unimodular(n: int, rng) -> list[list[int]]:
+    """A random element of GL(n, Z): elementary row operations, then a row shuffle."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(n):
+        i, j = rng.sample(range(n), 2)
+        s = rng.choice((1, -1))
+        u[i] = [a + s * b for a, b in zip(u[i], u[j])]
+    rng.shuffle(u)
+    return u
+
+
+def _signed_permutation(n: int, rng) -> list[list[int]]:
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [[rng.choice((1, -1)) if perm[i] == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _re_present(group: BieberbachGroup, rng) -> BieberbachGroup:
+    """The same space form on the basis U B P^T with cosets (P B P^T, P b),
+    then with its origin moved to a random rational point c, which turns each
+    translation b' into b' + c - B'^T c."""
+    n = group.n
+    u = rl.as_mat(_unimodular(n, rng))
+    p = rl.as_mat(_signed_permutation(n, rng))
+    pt = rl.transpose(p)
+    c = tuple(Fraction(rng.randrange(-9, 10), rng.randrange(2, 8)) for _ in range(n))
+    basis = rl.mat_mul(rl.mat_mul(u, group.lattice.basis), pt)
+    cosets = []
+    for b, t in group.cosets:
+        rot = rl.mat_mul(rl.mat_mul(p, b), pt)
+        shift = rl.vec_sub(c, rl.mat_vec(rl.transpose(rot), c))
+        cosets.append((rot, rl.vec_add(rl.mat_vec(p, t), shift)))
+    return BieberbachGroup(Lattice(basis), tuple(cosets))
+
+
+_SKEW = ((2, 1), (1, 1))  # unimodular, so U B spans the same lattice as B
+_REFL = ((1, 0), (0, -1))
+
+
+def _skew(basis) -> Lattice:
+    return Lattice(rl.mat_mul(rl.as_mat(_SKEW), rl.as_mat(basis)))
+
+
+@pytest.mark.parametrize(
+    "basis, cosets, message",
+    [
+        (rl.identity(2), ((rl.identity(2), (0, 0)), (((1, 1), (0, 1)), (0, 0))), "not orthogonal"),
+        (((1, 0), (0, 2)), ((rl.identity(2), (0, 0)), (((0, 1), (1, 0)), (0, 0))), "does not preserve"),
+        (
+            rl.identity(2),
+            ((rl.identity(2), (0, 0)), (_REFL, (Fraction(1, 2), 0)), (_REFL, (Fraction(1, 2), 1))),
+            "share a rotation",
+        ),
+        (rl.identity(2), ((_REFL, (Fraction(1, 2), 0)),), "identity coset missing"),
+        (((1, 0), (0, 2)), ((rl.identity(2), (0, 1)),), "non-lattice translation"),
+        (rl.identity(2), ((rl.identity(2), (0, 0)), (((0, 1), (-1, 0)), (0, 0))), "not closed"),
+        (rl.identity(2), ((rl.identity(2), (0, 0)), (_REFL, (Fraction(1, 3), 0))), "not closed"),
+        (rl.identity(2), ((rl.identity(2), (0, 0)), (_REFL, (0, Fraction(1, 2)))), "torsion"),
+        (rl.identity(2), ((rl.identity(2), (0, 0)), ((((-1, 0), (0, -1))), (0, 0))), "fixed point"),
+    ],
+)
+def test_rejections_hold_on_a_skew_basis(basis, cosets, message):
+    for lattice in (Lattice(basis), _skew(basis)):
+        with pytest.raises(InvariantViolation, match=message):
+            BieberbachGroup(lattice, cosets)
+
+
+def test_re_presentation_leaves_betti_and_spectra_unchanged():
+    import random
+
+    rng = random.Random(20010)
+    for name, group in fixtures().items():
+        cutoff = 2 if group.n == 8 else 4
+        other = _re_present(group, rng)
+        assert other.lattice.basis != group.lattice.basis
+        for p in range(group.n + 1):
+            assert betti(other, p) == betti(group, p)
+            assert spectrum(other, p, cutoff) == spectrum(group, p, cutoff), (name, p)
+
+
+def test_far_translation_representative_keeps_the_phase_exact():
+    # (10**16 + 1/2, 0) and (1/2, 0) represent the same glide coset; a float
+    # phase drops the 1/2 of the first one
+    lat = Lattice(((1, 0), (0, 2)))
+
+    def klein(shift):
+        return BieberbachGroup(lat, ((rl.identity(2), (0, 0)), (_REFL, (shift, 0))))
+
+    near, far = klein(Fraction(1, 2)), klein(10**16 + Fraction(1, 2))
+    for p in range(3):
+        assert spectrum(far, p, 4).entries == spectrum(near, p, 4).entries
+
+
+def test_dual_ball_is_walked_once_and_filtered(monkeypatch):
+    from curvspec import flat
+
+    walks = []
+    real = flat._fincke_pohst
+
+    def counted(*args):
+        walks.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(flat, "_fincke_pohst", counted)
+    basis = ((1, Fraction(1, 3), 0), (Fraction(1, 2), Fraction(3, 2), 1), (0, Fraction(2, 5), 2))
+    lat = Lattice(basis)
+    dual = lat.dual_basis()
+    for mu_max in (4, 1, 3, 0):
+        # |x_j| = |<v, b_j>| <= |v| |b_j| for v = sum_j x_j d_j
+        span = max(math.isqrt(int(mu_max * sum(c * c for c in b)) + 1) for b in basis)
+        brute: dict[Fraction, set] = {}
+        for xs in itertools.product(range(-span, span + 1), repeat=3):
+            v = tuple(sum(x * d[k] for x, d in zip(xs, dual)) for k in range(3))
+            norm = sum(c * c for c in v)
+            if norm <= mu_max:
+                brute.setdefault(norm, set()).add(v)
+        got = shells(lat, mu_max)
+        assert {mu: set(vs) for mu, vs in got.items()} == brute
+        assert all(len(vs) == len(set(vs)) for vs in got.values())
+        assert list(got) == sorted(got)
+    assert walks == [4]
+
+
+def test_integer_exterior_traces_match_the_ambient_ones():
+    import random
+
+    from curvspec.liealg import exterior_trace
+
+    rng = random.Random(7)
+    for group in fixtures().values():
+        for g in (group, _re_present(group, rng)):
+            for coset, (b, _) in zip(g._holonomy, g.cosets):
+                assert coset.traces == tuple(exterior_trace(b, p) for p in range(g.n + 1))
