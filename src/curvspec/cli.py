@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from math import isqrt
@@ -29,8 +28,6 @@ from math import isqrt
 from . import flat, hyperbolic, spherical
 from .errors import CurvspecError, InvariantViolation
 from .liealg import RotationElement
-
-DEFAULT_TOL = 1e-6
 
 
 class _ParseError(Exception):
@@ -48,7 +45,7 @@ def _fraction(x) -> Fraction:
     raise _ParseError(f"bad rational {x!r} (use integers or strings like '1/2')")
 
 
-def _load_group(token: str, tol: float):
+def _load_group(token: str):
     """Returns ("flat", BieberbachGroup) or ("spherical", SphericalGroup)."""
     if token.startswith("fixture:"):
         name = token[len("fixture:") :]
@@ -152,20 +149,20 @@ def _emit_rows(rows: list[tuple], header: tuple, fmt: str):
         print("  ".join(str(x).ljust(w) for x, w in zip(row, widths)).rstrip())
 
 
-def cmd_spectrum(args, tol: float) -> int:
-    space, group = _load_group(args.group, tol)
+def cmd_spectrum(args) -> int:
+    space, group = _load_group(args.group)
     cutoff = _fraction(args.cutoff)
     n = group.n
     rows = []
     for p in _degrees(args.p, n):
         if space == "flat":
-            spec = flat.spectrum(group, p, cutoff, tol)
+            spec = flat.spectrum(group, p, cutoff)
             for mu, mult in spec.entries.items():
                 rows.append(
                     (p, f"4*pi^2*{mu}", repr(4 * math.pi**2 * float(mu)), mult)
                 )
         else:
-            spec = spherical.p_spectrum(group, p, cutoff, tol)
+            spec = spherical.p_spectrum(group, p, cutoff)
             for lam, mult in spec.entries.items():
                 rows.append((p, lam, repr(float(lam)), mult))
     _emit_rows(rows, ("p", "eigenvalue_exact", "eigenvalue_float", "multiplicity"), args.format)
@@ -178,9 +175,9 @@ def _k_max_from_cutoff(m: int, cutoff: Fraction) -> int:
     return max(isqrt(s2) - h, 0)
 
 
-def cmd_compare(args, tol: float) -> int:
-    space1, g1 = _load_group(args.group1, tol)
-    space2, g2 = _load_group(args.group2, tol)
+def cmd_compare(args) -> int:
+    space1, g1 = _load_group(args.group1)
+    space2, g2 = _load_group(args.group2)
     if space1 != space2:
         print(f"cannot compare a {space1} group with a {space2} group", file=sys.stderr)
         return 4
@@ -193,10 +190,10 @@ def cmd_compare(args, tol: float) -> int:
     for p in _degrees(args.p, n):
         if args.mode == "spec":
             if space1 == "flat":
-                res = flat.compare(g1, g2, p, cutoff, tol)
+                res = flat.compare(g1, g2, p, cutoff)
                 unit = "mu"
             else:
-                res = spherical.compare(g1, g2, p, cutoff, tol)
+                res = spherical.compare(g1, g2, p, cutoff)
                 unit = "lambda"
             if res.isospectral:
                 print(f"p={p}: spectra agree ({unit} <= {cutoff})")
@@ -206,11 +203,11 @@ def cmd_compare(args, tol: float) -> int:
                 all_equal = False
         elif args.mode == "tau":
             if space1 == "flat":
-                eq = flat.tau_equivalent(g1, g2, p, cutoff, tol)
+                eq = flat.tau_equivalent(g1, g2, p, cutoff)
                 scope = f"mu <= {cutoff}"
             else:
                 k_max = _k_max_from_cutoff(g1.m, cutoff)
-                eq = spherical.tau_equivalent(g1, g2, p, k_max, tol)
+                eq = spherical.tau_equivalent(g1, g2, p, k_max)
                 scope = f"k <= {k_max}"
             print(f"p={p}: {'tau-equivalent' if eq else 'not tau-equivalent'} ({scope})")
             all_equal = all_equal and eq
@@ -218,8 +215,8 @@ def cmd_compare(args, tol: float) -> int:
             closed = args.mode == "half-closed"
             if space1 == "flat":
                 raise _ParseError("half modes apply to spherical groups only")
-            h1 = spherical.half_spectrum(g1, p, closed, cutoff, tol)
-            h2 = spherical.half_spectrum(g2, p, closed, cutoff, tol)
+            h1 = spherical.half_spectrum(g1, p, closed, cutoff)
+            h2 = spherical.half_spectrum(g2, p, closed, cutoff)
             diffs = [
                 (lam, h1.get(lam, 0), h2.get(lam, 0))
                 for lam in sorted(set(h1) | set(h2))
@@ -235,8 +232,8 @@ def cmd_compare(args, tol: float) -> int:
     return 0 if all_equal else 1
 
 
-def cmd_betti(args, tol: float) -> int:
-    space, group = _load_group(args.group, tol)
+def cmd_betti(args) -> int:
+    space, group = _load_group(args.group)
     if space != "flat":
         print("betti is implemented for flat groups", file=sys.stderr)
         return 2
@@ -245,7 +242,7 @@ def cmd_betti(args, tol: float) -> int:
     return 0
 
 
-def cmd_dict(args, tol: float) -> int:
+def cmd_dict(args) -> int:
     lam = _fraction(args.lam)
     terms = hyperbolic.multiplicity_decomposition(args.n, args.p, lam)
     print(f"d_lambda(p={args.p}, lambda={lam}, H^{args.n}) = " + (
@@ -256,7 +253,7 @@ def cmd_dict(args, tol: float) -> int:
     return 0
 
 
-def cmd_fixtures(args, tol: float) -> int:
+def cmd_fixtures(args) -> int:
     for name, group in flat.fixtures().items():
         orient = "orientable" if flat.is_orientable(group) else "non-orientable"
         print(f"{name}  dim {group.n}  holonomy order {group.holonomy_order}  {orient}")
@@ -308,14 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    tol_env = os.environ.get("CURVSPEC_TOL")
     try:
-        tol = float(tol_env) if tol_env else DEFAULT_TOL
-    except ValueError:
-        print(f"bad CURVSPEC_TOL value {tol_env!r}", file=sys.stderr)
-        return 2
-    try:
-        return args.func(args, tol)
+        return args.func(args)
     except _ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

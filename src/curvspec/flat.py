@@ -11,10 +11,10 @@ integer matrix R = dual B basis^T, and on dual coordinates it is
 A = basis B dual^T = (R^-1)^T, so the fixed-vector test is the integer
 equation A x = x.  The translations are integer residue vectors modulo their
 common denominator D, so each phase <v, b> is a residue r mod D.  Validation,
-Betti numbers and exterior traces work with R alone.  The only floating point
-is the final phase sum over a residue histogram, sum_r c_r exp(-2 pi i r / D),
-and every multiplicity is checked to be a nonnegative integer before it is
-reported.
+Betti numbers and exterior traces work with R alone.  A multiplicity is
+|F|^-1 sum_r C_r exp(-2 pi i r / D) for integer counts C_r; Galois invariance
+makes C_r depend on gcd(r, D) alone, and the primitive k-th roots of unity sum
+to the Moebius value mu(k), so the sum is evaluated in integers.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from typing import NamedTuple
 from . import ratlinalg as rl
 from .errors import IntegralityError, InvariantViolation
 from .liealg import exterior_trace  # noqa: F401 (perfbench/tracer.py wraps flat.exterior_trace)
-
-DEFAULT_TOL = 1e-6
 
 IntMat = tuple[tuple[int, ...], ...]
 
@@ -62,6 +60,8 @@ class Lattice:
     _dual: rl.Mat = field(init=False, repr=False, compare=False)
     # dual ball: {"mu": cutoff walked, "shells": {norm: [dual coordinates]}}
     _ball: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the ball's shells as ambient vectors: {norm: vectors}, filled by shells()
+    _ambient: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         basis = rl.as_mat(self.basis)
@@ -174,17 +174,20 @@ def _fincke_pohst(dual: IntMat, den: int, mu_max: Fraction) -> dict[Fraction, li
     }
 
 
-@lru_cache(maxsize=None)
-def shells(lattice: Lattice, mu_max: Fraction) -> dict[Fraction, tuple[rl.Vec, ...]]:
+def shells(lattice: Lattice, mu_max) -> dict[Fraction, tuple[rl.Vec, ...]]:
     """Dual-lattice vectors of squared norm <= mu_max, grouped by the exact
     norm, as ambient vectors.  The enumeration is the lattice's cached
-    integer Fincke-Pohst walk; no floating point enters."""
+    integer Fincke-Pohst walk, and each shell is converted once per lattice;
+    no floating point enters."""
     dual, den = lattice._scaled[1]
     cols = rl.transpose(dual)
-    return {
-        mu: tuple(tuple(Fraction(sum(map(mul, x, col)), den) for col in cols) for x in xs)
-        for mu, xs in lattice._dual_ball(mu_max).items()
-    }
+    ball, ambient = lattice._dual_ball(mu_max), lattice._ambient
+    for mu, xs in ball.items():
+        if mu not in ambient:
+            ambient[mu] = tuple(
+                tuple(Fraction(sum(map(mul, x, col)), den) for col in cols) for x in xs
+            )
+    return {mu: ambient[mu] for mu in ball}
 
 
 class _Coset(NamedTuple):
@@ -310,26 +313,65 @@ def is_orientable(group: BieberbachGroup) -> bool:
     return all(c.traces[-1] == 1 for c in group._holonomy)  # tr Lambda^n = det
 
 
+def _residue_counts(group: BieberbachGroup, coset_index: int, mu: Fraction) -> Counter:
+    """Counts of the residues r = D <v, b> mod D over the dual vectors v of
+    squared norm mu fixed by the rotation part of the chosen coset."""
+    key = ("r", coset_index, mu)
+    counts = group._cache.get(key)
+    if counts is None:
+        coset, d = group._holonomy[coset_index], group._denom
+        counts = group._cache[key] = Counter(
+            sum(map(mul, coset.shift, x)) % d
+            for x in group.lattice._dual_ball(mu).get(mu, ())
+            if not any(sum(map(mul, row, x)) for row in coset.fixes)
+        )
+    return counts
+
+
 def e_mu_gamma(group: BieberbachGroup, coset_index: int, mu) -> complex:
     """Sum of exp(-2 pi i <v, b>) over the dual vectors of squared norm mu
     fixed by the rotation part of the chosen coset, evaluated as
     sum_r c_r exp(-2 pi i r / D) over the counts c_r of the exact residues
     r = D <v, b> mod D."""
-    mu = Fraction(mu)
-    key = ("e", coset_index, mu)
-    cached = group._cache.get(key)
-    if cached is not None:
-        return cached
-    coset, d = group._holonomy[coset_index], group._denom
-    residues = Counter(
-        sum(map(mul, coset.shift, x)) % d
-        for x in group.lattice._dual_ball(mu).get(mu, ())
-        if not any(sum(map(mul, row, x)) for row in coset.fixes)
-    )
-    total = sum(
-        (c * cmath.exp(-2j * cmath.pi * r / d) for r, c in residues.items()), 0j
-    )
-    group._cache[key] = total
+    d = group._denom
+    residues = _residue_counts(group, coset_index, Fraction(mu))
+    return sum((c * cmath.exp(-2j * cmath.pi * r / d) for r, c in residues.items()), 0j)
+
+
+def _moebius(k: int) -> int:
+    """The Moebius function, by trial division."""
+    out, f = 1, 2
+    while f * f <= k:
+        if k % f == 0:
+            k //= f
+            if k % f == 0:
+                return 0
+            out = -out
+        f += 1
+    return -out if k > 1 else out
+
+
+def _phase_sum(counts: dict[int, int], d: int) -> int:
+    """sum_r C_r exp(2 pi i r / d), exactly, for integer counts C_r that are
+    constant on each class gcd(r, d): the class of g | d holds the primitive
+    (d/g)-th roots of unity, which sum to mu(d/g).  Counts that are not
+    constant on the classes raise IntegralityError."""
+    counts = {r: c for r, c in counts.items() if c}
+    # a common factor of d and every residue present only shrinks the ring
+    g0 = math.gcd(d, *counts)
+    d //= g0
+    counts = {r // g0: c for r, c in counts.items()}
+    total = 0
+    for r in range(1, d + 1):
+        g = math.gcd(r, d)
+        c = counts.get(r % d, 0)
+        if c != counts.get(g % d, 0):
+            raise IntegralityError(
+                f"residue counts are not Galois invariant: {c} at {r} but "
+                f"{counts.get(g % d, 0)} at {g} (mod {d})"
+            )
+        if g == r:
+            total += c * _moebius(d // r)
     return total
 
 
@@ -344,8 +386,9 @@ def betti(group: BieberbachGroup, p: int) -> int:
     return int(val)
 
 
-def d_lambda(group: BieberbachGroup, p: int, mu, tol: float = DEFAULT_TOL) -> int:
-    """Multiplicity of the eigenvalue 4 pi^2 mu on p-forms."""
+def d_lambda(group: BieberbachGroup, p: int, mu) -> int:
+    """Multiplicity of the eigenvalue 4 pi^2 mu on p-forms:
+    |F|^-1 sum over the cosets of tr Lambda^p(B) e_mu_gamma, in integers."""
     mu = Fraction(mu)
     if mu < 0:
         raise ValueError("mu must be nonnegative")
@@ -357,18 +400,19 @@ def d_lambda(group: BieberbachGroup, p: int, mu, tol: float = DEFAULT_TOL) -> in
     cached = group._cache.get(key)
     if cached is not None:
         return cached
-    total = 0j
+    counts: Counter[int] = Counter()
     for idx, coset in enumerate(group._holonomy):
-        total += coset.traces[p] * e_mu_gamma(group, idx, mu)
-    avg = total / group.holonomy_order
-    nearest = round(avg.real)
-    if abs(avg - nearest) > tol or nearest < 0:
+        for r, c in _residue_counts(group, idx, mu).items():
+            counts[r] += coset.traces[p] * c
+    total = _phase_sum(counts, group._denom)
+    val, rest = divmod(total, group.holonomy_order)
+    if rest or val < 0:
         raise IntegralityError(
-            f"multiplicity {avg} at mu={mu}, p={p} is not a nonnegative integer "
-            f"(tolerance {tol})"
+            f"multiplicity {Fraction(total, group.holonomy_order)} at mu={mu}, p={p} "
+            "is not a nonnegative integer"
         )
-    group._cache[key] = nearest
-    return nearest
+    group._cache[key] = val
+    return val
 
 
 @dataclass(frozen=True)
@@ -379,9 +423,7 @@ class FlatSpectrum:
     entries: dict[Fraction, int]
 
 
-def spectrum(
-    group: BieberbachGroup, p: int, mu_max, tol: float = DEFAULT_TOL
-) -> FlatSpectrum:
+def spectrum(group: BieberbachGroup, p: int, mu_max) -> FlatSpectrum:
     """Eigenvalues 4 pi^2 mu with mu <= mu_max on p-forms; the mu = 0 entry is
     always present and equals the Betti number."""
     mu_max = Fraction(mu_max)
@@ -389,7 +431,7 @@ def spectrum(
     for mu in shells(group.lattice, mu_max):
         if mu == 0:
             continue
-        d = d_lambda(group, p, mu, tol)
+        d = d_lambda(group, p, mu)
         if d:
             entries[mu] = d
     return FlatSpectrum(group.n, p, mu_max, dict(sorted(entries.items())))
@@ -401,17 +443,11 @@ class ComparisonResult:
     first_discrepancy: tuple | None
 
 
-def compare(
-    g1: BieberbachGroup,
-    g2: BieberbachGroup,
-    p: int,
-    mu_max,
-    tol: float = DEFAULT_TOL,
-) -> ComparisonResult:
+def compare(g1: BieberbachGroup, g2: BieberbachGroup, p: int, mu_max) -> ComparisonResult:
     if g1.n != g2.n:
         raise ValueError("groups act on spaces of different dimensions")
-    s1 = spectrum(g1, p, mu_max, tol).entries
-    s2 = spectrum(g2, p, mu_max, tol).entries
+    s1 = spectrum(g1, p, mu_max).entries
+    s2 = spectrum(g2, p, mu_max).entries
     for mu in sorted(set(s1) | set(s2)):
         d1, d2 = s1.get(mu, 0), s2.get(mu, 0)
         if d1 != d2:
@@ -419,9 +455,7 @@ def compare(
     return ComparisonResult(True, None)
 
 
-def n_sigma_multiplicity(
-    group: BieberbachGroup, p: int, mu, tol: float = DEFAULT_TOL
-) -> int:
+def n_sigma_multiplicity(group: BieberbachGroup, p: int, mu) -> int:
     """Multiplicity of the degree-p principal-series piece at squared norm
     mu > 0, telescoped out of the form multiplicities:
     sum_{q<=p} (-1)^(p-q) d(q, mu)."""
@@ -430,19 +464,13 @@ def n_sigma_multiplicity(
         raise ValueError("mu must be positive")
     if not 0 <= p <= group.n:
         raise ValueError("degree out of range")
-    val = sum((-1) ** (p - q) * d_lambda(group, q, mu, tol) for q in range(p + 1))
+    val = sum((-1) ** (p - q) * d_lambda(group, q, mu) for q in range(p + 1))
     if val < 0:
         raise IntegralityError(f"telescoped multiplicity {val} is negative")
     return val
 
 
-def tau_equivalent(
-    g1: BieberbachGroup,
-    g2: BieberbachGroup,
-    p: int,
-    mu_max,
-    tol: float = DEFAULT_TOL,
-) -> bool:
+def tau_equivalent(g1: BieberbachGroup, g2: BieberbachGroup, p: int, mu_max) -> bool:
     """Equality of all multiplicities attached to the degree-p exterior
     representation up to the cutoff: both telescoped halves at every shell
     plus the p-th Betti numbers."""
@@ -460,9 +488,7 @@ def tau_equivalent(
         for q in (p, p - 1):
             if q < 0:
                 continue
-            if n_sigma_multiplicity(g1, q, mu, tol) != n_sigma_multiplicity(
-                g2, q, mu, tol
-            ):
+            if n_sigma_multiplicity(g1, q, mu) != n_sigma_multiplicity(g2, q, mu):
                 return False
     return True
 

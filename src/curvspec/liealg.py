@@ -7,19 +7,21 @@ highest weight is an integer.  Only integral (non-spin) weights are supported.
 Characters are evaluated by summing exp(2*pi*i <mu, theta>) over the full
 weight table (Freudenthal multiplicities expanded along Weyl orbits), which is
 well defined at every group element -- including singular rotations where
-quotient formulas for characters degenerate to 0/0.
+quotient formulas for characters degenerate to 0/0.  The weights are first
+counted by their exact phase residue, so the only floating point is one
+complex exponential per residue class.
 """
 
 from __future__ import annotations
 
 import cmath
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, permutations, product
 from math import lcm
-
-import numpy as np
+from operator import mul
 
 from .errors import UnsupportedElementError
 
@@ -231,14 +233,6 @@ def weight_multiplicities(rs: RootSystem, w: Weight) -> dict[Weight, int]:
     return table
 
 
-@lru_cache(maxsize=None)
-def _weight_table_arrays(rs: RootSystem, w: Weight):
-    table = weight_multiplicities(rs, w)
-    coords = np.array(list(table.keys()), dtype=np.int64)
-    mults = np.array(list(table.values()), dtype=np.int64)
-    return coords, mults
-
-
 @dataclass(frozen=True)
 class RotationElement:
     """Conjugacy data of a rotation: the angle fractions a_j, meaning a block
@@ -278,15 +272,10 @@ class RotationElement:
         return RotationElement(tuple(-a for a in self.angles), self.extra_fixed)
 
 
-def _phase_data(g: RotationElement) -> tuple[np.ndarray, int]:
-    denom = lcm(*(a.denominator for a in g.angles)) if g.angles else 1
-    nums = np.array([int(a * denom) for a in g.angles], dtype=np.int64)
-    return nums, denom
-
-
 def character_so(rs: RootSystem, w, g: RotationElement) -> complex:
-    """Character of the highest-weight-w irreducible at a rotation element,
-    accumulated in double-precision complex over the weight table."""
+    """Character of the highest-weight-w irreducible at a rotation element:
+    the weight table counted by the exact residue r = D <mu, theta> mod D
+    (D the common denominator of the angles), then sum_r c_r exp(2 pi i r / D)."""
     w = rs.validate_weight(w)
     if g.rank != rs.rank:
         raise ValueError("element rank does not match root system rank")
@@ -296,11 +285,12 @@ def character_so(rs: RootSystem, w, g: RotationElement) -> complex:
         )
     if g.is_identity:
         return complex(weyl_dimension(rs, w))
-    coords, mults = _weight_table_arrays(rs, w)
-    nums, denom = _phase_data(g)
-    idx = (coords @ nums) % denom
-    phases = np.exp((2j * np.pi / denom) * np.arange(denom))
-    return complex((mults * phases[idx]).sum())
+    denom = lcm(*(a.denominator for a in g.angles))
+    nums = [a.numerator * (denom // a.denominator) for a in g.angles]
+    counts: Counter[int] = Counter()
+    for mu, mult in weight_multiplicities(rs, w).items():
+        counts[sum(map(mul, mu, nums)) % denom] += mult
+    return sum((c * cmath.exp(2j * cmath.pi * r / denom) for r, c in counts.items()), 0j)
 
 
 @dataclass(frozen=True)
@@ -358,33 +348,14 @@ def _orthogonal_char_poly(a):
     return tuple(ratlinalg.char_poly(a))
 
 
-def exterior_trace(mat, p: int):
+def exterior_trace(mat, p: int) -> Fraction:
     """Trace of the p-th exterior power of an orthogonal matrix: the p-th
-    elementary symmetric function of its eigenvalues, read off from the
-    characteristic polynomial (no eigendecomposition).
-
-    Exact Fraction output for rational input; float output (orthogonality
-    checked to 1e-9) for float input.
-    """
+    elementary symmetric function of its eigenvalues, read off exactly from
+    the characteristic polynomial (no eigendecomposition)."""
     from . import ratlinalg
 
     n = len(mat)
     if not 0 <= p <= n:
         raise ValueError("exterior degree out of range")
-    exact = all(isinstance(x, (int, Fraction)) for row in mat for x in row)
-    if exact:
-        coeffs = _orthogonal_char_poly(ratlinalg.as_mat(mat))
-        return (-1) ** p * coeffs[n - p]
-    a = np.asarray(mat, dtype=float)
-    if not np.allclose(a.T @ a, np.eye(n), atol=1e-9, rtol=0.0):
-        raise ValueError("matrix is not orthogonal (tolerance 1e-9)")
-    # Faddeev-LeVerrier in floating point
-    coeffs = [0.0] * (n + 1)
-    coeffs[n] = 1.0
-    m = np.eye(n)
-    for k in range(1, n + 1):
-        am = a @ m
-        c = -np.trace(am) / k
-        coeffs[n - k] = c
-        m = am + c * np.eye(n)
+    coeffs = _orthogonal_char_poly(ratlinalg.as_mat(mat))
     return (-1) ** p * coeffs[n - p]

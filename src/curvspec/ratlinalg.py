@@ -114,36 +114,6 @@ def char_poly(a: Mat) -> list[Fraction]:
     return coeffs
 
 
-def solve(a: Mat, b: Sequence) -> Vec | None:
-    """One solution of A x = b, or None if inconsistent (A may be rectangular)."""
-    nrows, ncols = len(a), len(a[0]) if a else 0
-    rows = [list(map(Fraction, r)) + [Fraction(x)] for r, x in zip(a, b)]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv_p = 1 / rows[r][col]
-        rows[r] = [x * inv_p for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if rows[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        x[col] = rows[i][ncols]
-    return tuple(x)
-
-
 def _hnf_rows(rows: list[list[int]]) -> list[list[int]]:
     """Row-style Hermite normal form of an integer matrix (row span preserved)."""
     rows = [list(r) for r in rows]
@@ -200,47 +170,3 @@ def in_integer_span(vec: Sequence, generators: Sequence[Sequence]) -> bool:
         # if not divisible the final all-zero check fails anyway
     return all(x == 0 for x in target)
 
-
-def kernel_basis(a: Mat) -> list[Vec]:
-    """Basis of the right kernel {x : A x = 0}, exact."""
-    nrows, ncols = len(a), len(a[0]) if a else 0
-    rows = [list(map(Fraction, r)) for r in a]
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv_p = 1 / rows[r][col]
-        rows[r] = [x * inv_p for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        x = [Fraction(0)] * ncols
-        x[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            x[pc] = -rows[i][fc]
-        basis.append(tuple(x))
-    return basis
-
-
-def orthogonal_projector(subspace_basis: Sequence[Sequence]) -> Mat:
-    """Matrix of orthogonal projection onto span(subspace_basis), exact.
-
-    P = B^T (B B^T)^{-1} B  for B with the basis vectors as rows.
-    """
-    b = as_mat(subspace_basis)
-    if not b:
-        return tuple()
-    bt = transpose(b)
-    gram_inv = mat_inv(mat_mul(b, bt))
-    return mat_mul(mat_mul(bt, gram_inv), b)

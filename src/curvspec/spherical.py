@@ -3,7 +3,9 @@
 A quotient of the unit sphere in R^{2m} by a finite fixed-point-free group of
 rotations has its p-form spectrum determined by two one-parameter families of
 highest weights: eigenvalues k^2 + k(n-1) + (p-1)(n-p) (n = 2m-1), with
-multiplicities given by averaging the corresponding characters over the group.
+multiplicities given by the dimensions of the group invariants in the
+corresponding representations.  Every such group is a lens group L(N; q), so
+each of those dimensions is an exact count of weights mu with <mu, q> = 0 mod N.
 """
 
 from __future__ import annotations
@@ -12,23 +14,27 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
+from operator import mul
 
 from . import liealg
-from .errors import IntegralityError, InvariantViolation
+from .errors import InvariantViolation
 from .liealg import IrrepLabelO, RootSystem, RotationElement
-
-DEFAULT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class SphericalGroup:
     """Finite fixed-point-free rotation group acting on the sphere S^{2m-1},
-    given by exact angle data in a common maximal torus."""
+    given by exact angle data in a common maximal torus.
+
+    Such a group is abelian and acts freely, hence cyclic: the lens group
+    L(N; q) generated by the rotation with angles q_j / N, N the order.
+    Validation finds that generator and stores q."""
 
     m: int
     elements: tuple[RotationElement, ...]
     name: str = ""
     _cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    _q: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.m < 2:
@@ -49,13 +55,22 @@ class SphericalGroup:
         if not any(g.is_identity for g in elems):
             raise InvariantViolation("identity element missing")
         for g in elems:
-            for h in elems:
-                if g.compose(h).angles not in seen:
-                    raise InvariantViolation("element list is not closed under composition")
             if not g.is_identity and any(a == 0 for a in g.angles):
                 raise InvariantViolation(
                     "fixed point on the sphere: non-identity element has a unit eigenvalue"
                 )
+        # the first plane's character is injective on a free group, so a
+        # group of order N has exactly one element with first angle 1/N, of
+        # order N, and its multiples are the whole group
+        big_n = len(elems)
+        gen = next((g for g in elems if g.angles[0] == Fraction(1, big_n) % 1), None)
+        if (
+            gen is None
+            or any((a * big_n).denominator != 1 for a in gen.angles)
+            or seen != {tuple(t * a % 1 for a in gen.angles) for t in range(big_n)}
+        ):
+            raise InvariantViolation("element list is not closed under composition")
+        object.__setattr__(self, "_q", tuple(int(a * big_n) for a in gen.angles))
 
     @property
     def n(self) -> int:
@@ -147,28 +162,29 @@ def family_label(m: int, j: int, k: int) -> IrrepLabelO:
     return IrrepLabelO(weight, delta)
 
 
-def n_gamma(group: SphericalGroup, label: IrrepLabelO, tol: float = DEFAULT_TOL) -> int:
-    """Multiplicity of the labelled irreducible in functions on the quotient:
-    the group average of its character, which must come out a nonnegative
-    integer (checked to `tol`)."""
+def n_gamma(group: SphericalGroup, label: IrrepLabelO) -> int:
+    """Multiplicity of the labelled irreducible in functions on the quotient
+    L(N; q): the dimension of its invariants, i.e. the number of weights mu
+    (with multiplicity) with <mu, q> = 0 mod N.  This is exactly the group
+    average of the character, with no rounding."""
     rs = group.root_system
     label.validate(rs)
     key = (label.weight, label.delta)
     cached = group._cache.get(key)
     if cached is not None:
         return cached
-    total = 0j
-    for g in group.elements:
-        total += liealg.character_o(rs, label, g)
-    avg = total / group.order
-    nearest = round(avg.real)
-    if abs(avg - nearest) > tol or nearest < 0:
-        raise IntegralityError(
-            f"character average {avg} for weight {label.weight} is not a "
-            f"nonnegative integer (tolerance {tol})"
-        )
-    group._cache[key] = nearest
-    return nearest
+    q, big_n = group._q, group.order
+    weights = [label.weight]
+    if label.delta == 0:
+        weights.append(liealg.conjugate_weight(rs, label.weight))
+    total = sum(
+        mult
+        for w in weights
+        for mu, mult in liealg.weight_multiplicities(rs, w).items()
+        if sum(map(mul, mu, q)) % big_n == 0
+    )
+    group._cache[key] = total
+    return total
 
 
 @dataclass(frozen=True)
@@ -186,9 +202,7 @@ def _included_k(j: int, p: int, n: int, k: int) -> bool:
     return (j == 1 and p == 0) or (j == n and p == n)
 
 
-def p_spectrum(
-    group: SphericalGroup, p: int, lam_max: int, tol: float = DEFAULT_TOL
-) -> Spectrum:
+def p_spectrum(group: SphericalGroup, p: int, lam_max: int) -> Spectrum:
     """Spectrum of the Hodge-Laplace operator on p-forms of the quotient,
     up to lam_max, as an eigenvalue -> multiplicity map (zeros omitted)."""
     n = group.n
@@ -201,19 +215,13 @@ def p_spectrum(
         for k, lam in eigenvalue_family(n, j, lam_max):
             if not _included_k(j, p, n, k):
                 continue
-            d = n_gamma(group, family_label(group.m, j, k), tol)
+            d = n_gamma(group, family_label(group.m, j, k))
             if d:
                 entries[lam] = entries.get(lam, 0) + d
     return Spectrum(n, p, lam_max, dict(sorted(entries.items())))
 
 
-def half_spectrum(
-    group: SphericalGroup,
-    p: int,
-    closed: bool,
-    lam_max: int,
-    tol: float = DEFAULT_TOL,
-) -> dict[int, int]:
+def half_spectrum(group: SphericalGroup, p: int, closed: bool, lam_max: int) -> dict[int, int]:
     """Positive spectrum restricted to closed (differential in the kernel) or
     coclosed p-forms; the coclosed half at degree p equals the closed half at
     degree p+1."""
@@ -226,7 +234,7 @@ def half_spectrum(
         for k, lam in eigenvalue_family(n, j, lam_max):
             if k < 1:
                 continue
-            d = n_gamma(group, family_label(group.m, j, k), tol)
+            d = n_gamma(group, family_label(group.m, j, k))
             if d:
                 entries[lam] = d
     return entries
@@ -238,17 +246,11 @@ class ComparisonResult:
     first_discrepancy: tuple | None
 
 
-def compare(
-    g1: SphericalGroup,
-    g2: SphericalGroup,
-    p: int,
-    lam_max: int,
-    tol: float = DEFAULT_TOL,
-) -> ComparisonResult:
+def compare(g1: SphericalGroup, g2: SphericalGroup, p: int, lam_max: int) -> ComparisonResult:
     if g1.m != g2.m:
         raise ValueError("groups act on spheres of different dimensions")
-    s1 = p_spectrum(g1, p, lam_max, tol).entries
-    s2 = p_spectrum(g2, p, lam_max, tol).entries
+    s1 = p_spectrum(g1, p, lam_max).entries
+    s2 = p_spectrum(g2, p, lam_max).entries
     for lam in sorted(set(s1) | set(s2)):
         d1, d2 = s1.get(lam, 0), s2.get(lam, 0)
         if d1 != d2:
@@ -256,13 +258,7 @@ def compare(
     return ComparisonResult(True, None)
 
 
-def tau_equivalent(
-    g1: SphericalGroup,
-    g2: SphericalGroup,
-    p: int,
-    k_max: int,
-    tol: float = DEFAULT_TOL,
-) -> bool:
+def tau_equivalent(g1: SphericalGroup, g2: SphericalGroup, p: int, k_max: int) -> bool:
     """Equality of every multiplicity attached to the degree-p exterior
     representation, across both weight families, for k <= k_max."""
     if g1.m != g2.m:
@@ -277,7 +273,7 @@ def tau_equivalent(
             if not _included_k(j, p, n, k):
                 continue
             label = family_label(g1.m, j, k)
-            if n_gamma(g1, label, tol) != n_gamma(g2, label, tol):
+            if n_gamma(g1, label) != n_gamma(g2, label):
                 return False
     return True
 
@@ -312,7 +308,7 @@ def casimir_collision_scan(
     rs = RootSystem("D", m)
     by_value: dict[int, list[tuple[int, ...]]] = {}
     for w in _interlacing_labels(m, mu, k_max):
-        lam = casimir_of(rs, w)
+        lam = liealg.casimir_eigenvalue(rs, w)
         by_value.setdefault(lam, []).append(w)
     collisions = []
     for lam in sorted(by_value):
@@ -322,6 +318,3 @@ def casimir_collision_scan(
                 collisions.append((labels[i], labels[jdx], lam))
     return collisions
 
-
-def casimir_of(rs: RootSystem, w) -> int:
-    return liealg.casimir_eigenvalue(rs, w)

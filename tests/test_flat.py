@@ -585,3 +585,57 @@ def test_integer_exterior_traces_match_the_ambient_ones():
         for g in (group, _re_present(group, rng)):
             for coset, (b, _) in zip(g._holonomy, g.cosets):
                 assert coset.traces == tuple(exterior_trace(b, p) for p in range(g.n + 1))
+
+
+def test_an_equal_lattice_instance_walks_its_own_ball_once(monkeypatch):
+    # shells() caches on the Lattice instance, so a fresh instance equal to
+    # an earlier one walks its ball once at the cutoff, not shell by shell
+    from curvspec import flat
+
+    walks = []
+    real = flat._fincke_pohst
+
+    def counted(*args):
+        walks.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(flat, "_fincke_pohst", counted)
+    for _ in range(2):
+        ka, _ = klein_pair(3)
+        for p in range(3):
+            spectrum(ka, p, 4)
+    assert walks == [4, 4]
+
+
+def _moebius(k: int) -> int:
+    # sum_{d | k} mu(d) = [k == 1]
+    return 1 if k == 1 else -sum(_moebius(d) for d in range(1, k) if k % d == 0)
+
+
+def test_phase_sum_is_the_moebius_sum_over_gcd_classes():
+    import cmath
+    import random
+
+    from curvspec.flat import _phase_sum
+
+    rng = random.Random(31)
+    for _ in range(200):
+        d = rng.randrange(1, 31)
+        divisors = [g for g in range(1, d + 1) if d % g == 0]
+        per_class = {g: rng.choice((0, 0, *range(-5, 6))) for g in divisors}
+        counts = {r: per_class[math.gcd(r, d)] for r in range(d)}
+        expected = sum(per_class[g] * _moebius(d // g) for g in divisors)
+        assert _phase_sum(counts, d) == expected
+        direct = sum(c * cmath.exp(2j * cmath.pi * r / d) for r, c in counts.items())
+        assert abs(direct - expected) < 1e-9
+
+
+def test_phase_sum_rejects_counts_that_are_not_galois_invariant():
+    from curvspec.flat import _phase_sum
+
+    with pytest.raises(IntegralityError):
+        _phase_sum({1: 1}, 4)  # i is not rational
+    with pytest.raises(IntegralityError):
+        _phase_sum({1: 2, 5: 2, 7: 1, 11: 2}, 12)
+    with pytest.raises(IntegralityError):
+        _phase_sum({2: 1}, 6)  # a primitive cube root of unity

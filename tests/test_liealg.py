@@ -236,12 +236,3 @@ def test_exterior_trace_duality():
         for p in range(n + 1):
             assert exterior_trace(b, n - p) == d * exterior_trace(b, p)
 
-
-def test_exterior_trace_float_path_matches_exact():
-    rng = random.Random(5)
-    for _ in range(10):
-        n = rng.randrange(2, 7)
-        b = _random_signed_permutation(rng, n)
-        bf = tuple(tuple(float(x) for x in row) for row in b)
-        for p in range(n + 1):
-            assert exterior_trace(bf, p) == pytest.approx(exterior_trace(b, p))

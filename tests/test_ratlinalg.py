@@ -60,16 +60,6 @@ def test_char_poly_matches_det_and_trace():
     assert rl.char_poly(rot) == [Fraction(1), Fraction(0), Fraction(1)]
 
 
-def test_solve_and_kernel():
-    m = rl.as_mat([[1, 2], [2, 4]])
-    assert rl.solve(m, (1, 2)) is not None
-    assert rl.solve(m, (1, 1)) is None
-    ker = rl.kernel_basis(m)
-    assert len(ker) == 1
-    v = ker[0]
-    assert rl.mat_vec(m, v) == (0, 0)
-
-
 def test_in_integer_span():
     gens = [(1, 0), (0, 2)]
     assert rl.in_integer_span((3, 4), gens)
@@ -80,9 +70,3 @@ def test_in_integer_span():
     assert rl.in_integer_span((Fraction(3, 2), Fraction(3, 2)), gens)
     assert not rl.in_integer_span((Fraction(1, 2), 0), gens)
 
-
-def test_orthogonal_projector():
-    proj = rl.orthogonal_projector([(1, 1)])
-    half = Fraction(1, 2)
-    assert proj == ((half, half), (half, half))
-    assert rl.mat_mul(proj, proj) == proj

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from curvspec.errors import InvariantViolation
-from curvspec.liealg import IrrepLabelO, RootSystem, RotationElement
+from curvspec.liealg import IrrepLabelO, RootSystem, RotationElement, character_o
 from curvspec.spherical import (
     SphericalGroup,
     casimir_collision_scan,
@@ -45,23 +45,29 @@ def test_lens_space_requires_coprime_parameters():
 
 
 def test_group_must_be_closed():
-    # a lone non-identity rotation without its powers
-    elems = (
-        RotationElement((0, 0)),
-        RotationElement((Fraction(1, 3), Fraction(1, 3))),
+    third, sixth = Fraction(1, 3), Fraction(1, 6)
+    bad = (
+        # a lone non-identity rotation without its powers
+        ((0, 0), (third, third)),
+        # first angle 1/3, but that element has order 6, not 3
+        ((0, 0), (third, sixth), (2 * third, third)),
     )
-    with pytest.raises(InvariantViolation):
-        SphericalGroup(2, elems)
+    for angles in bad:
+        with pytest.raises(InvariantViolation):
+            SphericalGroup(2, tuple(RotationElement(a) for a in angles))
 
 
 def test_group_must_act_freely():
-    # angle 0 in one plane fixes that plane pointwise
-    elems = (
-        RotationElement((0, 0)),
-        RotationElement((Fraction(1, 2), 0)),
+    half = Fraction(1, 2)
+    bad = (
+        # angle 0 in one plane fixes that plane pointwise
+        ((0, 0), (half, 0)),
+        # closed, but the Klein four-group is not cyclic, so not free
+        ((0, 0), (half, 0), (0, half), (half, half)),
     )
-    with pytest.raises(InvariantViolation):
-        SphericalGroup(2, elems)
+    for angles in bad:
+        with pytest.raises(InvariantViolation):
+            SphericalGroup(2, tuple(RotationElement(a) for a in angles))
 
 
 # ---------------------------------------------------------------- families
@@ -309,3 +315,32 @@ def test_collision_scan_rejects_unsupported_weights():
         casimir_collision_scan(3, (3, 1), 10)
     with pytest.raises(ValueError):
         casimir_collision_scan(3, (1, 2), 10)
+
+
+def test_shuffled_elements_give_the_lens_space_spectra():
+    rng = random.Random(77)
+    for big_n, q in ((7, (3, 2)), (12, (5, 7, 1)), (9, (4, 2))):
+        lens = lens_space(big_n, q)
+        elems = list(lens.elements)
+        rng.shuffle(elems)
+        group = SphericalGroup(len(q), tuple(elems))
+        for p in range(group.n + 1):
+            assert p_spectrum(group, p, 80) == p_spectrum(lens, p, 80)
+
+
+def test_n_gamma_is_the_rounded_character_average():
+    # the float character average over the elements serves as the oracle
+    rng = random.Random(8128)
+    for _ in range(20):
+        m = rng.choice((2, 3))
+        big_n = rng.randrange(1, 14)
+        units = [r for r in range(1, big_n + 1) if math.gcd(r, big_n) == 1]
+        group = lens_space(big_n, [rng.choice(units) for _ in range(m)])
+        n = 2 * m - 1
+        for j in range(1, n + 1):
+            for k in range(0 if min(j, n + 1 - j) == 1 else 1, 7):
+                label = family_label(m, j, k)
+                chars = (character_o(group.root_system, label, g) for g in group.elements)
+                avg = sum(chars) / group.order
+                assert abs(avg - round(avg.real)) < 1e-6
+                assert n_gamma(group, label) == round(avg.real)
