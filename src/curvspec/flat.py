@@ -4,14 +4,19 @@ A group is described by a full-rank lattice together with the finitely many
 cosets (B, b) representing the isometries x -> B(x + b) modulo the lattice
 translations.
 
-The kernel runs on integers.  A dual-lattice vector is an integer coordinate
-vector x on the dual basis; the dual ball is enumerated once per lattice by
-an integer Fincke-Pohst walk.  On lattice coordinates a rotation B is the
-integer matrix R = dual B basis^T, and on dual coordinates it is
-A = basis B dual^T = (R^-1)^T, so the fixed-vector test is the integer
-equation A x = x.  The translations are integer residue vectors modulo their
-common denominator D, so each phase <v, b> is a residue r mod D.  Validation,
-Betti numbers and exterior traces work with R alone.  A multiplicity is
+The kernel runs on integers.  The dual basis is a fraction-free (Bareiss)
+inverse of the integer-scaled basis.  A dual-lattice vector is an integer
+coordinate vector x on the dual basis; the dual ball is enumerated once per
+lattice by an integer Fincke-Pohst walk set up by fraction-free elimination
+of the Gram matrix.  On lattice coordinates a rotation B is the integer
+matrix R = dual B basis^T, and on dual coordinates it is A = (R^-1)^T, so the
+fixed-vector test A x = x is the integer equation R^T x = x.  The
+translations are integer residue vectors modulo their common denominator D,
+so each phase <v, b> is a residue r mod D.  Validation, Betti numbers and
+exterior traces work with R alone: the closure check's product table gives
+the powers of R, hence the torsion test on N = sum_k R^k (an integer Hermite
+reduction) and the power traces tr R^k, from which Newton's identities give
+the exterior traces tr Lambda^p(R).  A multiplicity is
 |F|^-1 sum_r C_r exp(-2 pi i r / D) for integer counts C_r; Galois invariance
 makes C_r depend on gcd(r, D) alone, and the primitive k-th roots of unity sum
 to the Moebius value mu(k), so the sum is evaluated in integers.
@@ -24,8 +29,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from operator import add, mul
+from functools import lru_cache
+from operator import mul, sub
 from typing import NamedTuple
 
 from . import ratlinalg as rl
@@ -52,12 +57,39 @@ def _divide(a, den: int) -> IntMat | None:
     return tuple(tuple(x // den for x in row) for row in a)
 
 
+def _inverse(m: IntMat) -> tuple[IntMat, int] | None:
+    """(A, p) with m^-1 = A / p for an integer matrix m, by fraction-free
+    Gauss-Jordan elimination (Bareiss): every entry stays a minor of the
+    row-permuted m, so every division is exact; None if m is singular."""
+    n = len(m)
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if rows[i][k]), None)
+        if piv is None:
+            return None
+        rows[k], rows[piv] = rows[piv], rows[k]
+        pivot_row = rows[k]
+        p = pivot_row[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = p
+    # the left half is now p times the identity
+    return tuple(tuple(row[n:]) for row in rows), prev
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Full-rank lattice given by basis vectors as the rows of `basis`."""
 
     basis: rl.Mat
     _dual: rl.Mat = field(init=False, repr=False, compare=False)
+    # the basis and the dual basis as (integer matrix, denominator)
+    _scaled: tuple[tuple[IntMat, int], tuple[IntMat, int]] = field(
+        init=False, repr=False, compare=False
+    )
     # dual ball: {"mu": cutoff walked, "shells": {norm: [dual coordinates]}}
     _ball: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # the ball's shells as ambient vectors: {norm: vectors}, filled by shells()
@@ -69,20 +101,24 @@ class Lattice:
         n = len(basis)
         if n == 0 or any(len(r) != n for r in basis):
             raise ValueError("basis must be square")
-        try:
-            dual = rl.transpose(rl.mat_inv(basis))
-        except ValueError:
-            raise ValueError("basis is singular") from None
-        object.__setattr__(self, "_dual", dual)
+        scaled, den = _integral(basis)
+        inverse = _inverse(scaled)
+        if inverse is None:
+            raise ValueError("basis is singular")
+        # basis = scaled / den, so dual = (basis^-1)^T = den inv^T / p, in lowest terms
+        inv, p = inverse
+        g = math.gcd(p, *(den * x for row in inv for x in row))
+        g = -g if p < 0 else g
+        dual = tuple(tuple(den * x // g for x in col) for col in zip(*inv))
+        dual_den = p // g
+        object.__setattr__(self, "_scaled", ((scaled, den), (dual, dual_den)))
+        object.__setattr__(
+            self, "_dual", tuple(tuple(Fraction(x, dual_den) for x in row) for row in dual)
+        )
 
     @property
     def n(self) -> int:
         return len(self.basis)
-
-    @cached_property
-    def _scaled(self) -> tuple[tuple[IntMat, int], tuple[IntMat, int]]:
-        """The basis and the dual basis as (integer matrix, denominator)."""
-        return _integral(self.basis), _integral(self._dual)
 
     def dual_basis(self) -> rl.Mat:
         """Rows d_j with <b_i, d_j> = delta_ij."""
@@ -100,55 +136,52 @@ class Lattice:
         frac = [x - (x.numerator // x.denominator) for x in self.coords(v)]
         return rl.mat_vec(rl.transpose(self.basis), frac)
 
-    def _dual_ball(self, mu_max) -> dict[Fraction, list[tuple[int, ...]]]:
-        """Dual-lattice vectors of squared norm <= mu_max as integer
-        coordinates on the dual basis, grouped by the exact norm in increasing
-        order.  The walk runs once, at the largest cutoff asked for so far;
-        smaller cutoffs filter its result."""
-        mu_max = Fraction(mu_max)
+    def _walked(self, mu_max: Fraction) -> dict[Fraction, list[tuple[int, ...]]]:
+        """The dual ball as integer coordinates on the dual basis, grouped by
+        the exact norm in increasing order, walked to a cutoff of at least
+        mu_max.  The walk runs once, at the largest cutoff asked for so far;
+        smaller cutoffs read its result."""
         if mu_max < 0:
             raise ValueError("cutoff must be nonnegative")
         ball = self._ball
         if ball.get("mu", -1) < mu_max:
             ball["shells"] = _fincke_pohst(*self._scaled[1], mu_max)
             ball["mu"] = mu_max
-        if ball["mu"] == mu_max:
-            return ball["shells"]
-        return {mu: xs for mu, xs in ball["shells"].items() if mu <= mu_max}
+        return ball["shells"]
 
 
 def _fincke_pohst(dual: IntMat, den: int, mu_max: Fraction) -> dict[Fraction, list[tuple[int, ...]]]:
     """Integer vectors x with |x dual|^2 <= mu_max (dual = dual / den), by norm.
 
-    The integer Gram matrix G of the scaled rows factors over the rationals
-    as L diag(d) L^T with L unit lower triangular.  Clearing denominators row
-    by row turns K x^T G x into sum_i w_i y_i^2 with
+    Fraction-free elimination (Bareiss) of the integer Gram matrix G of the
+    scaled rows gives its leading principal minors Delta_i and rows U_i with
+    x^T G x = sum_i y_i^2 / (Delta_{i-1} Delta_i), y_i = sum_{j>=i} U_ij x_j
+    and Delta_{-1} = 1.  Dividing each row by its gcd and scaling the weights
+    to integers turns K x^T G x into sum_i w_i y_i^2 with
     y_i = m_i x_i + sum_{j>i} a_ij x_j and positive integers K, w_i, m_i and
     integers a_ij, so the walk over x_{n-1}, ..., x_0 bounds each y_i by an
     integer square root and never leaves the integers.
     """
     n = len(dual)
     gram = [[sum(map(mul, r, s)) for s in dual] for r in dual]
-    low = [[Fraction(0)] * n for _ in range(n)]
-    diag = [Fraction(0)] * n
-    for i in range(n):
-        for j in range(i + 1):
-            s = Fraction(gram[i][j]) - sum(low[i][k] * low[j][k] * diag[k] for k in range(j))
-            if i == j:
-                diag[i] = s
-                low[i][i] = Fraction(1)
-            else:
-                low[i][j] = s / diag[j]
-    assert all(d > 0 for d in diag)
     steps, coeffs, weights = [], [], []
+    prev = 1
     for i in range(n):
-        upper = [low[j][i] for j in range(i + 1, n)]
-        m = math.lcm(*(u.denominator for u in upper))
-        steps.append(m)
-        coeffs.append([int(u * m) for u in upper])
-        weights.append(diag[i] / (m * m))
-    scale = math.lcm(*(w.denominator for w in weights))
-    weights = [int(w * scale) for w in weights]
+        row = gram[i]
+        pivot = row[i]
+        assert pivot > 0  # G is positive definite
+        g = math.gcd(*row[i:])
+        steps.append(pivot // g)
+        coeffs.append([u // g for u in row[i + 1:]])
+        # w_i = g^2 / (Delta_{i-1} Delta_i), kept as a reduced (numerator, denominator)
+        h = math.gcd(g * g, prev * pivot)
+        weights.append((g * g // h, prev * pivot // h))
+        for k in range(i + 1, n):
+            f = gram[k][i]
+            gram[k] = [(pivot * x - f * y) // prev for x, y in zip(gram[k], row)]
+        prev = pivot
+    scale = math.lcm(*(v for _, v in weights))
+    weights = [w * (scale // v) for w, v in weights]
     bound = scale * math.floor(mu_max * den * den)
 
     found: dict[int, list[tuple[int, ...]]] = {}
@@ -181,37 +214,51 @@ def shells(lattice: Lattice, mu_max) -> dict[Fraction, tuple[rl.Vec, ...]]:
     no floating point enters."""
     dual, den = lattice._scaled[1]
     cols = rl.transpose(dual)
-    ball, ambient = lattice._dual_ball(mu_max), lattice._ambient
-    for mu, xs in ball.items():
+    mu_max, ambient, out = Fraction(mu_max), lattice._ambient, {}
+    for mu, xs in lattice._walked(mu_max).items():
+        if mu > mu_max:
+            break
         if mu not in ambient:
             ambient[mu] = tuple(
                 tuple(Fraction(sum(map(mul, x, col)), den) for col in cols) for x in xs
             )
-    return {mu: ambient[mu] for mu in ball}
+        out[mu] = ambient[mu]
+    return out
 
 
 class _Coset(NamedTuple):
     """A validated coset in integer coordinates."""
 
-    fixes: IntMat  # the nonzero rows of A - 1, A = (R^-1)^T on dual coordinates
+    fixes: IntMat  # the nonzero rows of R^T - 1
     shift: tuple[int, ...]  # D times the lattice coordinates of b, mod D
     traces: tuple[int, ...]  # tr Lambda^p(B) for p = 0..n
 
 
-def _exterior_traces(r: IntMat) -> tuple[int, ...]:
-    """tr Lambda^p(R) for p = 0..n, read off det(xI - R) = sum c_j x^j as
-    (-1)^p c_{n-p}.  Integer Faddeev-LeVerrier: c_{n-k} = -tr(R M_k) / k, an
+def _traces_from_powers(power_traces: list[int]) -> tuple[int, ...]:
+    """tr Lambda^p(R) for p = 0..n from the power traces tr R^k, k = 1..n:
+    these are the elementary and the power sums of the eigenvalues, so
+    Newton's identities p e_p = sum_k (-1)^(k-1) e_(p-k) tr R^k apply, with an
     exact division for an integer matrix."""
-    n = len(r)
     traces = [1]
-    m = _eye(n)
-    for k in range(1, n + 1):
-        rm = rl.mat_mul(r, m)
-        c, rest = divmod(-sum(rm[i][i] for i in range(n)), k)
+    for p in range(1, len(power_traces) + 1):
+        e, rest = divmod(
+            sum((-1) ** (k - 1) * traces[p - k] * power_traces[k - 1] for k in range(1, p + 1)), p
+        )
         assert rest == 0
-        traces.append(-c if k % 2 else c)
-        m = tuple(tuple(x + c if i == j else x for j, x in enumerate(row)) for i, row in enumerate(rm))
+        traces.append(e)
     return tuple(traces)
+
+
+def _in_scaled_span(v: list[int], gens: IntMat, scale: int) -> bool:
+    """Is v in scale times the integer span of gens?  Reduces v against the
+    Hermite normal form of the generators."""
+    for row in rl._hnf_rows(gens):
+        lead = next(j for j, x in enumerate(row) if x)
+        q, rest = divmod(v[lead], scale * row[lead])
+        if rest:
+            return False
+        v = [x - q * scale * y for x, y in zip(v, row)]
+    return not any(v)
 
 
 @dataclass(frozen=True)
@@ -233,9 +280,9 @@ class BieberbachGroup:
         object.__setattr__(self, "cosets", cosets)
         n = self.lattice.n
         (basis, basis_den), (dual, dual_den) = self.lattice._scaled
-        basis_t, dual_t = rl.transpose(basis), rl.transpose(dual)
+        basis_t = rl.transpose(basis)
         ident = _eye(n)
-        seen, rots, inverses, fixes, coords = [], [], [], [], []
+        seen, rots, coords = [], [], []
         for b, t in cosets:
             if len(b) != n or len(t) != n:
                 raise InvariantViolation("coset data has wrong dimension")
@@ -249,19 +296,14 @@ class BieberbachGroup:
             rot = _divide(rl.mat_mul(rl.mat_mul(dual, b_int), basis_t), den)
             if rot is None:
                 raise InvariantViolation("rotation part does not preserve the lattice")
-            # R is unimodular, so A = (R^-1)^T is integral too
-            dual_rot = _divide(rl.mat_mul(rl.mat_mul(basis, b_int), dual_t), den)
-            assert dual_rot is not None
             rots.append(rot)
-            inverses.append(rl.transpose(dual_rot))
-            # a dual vector x is fixed by B exactly when (A - 1) x = 0
-            moved = [list(row) for row in dual_rot]
-            for i in range(n):
-                moved[i][i] -= 1
-            fixes.append(tuple(tuple(row) for row in moved if any(row)))
-            coords.append(self.lattice.coords(t))
-        d = math.lcm(*(x.denominator for s in coords for x in s))
-        shifts = [tuple(x.numerator * (d // x.denominator) % d for x in s) for s in coords]
+            # the lattice coordinates of t are dual t_int / (dual_den t_den)
+            (t_int,), t_den = _integral((t,))
+            num, den = rl.mat_vec(dual, t_int), dual_den * t_den
+            g = math.gcd(den, *num)
+            coords.append(([x // g for x in num], den // g))
+        d = math.lcm(*(den for _, den in coords))
+        shifts = [tuple(x * (d // den) % d for x in num) for num, den in coords]
         try:
             id_index = rots.index(ident)
         except ValueError:
@@ -269,35 +311,53 @@ class BieberbachGroup:
         if any(shifts[id_index]):
             raise InvariantViolation("identity coset carries a non-lattice translation")
         index = {r: i for i, r in enumerate(rots)}
+        # products[i][j] is the index of R_i R_j
+        products = []
         for r1, s1 in zip(rots, shifts):
-            for r2, inv2, s2 in zip(rots, inverses, shifts):
+            row = []
+            for r2, s2 in zip(rots, shifts):
                 match = index.get(rl.mat_mul(r1, r2))
-                # (B1, b1)(B2, b2) = (B1 B2, b2 + B2^-1 b1), on lattice coordinates
+                # (B1, b1)(B2, b2) = (B1 B2, b2 + B2^-1 b1); on lattice
+                # coordinates, times R2: R2 (s2 - s_match) + s1 = 0 mod D
                 if match is None or any(
-                    (x + y - z) % d for x, y, z in zip(s2, rl.mat_vec(inv2, s1), shifts[match])
+                    (x + y) % d
+                    for x, y in zip(s1, rl.mat_vec(r2, list(map(sub, s2, shifts[match]))))
                 ):
                     raise InvariantViolation("coset system is not closed under composition")
-        for r, s in zip(rots, shifts):
-            if r == ident:
-                continue
-            # N = 1 + R + ... + R^(m-1) is m times the projector onto the fixed
-            # space of R; some element of the coset fixes a point exactly when
-            # N s lies in N Z^n (closure bounds the order m)
-            total, power = ident, r
-            while power != ident:
-                total = tuple(tuple(map(add, u, v)) for u, v in zip(total, power))
-                power = rl.mat_mul(power, r)
-            if not any(map(any, total)):
-                raise InvariantViolation("holonomy element acts with a fixed point")
-            image = [Fraction(x, d) for x in rl.mat_vec(total, s)]
-            if rl.in_integer_span(image, rl.transpose(total)):
-                raise InvariantViolation(
-                    "group has torsion: a holonomy coset contains a fixed-point isometry"
+                row.append(match)
+            products.append(row)
+        traces = [sum(r[i][i] for i in range(n)) for r in rots]
+        holonomy = []
+        for i, (r, s) in enumerate(zip(rots, shifts)):
+            # the indices of R^0, R^1, ..., R^(m-1), m the order of R
+            powers, k = [id_index], i
+            while k != id_index:
+                powers.append(k)
+                k = products[k][i]
+            if i != id_index:
+                # N = 1 + R + ... + R^(m-1) is m times the projector onto the
+                # fixed space of R; some element of the coset fixes a point
+                # exactly when N s / D lies in N Z^n
+                total = [[sum(rots[k][a][b] for k in powers) for b in range(n)] for a in range(n)]
+                if not any(map(any, total)):
+                    raise InvariantViolation("holonomy element acts with a fixed point")
+                if _in_scaled_span(rl.mat_vec(total, s), list(zip(*total)), d):
+                    raise InvariantViolation(
+                        "group has torsion: a holonomy coset contains a fixed-point isometry"
+                    )
+            # a dual vector x is fixed by B exactly when (R^T - 1) x = 0
+            fixed = [list(col) for col in zip(*r)]
+            for a in range(n):
+                fixed[a][a] -= 1
+            power_traces = [traces[powers[k % len(powers)]] for k in range(1, n + 1)]
+            holonomy.append(
+                _Coset(
+                    tuple(tuple(row) for row in fixed if any(row)),
+                    s,
+                    _traces_from_powers(power_traces),
                 )
-        holonomy = tuple(
-            _Coset(f, s, _exterior_traces(r)) for r, f, s in zip(rots, fixes, shifts)
-        )
-        object.__setattr__(self, "_holonomy", holonomy)
+            )
+        object.__setattr__(self, "_holonomy", tuple(holonomy))
         object.__setattr__(self, "_denom", d)
 
     @property
@@ -322,7 +382,7 @@ def _residue_counts(group: BieberbachGroup, coset_index: int, mu: Fraction) -> C
         coset, d = group._holonomy[coset_index], group._denom
         counts = group._cache[key] = Counter(
             sum(map(mul, coset.shift, x)) % d
-            for x in group.lattice._dual_ball(mu).get(mu, ())
+            for x in group.lattice._walked(mu).get(mu, ())
             if not any(sum(map(mul, row, x)) for row in coset.fixes)
         )
     return counts

@@ -245,7 +245,12 @@ class RotationElement:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "angles", tuple(Fraction(a) % 1 for a in self.angles)
+            self,
+            "angles",
+            tuple(
+                a if type(a) is Fraction and 0 <= a.numerator < a.denominator else Fraction(a) % 1
+                for a in self.angles
+            ),
         )
 
     @property

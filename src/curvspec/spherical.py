@@ -43,34 +43,42 @@ class SphericalGroup:
         object.__setattr__(self, "elements", elems)
         if not elems:
             raise InvariantViolation("group is empty")
-        seen = set()
+        # angles are reduced fractions in [0, 1), so (numerator, denominator)
+        # pairs identify them
+        keys, seen = [], set()
         for g in elems:
             if g.rank != self.m:
                 raise InvariantViolation("element rank does not match the group")
             if g.extra_fixed or g.reverses_orientation:
                 raise InvariantViolation("elements must be even-rank rotations")
-            if g.angles in seen:
+            key = tuple((a.numerator, a.denominator) for a in g.angles)
+            if key in seen:
                 raise InvariantViolation("duplicate element")
-            seen.add(g.angles)
+            seen.add(key)
+            keys.append(key)
         if not any(g.is_identity for g in elems):
             raise InvariantViolation("identity element missing")
-        for g in elems:
-            if not g.is_identity and any(a == 0 for a in g.angles):
+        for key in keys:
+            nums = [num for num, _ in key]
+            if 0 in nums and any(nums):
                 raise InvariantViolation(
                     "fixed point on the sphere: non-identity element has a unit eigenvalue"
                 )
         # the first plane's character is injective on a free group, so a
         # group of order N has exactly one element with first angle 1/N, of
-        # order N, and its multiples are the whole group
+        # order N, and its multiples are the whole group: as residues mod N,
+        # the vectors t q mod N
         big_n = len(elems)
-        gen = next((g for g in elems if g.angles[0] == Fraction(1, big_n) % 1), None)
-        if (
-            gen is None
-            or any((a * big_n).denominator != 1 for a in gen.angles)
-            or seen != {tuple(t * a % 1 for a in gen.angles) for t in range(big_n)}
-        ):
+        first = (1, big_n) if big_n > 1 else (0, 1)
+        gen = next((key for key in keys if key[0] == first), None)
+        if gen is None or any(big_n % den for key in keys for _, den in key):
             raise InvariantViolation("element list is not closed under composition")
-        object.__setattr__(self, "_q", tuple(int(a * big_n) for a in gen.angles))
+        q = tuple(num * (big_n // den) for num, den in gen)
+        if {tuple(num * (big_n // den) for num, den in key) for key in keys} != {
+            tuple(t * qj % big_n for qj in q) for t in range(big_n)
+        }:
+            raise InvariantViolation("element list is not closed under composition")
+        object.__setattr__(self, "_q", q)
 
     @property
     def n(self) -> int:
@@ -103,7 +111,7 @@ def lens_space(big_n: int, q, name: str = "") -> SphericalGroup:
                 f"parameter {qj} shares a factor with {big_n}: action is not free"
             )
     elems = tuple(
-        RotationElement(tuple(Fraction(t * qj, big_n) for qj in q)) for t in range(big_n)
+        RotationElement(tuple(Fraction(t * qj % big_n, big_n) for qj in q)) for t in range(big_n)
     )
     return SphericalGroup(m, elems, name or f"L({big_n};{','.join(map(str, q))})")
 

@@ -1,0 +1,144 @@
+"""Recorded command-line runs, replayed byte for byte.
+
+`cli_golden.json` holds, for every case, the arguments, the JSON group files
+the case reads, and the exit code, stdout and stderr the command gave when it
+was recorded.  The cases are `spectrum --p all`, `betti` and
+`compare --mode spec|tau` at cutoff 3 on every flat fixture and every pair
+of fixtures of one dimension (plus one pair that differs in dimension), a
+few valid groups given as files, and malformed inputs.  To record the file
+again with the library on the path:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+import itertools
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from curvspec import cli, flat
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+_I2 = [["1", "0"], ["0", "1"]]
+_REFL = [["1", "0"], ["0", "-1"]]
+
+
+def _flat(lattice, *cosets):
+    return {
+        "space": "flat",
+        "lattice": lattice,
+        "cosets": [{"rotation": r, "translation": t} for r, t in cosets],
+    }
+
+
+def _elements(*angles):
+    return {"space": "spherical", "elements": [{"angles": list(a)} for a in angles]}
+
+
+# valid groups given as files: file name -> (description, commands after the file name)
+_VALID = {
+    # the Klein bottle of Z x (10/3)Z on the basis U B with U = ((2, 1), (1, 1)),
+    # scaled by 1/2, its glide moved by a rational origin shift
+    "klein_skew.json": (
+        _flat([["1", "5/3"], ["1/2", "5/3"]], (_I2, ["0", "0"]), (_REFL, ["3/4", "-3/5"])),
+        [["spectrum", "--p", "all", "--cutoff", "3"], ["betti"]],
+    ),
+    "klein_far.json": (
+        _flat([["1", "0"], ["0", "2"]], (_I2, ["0", "0"]), (_REFL, ["20000000000000001/2", "0"])),
+        [["spectrum", "--p", "all", "--cutoff", "3"], ["betti"]],
+    ),
+    "lens7.json": (
+        _elements(*([f"{t * q % 7}/7" for q in (1, 2, 3)] for t in (3, 0, 6, 1, 5, 2, 4))),
+        [["spectrum", "--p", "all", "--cutoff", "40", "--format", "csv"]],
+    ),
+}
+
+# malformed or invalid groups: each is asked for its spectrum
+_INVALID = {
+    "wrong_dimension.json": _flat(_I2, (_I2, ["0", "0", "0"])),
+    "wrong_rotation_size.json": _flat(_I2, (_I2, ["0", "0"]), ([["1"]], ["0", "0"])),
+    "ragged.json": _flat([["1", "0"], ["0"]], (_I2, ["0", "0"])),
+    "singular.json": _flat([["1", "2"], ["2", "4"]], (_I2, ["0", "0"])),
+    "empty_lattice.json": _flat([], (_I2, ["0", "0"])),
+    "no_cosets.json": _flat(_I2),
+    "not_orthogonal.json": _flat(_I2, (_I2, ["0", "0"]), ([["1", "1"], ["0", "1"]], ["0", "0"])),
+    "not_closed.json": _flat(_I2, (_I2, ["0", "0"]), (_REFL, ["1/3", "0"])),
+    "torsion.json": _flat(_I2, (_I2, ["0", "0"]), (_REFL, ["0", "1/2"])),
+    "fixed_point.json": _flat(_I2, (_I2, ["0", "0"]), ([["-1", "0"], ["0", "-1"]], ["1/2", "1/2"])),
+    "float_lattice.json": _flat([[1.0, 0], [0, 1]], (_I2, ["0", "0"])),
+    "float_translation.json": _flat(_I2, (_I2, [0.0, "0"])),
+    "sph_empty.json": _elements(),
+    "sph_not_free.json": _elements(["0", "0"], ["1/2", "0"]),
+    "sph_not_closed.json": _elements(["0", "0"], ["1/3", "1/3"], ["2/3", "2/3"], ["1/2", "1/2"]),
+    "sph_duplicate.json": _elements(["0", "0"], ["1/2", "1/2"], ["3/2", "1/2"]),
+    "sph_float.json": _elements([0.5, "1/2"]),
+    "lens_not_coprime.json": {"space": "spherical", "lens": {"N": 4, "q": [1, 2]}},
+}
+
+
+def cases():
+    """(argv, {file name: description}) for every recorded case."""
+    table = flat.fixtures()
+    names = sorted(table)
+    out = []
+    for name in names:
+        out.append((["spectrum", f"fixture:{name}", "--p", "all", "--cutoff", "3"], {}))
+        out.append((["betti", f"fixture:{name}"], {}))
+    pairs = [(a, b) for a, b in itertools.combinations(names, 2) if table[a].n == table[b].n]
+    for a, b in [*pairs, ("flat4_a", "klein_a")]:
+        for mode in ("spec", "tau"):
+            argv = ["compare", f"fixture:{a}", f"fixture:{b}", "--cutoff", "3", "--mode", mode]
+            out.append((argv, {}))
+    for file, (data, commands) in _VALID.items():
+        for command, *rest in commands:
+            out.append(([command, file, *rest], {file: data}))
+    skew = {"klein_skew.json": _VALID["klein_skew.json"][0]}
+    for mode in ("spec", "tau"):
+        argv = ["compare", "klein_skew.json", "fixture:klein_a", "--cutoff", "3", "--mode", mode]
+        out.append((argv, skew))
+    for file, data in _INVALID.items():
+        out.append((["spectrum", file, "--p", "all", "--cutoff", "3"], {file: data}))
+    return out
+
+
+def _run(argv, files, workdir):
+    """Exit code, stdout and stderr of one in-process CLI run in workdir,
+    after writing the group files it reads there."""
+    for file, data in files.items():
+        (Path(workdir) / file).write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "case", json.loads(GOLDEN.read_text()), ids=lambda case: " ".join(case["argv"])
+)
+def test_cli_output_matches_the_recording(case, tmp_path):
+    got = _run(case["argv"], case["files"], tmp_path)
+    assert got == (case["code"], case["stdout"], case["stderr"])
+
+
+if __name__ == "__main__":
+    recorded = []
+    with tempfile.TemporaryDirectory() as workdir:
+        for argv, files in cases():
+            code, out, err = _run(argv, files, workdir)
+            recorded.append(
+                {"argv": argv, "files": files, "code": code, "stdout": out, "stderr": err}
+            )
+    GOLDEN.write_text(json.dumps(recorded, indent=1) + "\n")
+    print(f"{len(recorded)} cases written to {GOLDEN}", file=sys.stderr)

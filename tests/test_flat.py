@@ -56,6 +56,37 @@ def test_dual_pairing_is_exact():
             assert dot == (1 if i == j else 0)
 
 
+def test_integer_inverse_matches_the_rational_one():
+    import random
+
+    from curvspec.flat import _integral
+
+    rng = random.Random(5)
+    entries = (0, 0, *range(-6, 7))
+    signs = set()
+    for _ in range(80):
+        n = rng.randrange(1, 6)
+        basis = tuple(
+            tuple(Fraction(rng.choice(entries), rng.randrange(1, 5)) for _ in range(n))
+            for _ in range(n)
+        )
+        if rl.det(basis) == 0:
+            continue
+        signs.add(rl.det(basis) > 0)
+        dual = rl.transpose(rl.mat_inv(basis))
+        lat = Lattice(basis)
+        assert lat.dual_basis() == dual
+        assert lat._scaled == (_integral(lat.basis), _integral(dual))
+    assert signs == {True, False}
+    singular = (
+        ((Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 2), 1)),
+        ((0, 1, 0), (0, 2, 0), (1, 0, 5)),
+    )
+    for basis in singular:
+        with pytest.raises(ValueError, match="basis is singular"):
+            Lattice(basis)
+
+
 def test_lattice_membership_and_reduction():
     lat = Lattice(((1, 0), (0, 2)))
     assert lat.contains((3, -4))
@@ -487,6 +518,13 @@ def _re_present(group: BieberbachGroup, rng) -> BieberbachGroup:
     return BieberbachGroup(Lattice(basis), tuple(cosets))
 
 
+def _dilate(group: BieberbachGroup, c: Fraction) -> BieberbachGroup:
+    """The same holonomy on the lattice c L, with translations c b."""
+    basis = tuple(tuple(c * x for x in row) for row in group.lattice.basis)
+    cosets = tuple((b, tuple(c * x for x in t)) for b, t in group.cosets)
+    return BieberbachGroup(Lattice(basis), cosets)
+
+
 _SKEW = ((2, 1), (1, 1))  # unimodular, so U B spans the same lattice as B
 _REFL = ((1, 0), (0, -1))
 
@@ -556,23 +594,29 @@ def test_dual_ball_is_walked_once_and_filtered(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(flat, "_fincke_pohst", counted)
-    basis = ((1, Fraction(1, 3), 0), (Fraction(1, 2), Fraction(3, 2), 1), (0, Fraction(2, 5), 2))
-    lat = Lattice(basis)
-    dual = lat.dual_basis()
-    for mu_max in (4, 1, 3, 0):
-        # |x_j| = |<v, b_j>| <= |v| |b_j| for v = sum_j x_j d_j
-        span = max(math.isqrt(int(mu_max * sum(c * c for c in b)) + 1) for b in basis)
-        brute: dict[Fraction, set] = {}
-        for xs in itertools.product(range(-span, span + 1), repeat=3):
-            v = tuple(sum(x * d[k] for x, d in zip(xs, dual)) for k in range(3))
-            norm = sum(c * c for c in v)
-            if norm <= mu_max:
-                brute.setdefault(norm, set()).add(v)
-        got = shells(lat, mu_max)
-        assert {mu: set(vs) for mu, vs in got.items()} == brute
-        assert all(len(vs) == len(set(vs)) for vs in got.values())
-        assert list(got) == sorted(got)
-    assert walks == [4]
+    bases = (
+        ((1, Fraction(1, 3), 0), (Fraction(1, 2), Fraction(3, 2), 1), (0, Fraction(2, 5), 2)),
+        # negative determinant; the scaled dual Gram matrix has leading minors
+        # 441, 49572, 3779136 and fraction-free rows with gcds 3, 2916, 3779136
+        ((Fraction(-1, 3), 1, Fraction(1, 2)), (2, 1, 0), (1, 1, Fraction(3, 2))),
+    )
+    for basis in bases:
+        lat = Lattice(basis)
+        dual = lat.dual_basis()
+        for mu_max in (4, 1, 3, 0):
+            # |x_j| = |<v, b_j>| <= |v| |b_j| for v = sum_j x_j d_j
+            span = max(math.isqrt(int(mu_max * sum(c * c for c in b)) + 1) for b in basis)
+            brute: dict[Fraction, set] = {}
+            for xs in itertools.product(range(-span, span + 1), repeat=3):
+                v = tuple(sum(x * d[k] for x, d in zip(xs, dual)) for k in range(3))
+                norm = sum(c * c for c in v)
+                if norm <= mu_max:
+                    brute.setdefault(norm, set()).add(v)
+            got = shells(lat, mu_max)
+            assert {mu: set(vs) for mu, vs in got.items()} == brute
+            assert all(len(vs) == len(set(vs)) for vs in got.values())
+            assert list(got) == sorted(got)
+    assert walks == [4, 4]
 
 
 def test_integer_exterior_traces_match_the_ambient_ones():
@@ -582,9 +626,39 @@ def test_integer_exterior_traces_match_the_ambient_ones():
 
     rng = random.Random(7)
     for group in fixtures().values():
-        for g in (group, _re_present(group, rng)):
+        skew = _re_present(_dilate(group, Fraction(-3, 7)), rng)
+        for g in (group, _re_present(group, rng), skew):
             for coset, (b, _) in zip(g._holonomy, g.cosets):
                 assert coset.traces == tuple(exterior_trace(b, p) for p in range(g.n + 1))
+
+
+def test_integer_torsion_test_matches_the_rational_span_test():
+    import random
+
+    from curvspec.flat import _in_scaled_span
+
+    rng = random.Random(11)
+    outcomes = set()
+    for group in fixtures().values():
+        for g in (group, _re_present(group, rng)):
+            d = g._denom
+            dual, basis_t = g.lattice.dual_basis(), rl.transpose(g.lattice.basis)
+            for (b, _), coset in zip(g.cosets, g._holonomy):
+                # R = dual B basis^T on lattice coordinates, N = 1 + R + ... + R^(m-1)
+                r = rl.mat_mul(rl.mat_mul(dual, b), basis_t)
+                n_mat, power = rl.identity(g.n), r
+                while power != rl.identity(g.n):
+                    n_mat = rl.as_mat([rl.vec_add(u, v) for u, v in zip(n_mat, power)])
+                    power = rl.mat_mul(power, r)
+                n_int = tuple(tuple(int(x) for x in row) for row in n_mat)
+                cols = rl.transpose(n_int)
+                randoms = [tuple(rng.randrange(d) for _ in range(g.n)) for _ in range(3)]
+                for s in (coset.shift, (0,) * g.n, *randoms):
+                    image = rl.mat_vec(n_int, s)
+                    expected = rl.in_integer_span([Fraction(x, d) for x in image], cols)
+                    assert _in_scaled_span(list(image), cols, d) == expected
+                    outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_an_equal_lattice_instance_walks_its_own_ball_once(monkeypatch):

@@ -45,12 +45,18 @@ def test_lens_space_requires_coprime_parameters():
 
 
 def test_group_must_be_closed():
-    third, sixth = Fraction(1, 3), Fraction(1, 6)
+    third, sixth, quarter, half = Fraction(1, 3), Fraction(1, 6), Fraction(1, 4), Fraction(1, 2)
     bad = (
         # a lone non-identity rotation without its powers
         ((0, 0), (third, third)),
         # first angle 1/3, but that element has order 6, not 3
         ((0, 0), (third, sixth), (2 * third, third)),
+        # angles whose denominator does not divide the order 4, without and
+        # with an element of first angle 1/4
+        ((0, 0), (third, third), (2 * third, 2 * third), (half, half)),
+        ((0, 0), (quarter, quarter), (half, half), (third, third)),
+        # a duplicate written as an unreduced angle
+        ((0, 0), (half, half), (3 * half, half)),
     )
     for angles in bad:
         with pytest.raises(InvariantViolation):
