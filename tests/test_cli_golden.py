@@ -5,8 +5,10 @@ the case reads, and the exit code, stdout and stderr the command gave when it
 was recorded.  The cases are `spectrum --p all`, `betti` and
 `compare --mode spec|tau` at cutoff 3 on every flat fixture and every pair
 of fixtures of one dimension (plus one pair that differs in dimension), a
-few valid groups given as files, and malformed inputs.  To record the file
-again with the library on the path:
+few valid groups given as files, malformed inputs, `compare` in all four
+modes between lens spaces of order 7, and the two refused comparisons (a half
+mode on flat groups, a flat group against a spherical one).  To record the
+file again with the library on the path:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -82,6 +84,13 @@ _INVALID = {
     "lens_not_coprime.json": {"space": "spherical", "lens": {"N": 4, "q": [1, 2]}},
 }
 
+# lens spaces compared with lens7.json = L(7;1,2,3): L(7;1,2,4) agrees in every
+# mode, L(7;1,1,2) differs
+_LENSES = {
+    "lens7_124.json": {"space": "spherical", "lens": {"N": 7, "q": [1, 2, 4]}},
+    "lens7_112.json": {"space": "spherical", "lens": {"N": 7, "q": [1, 1, 2]}},
+}
+
 
 def cases():
     """(argv, {file name: description}) for every recorded case."""
@@ -105,6 +114,14 @@ def cases():
         out.append((argv, skew))
     for file, data in _INVALID.items():
         out.append((["spectrum", file, "--p", "all", "--cutoff", "3"], {file: data}))
+    lens7 = {"lens7.json": _VALID["lens7.json"][0]}
+    for file, data in _LENSES.items():
+        for mode in ("spec", "tau", "half-closed", "half-coclosed"):
+            argv = ["compare", "lens7.json", file, "--p", "all", "--cutoff", "40", "--mode", mode]
+            out.append((argv, {**lens7, file: data}))
+    out.append((["compare", "fixture:klein_a", "fixture:klein_b", "--cutoff", "3",
+                 "--mode", "half-closed"], {}))
+    out.append((["compare", "fixture:flat4_a", "lens7.json", "--cutoff", "3"], lens7))
     return out
 
 
