@@ -5,13 +5,8 @@ computed from representation data; hyperbolic quotients get the exact
 eigenvalue <-> representation-parameter dictionary.
 """
 
-from . import flat, hyperbolic, liealg, ratlinalg, spherical
-from .errors import (
-    CurvspecError,
-    IntegralityError,
-    InvariantViolation,
-    UnsupportedElementError,
-)
+from . import flat, hyperbolic, liealg, ratlinalg, spectra, spherical
+from .errors import CurvspecError, IntegralityError, InvariantViolation
 from .liealg import (
     IrrepLabelO,
     RootSystem,

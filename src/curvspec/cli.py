@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 from math import isqrt
 
-from . import flat, hyperbolic, spherical
+from . import flat, hyperbolic, spectra, spherical
 from .errors import CurvspecError, InvariantViolation
 from .liealg import RotationElement
 
@@ -68,12 +68,6 @@ def _load_group(token: str):
 def _group_from_description(data):
     if not isinstance(data, dict):
         raise _ParseError("group description must be an object")
-    if "fixture" in data:
-        groups = flat.fixtures()
-        name = data["fixture"]
-        if name not in groups:
-            raise _ParseError(f"unknown fixture {name!r}")
-        return "flat", groups[name]
     space = data.get("space")
     if space == "flat":
         try:
@@ -111,6 +105,13 @@ def _group_from_description(data):
             return "spherical", spherical.SphericalGroup(elems[0].rank, elems)
         raise _ParseError("spherical group needs 'lens' or 'elements'")
     raise _ParseError("group description needs space: 'flat' or 'spherical'")
+
+
+def _cutoff(arg: str) -> Fraction:
+    cutoff = _fraction(arg)
+    if cutoff < 0:
+        raise _ParseError("cutoff must be nonnegative")
+    return cutoff
 
 
 def _degrees(p_arg: str, n: int) -> list[int]:
@@ -151,7 +152,7 @@ def _emit_rows(rows: list[tuple], header: tuple, fmt: str):
 
 def cmd_spectrum(args) -> int:
     space, group = _load_group(args.group)
-    cutoff = _fraction(args.cutoff)
+    cutoff = _cutoff(args.cutoff)
     n = group.n
     rows = []
     for p in _degrees(args.p, n):
@@ -171,8 +172,7 @@ def cmd_spectrum(args) -> int:
 
 def _k_max_from_cutoff(m: int, cutoff: Fraction) -> int:
     h = m - 1
-    s2 = h * h + int(cutoff)
-    return max(isqrt(s2) - h, 0)
+    return isqrt(h * h + int(cutoff)) - h
 
 
 def cmd_compare(args) -> int:
@@ -184,24 +184,15 @@ def cmd_compare(args) -> int:
     if g1.n != g2.n:
         print(f"dimension mismatch: {g1.n} vs {g2.n}", file=sys.stderr)
         return 4
-    cutoff = _fraction(args.cutoff)
-    n = g1.n
+    cutoff = _cutoff(args.cutoff)
+    degrees = _degrees(args.p, g1.n)
+    half = args.mode.startswith("half-")
+    if half and space1 == "flat":
+        raise _ParseError("half modes apply to spherical groups only")
+    unit = "mu" if space1 == "flat" else "lambda"
     all_equal = True
-    for p in _degrees(args.p, n):
-        if args.mode == "spec":
-            if space1 == "flat":
-                res = flat.compare(g1, g2, p, cutoff)
-                unit = "mu"
-            else:
-                res = spherical.compare(g1, g2, p, cutoff)
-                unit = "lambda"
-            if res.isospectral:
-                print(f"p={p}: spectra agree ({unit} <= {cutoff})")
-            else:
-                where, d1, d2 = res.first_discrepancy
-                print(f"p={p}: spectra differ at {unit}={where}: {d1} vs {d2}")
-                all_equal = False
-        elif args.mode == "tau":
+    for p in degrees:
+        if args.mode == "tau":
             if space1 == "flat":
                 eq = flat.tau_equivalent(g1, g2, p, cutoff)
                 scope = f"mu <= {cutoff}"
@@ -211,24 +202,23 @@ def cmd_compare(args) -> int:
                 scope = f"k <= {k_max}"
             print(f"p={p}: {'tau-equivalent' if eq else 'not tau-equivalent'} ({scope})")
             all_equal = all_equal and eq
-        else:  # half-closed / half-coclosed
+            continue
+        if half:
             closed = args.mode == "half-closed"
-            if space1 == "flat":
-                raise _ParseError("half modes apply to spherical groups only")
-            h1 = spherical.half_spectrum(g1, p, closed, cutoff)
-            h2 = spherical.half_spectrum(g2, p, closed, cutoff)
-            diffs = [
-                (lam, h1.get(lam, 0), h2.get(lam, 0))
-                for lam in sorted(set(h1) | set(h2))
-                if h1.get(lam, 0) != h2.get(lam, 0)
-            ]
-            label = "closed" if closed else "coclosed"
-            if diffs:
-                lam, d1, d2 = diffs[0]
-                print(f"p={p} ({label}): spectra differ at lambda={lam}: {d1} vs {d2}")
-                all_equal = False
-            else:
-                print(f"p={p} ({label}): spectra agree (lambda <= {cutoff})")
+            head = f"p={p} ({'closed' if closed else 'coclosed'})"
+            res = spectra.first_difference(
+                spherical.half_spectrum(g1, p, closed, cutoff),
+                spherical.half_spectrum(g2, p, closed, cutoff),
+            )
+        else:
+            head = f"p={p}"
+            res = (flat if space1 == "flat" else spherical).compare(g1, g2, p, cutoff)
+        if res.isospectral:
+            print(f"{head}: spectra agree ({unit} <= {cutoff})")
+        else:
+            lam, d1, d2 = res.first_discrepancy
+            print(f"{head}: spectra differ at {unit}={lam}: {d1} vs {d2}")
+            all_equal = False
     return 0 if all_equal else 1
 
 

@@ -12,7 +12,3 @@ class InvariantViolation(CurvspecError):
 
 class IntegralityError(CurvspecError):
     """A quantity that must be a nonnegative integer came out otherwise."""
-
-
-class UnsupportedElementError(CurvspecError):
-    """Requested an evaluation outside the supported identity component."""

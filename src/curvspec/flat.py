@@ -36,6 +36,7 @@ from typing import NamedTuple
 from . import ratlinalg as rl
 from .errors import IntegralityError, InvariantViolation
 from .liealg import exterior_trace  # noqa: F401 (perfbench/tracer.py wraps flat.exterior_trace)
+from .spectra import ComparisonResult, first_difference
 
 IntMat = tuple[tuple[int, ...], ...]
 
@@ -85,7 +86,6 @@ class Lattice:
     """Full-rank lattice given by basis vectors as the rows of `basis`."""
 
     basis: rl.Mat
-    _dual: rl.Mat = field(init=False, repr=False, compare=False)
     # the basis and the dual basis as (integer matrix, denominator)
     _scaled: tuple[tuple[IntMat, int], tuple[IntMat, int]] = field(
         init=False, repr=False, compare=False
@@ -112,9 +112,6 @@ class Lattice:
         dual = tuple(tuple(den * x // g for x in col) for col in zip(*inv))
         dual_den = p // g
         object.__setattr__(self, "_scaled", ((scaled, den), (dual, dual_den)))
-        object.__setattr__(
-            self, "_dual", tuple(tuple(Fraction(x, dual_den) for x in row) for row in dual)
-        )
 
     @property
     def n(self) -> int:
@@ -122,11 +119,14 @@ class Lattice:
 
     def dual_basis(self) -> rl.Mat:
         """Rows d_j with <b_i, d_j> = delta_ij."""
-        return self._dual
+        dual, den = self._scaled[1]
+        return tuple(tuple(Fraction(x, den) for x in row) for row in dual)
 
     def coords(self, v) -> rl.Vec:
         """Coordinates of an ambient vector on the lattice basis."""
-        return rl.mat_vec(self._dual, rl.as_vec(v))
+        dual, den = self._scaled[1]
+        v = rl.as_vec(v)
+        return tuple(sum(map(mul, row, v)) / den for row in dual)
 
     def contains(self, v) -> bool:
         return all(x.denominator == 1 for x in self.coords(v))
@@ -497,22 +497,10 @@ def spectrum(group: BieberbachGroup, p: int, mu_max) -> FlatSpectrum:
     return FlatSpectrum(group.n, p, mu_max, dict(sorted(entries.items())))
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
-    isospectral: bool
-    first_discrepancy: tuple | None
-
-
 def compare(g1: BieberbachGroup, g2: BieberbachGroup, p: int, mu_max) -> ComparisonResult:
     if g1.n != g2.n:
         raise ValueError("groups act on spaces of different dimensions")
-    s1 = spectrum(g1, p, mu_max).entries
-    s2 = spectrum(g2, p, mu_max).entries
-    for mu in sorted(set(s1) | set(s2)):
-        d1, d2 = s1.get(mu, 0), s2.get(mu, 0)
-        if d1 != d2:
-            return ComparisonResult(False, (mu, d1, d2))
-    return ComparisonResult(True, None)
+    return first_difference(spectrum(g1, p, mu_max).entries, spectrum(g2, p, mu_max).entries)
 
 
 def n_sigma_multiplicity(group: BieberbachGroup, p: int, mu) -> int:

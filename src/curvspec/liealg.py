@@ -23,8 +23,6 @@ from itertools import accumulate, permutations, product
 from math import lcm
 from operator import mul
 
-from .errors import UnsupportedElementError
-
 Weight = tuple[int, ...]
 
 
@@ -236,12 +234,9 @@ def weight_multiplicities(rs: RootSystem, w: Weight) -> dict[Weight, int]:
 @dataclass(frozen=True)
 class RotationElement:
     """Conjugacy data of a rotation: the angle fractions a_j, meaning a block
-    rotation by 2*pi*a_j in the j-th plane.  For odd orthogonal groups the
-    extra +1 eigenvalue is recorded by extra_fixed."""
+    rotation by 2*pi*a_j in the j-th plane."""
 
     angles: tuple[Fraction, ...]
-    extra_fixed: bool = False
-    reverses_orientation: bool = False
 
     def __post_init__(self):
         object.__setattr__(
@@ -259,22 +254,7 @@ class RotationElement:
 
     @property
     def is_identity(self) -> bool:
-        return all(a == 0 for a in self.angles) and not self.reverses_orientation
-
-    def compose(self, other: "RotationElement") -> "RotationElement":
-        """Product in a common maximal torus: angles add modulo 1."""
-        if self.rank != other.rank or self.extra_fixed != other.extra_fixed:
-            raise ValueError("incompatible rotation elements")
-        if self.reverses_orientation or other.reverses_orientation:
-            raise UnsupportedElementError("only identity-component elements compose here")
-        return RotationElement(
-            tuple(a + b for a, b in zip(self.angles, other.angles)), self.extra_fixed
-        )
-
-    def inverse(self) -> "RotationElement":
-        if self.reverses_orientation:
-            raise UnsupportedElementError("only identity-component elements invert here")
-        return RotationElement(tuple(-a for a in self.angles), self.extra_fixed)
+        return all(a == 0 for a in self.angles)
 
 
 def character_so(rs: RootSystem, w, g: RotationElement) -> complex:
@@ -284,10 +264,6 @@ def character_so(rs: RootSystem, w, g: RotationElement) -> complex:
     w = rs.validate_weight(w)
     if g.rank != rs.rank:
         raise ValueError("element rank does not match root system rank")
-    if g.reverses_orientation:
-        raise UnsupportedElementError(
-            "characters at orientation-reversing elements are not supported"
-        )
     if g.is_identity:
         return complex(weyl_dimension(rs, w))
     denom = lcm(*(a.denominator for a in g.angles))
@@ -323,11 +299,6 @@ class IrrepLabelO:
 def character_o(rs: RootSystem, label: IrrepLabelO, g: RotationElement) -> complex:
     """Character of the O-irreducible at identity-component conjugacy data."""
     label.validate(rs)
-    if g.reverses_orientation:
-        raise UnsupportedElementError(
-            "orientation-reversing elements require a sign convention "
-            "for the extension operator; unsupported"
-        )
     val = character_so(rs, label.weight, g)
     if label.delta == 0:
         val += character_so(rs, conjugate_weight(rs, label.weight), g)

@@ -19,6 +19,7 @@ from operator import mul
 from . import liealg
 from .errors import InvariantViolation
 from .liealg import IrrepLabelO, RootSystem, RotationElement
+from .spectra import ComparisonResult, first_difference
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,6 @@ class SphericalGroup:
         for g in elems:
             if g.rank != self.m:
                 raise InvariantViolation("element rank does not match the group")
-            if g.extra_fixed or g.reverses_orientation:
-                raise InvariantViolation("elements must be even-rank rotations")
             key = tuple((a.numerator, a.denominator) for a in g.angles)
             if key in seen:
                 raise InvariantViolation("duplicate element")
@@ -203,29 +202,15 @@ class Spectrum:
     entries: dict[int, int]
 
 
-def _included_k(j: int, p: int, n: int, k: int) -> bool:
-    # the zero-eigenvalue label belongs only to the function and top-form slices
-    if k >= 1:
-        return True
-    return (j == 1 and p == 0) or (j == n and p == n)
-
-
 def p_spectrum(group: SphericalGroup, p: int, lam_max: int) -> Spectrum:
     """Spectrum of the Hodge-Laplace operator on p-forms of the quotient,
-    up to lam_max, as an eigenvalue -> multiplicity map (zeros omitted)."""
+    up to lam_max, as an eigenvalue -> multiplicity map (zeros omitted): the
+    closed and the coclosed half, which share no eigenvalue, plus the
+    eigenvalue 0 of the constant functions and top forms."""
     n = group.n
-    if not 0 <= p <= n:
-        raise ValueError("form degree out of range")
-    entries: dict[int, int] = {}
-    for j in (p, p + 1):
-        if not 1 <= j <= n:
-            continue
-        for k, lam in eigenvalue_family(n, j, lam_max):
-            if not _included_k(j, p, n, k):
-                continue
-            d = n_gamma(group, family_label(group.m, j, k))
-            if d:
-                entries[lam] = entries.get(lam, 0) + d
+    entries = {0: 1} if p in (0, n) and lam_max >= 0 else {}
+    for closed in (True, False):
+        entries.update(half_spectrum(group, p, closed, lam_max))
     return Spectrum(n, p, lam_max, dict(sorted(entries.items())))
 
 
@@ -248,42 +233,26 @@ def half_spectrum(group: SphericalGroup, p: int, closed: bool, lam_max: int) -> 
     return entries
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
-    isospectral: bool
-    first_discrepancy: tuple | None
-
-
 def compare(g1: SphericalGroup, g2: SphericalGroup, p: int, lam_max: int) -> ComparisonResult:
     if g1.m != g2.m:
         raise ValueError("groups act on spheres of different dimensions")
-    s1 = p_spectrum(g1, p, lam_max).entries
-    s2 = p_spectrum(g2, p, lam_max).entries
-    for lam in sorted(set(s1) | set(s2)):
-        d1, d2 = s1.get(lam, 0), s2.get(lam, 0)
-        if d1 != d2:
-            return ComparisonResult(False, (lam, d1, d2))
-    return ComparisonResult(True, None)
+    s1, s2 = p_spectrum(g1, p, lam_max), p_spectrum(g2, p, lam_max)
+    return first_difference(s1.entries, s2.entries)
 
 
 def tau_equivalent(g1: SphericalGroup, g2: SphericalGroup, p: int, k_max: int) -> bool:
     """Equality of every multiplicity attached to the degree-p exterior
-    representation, across both weight families, for k <= k_max."""
+    representation, across both weight families, for 1 <= k <= k_max (k = 0
+    labels the trivial representation, invariant under every group)."""
     if g1.m != g2.m:
         raise ValueError("groups act on spheres of different dimensions")
     n = g1.n
     if not 0 <= p <= n:
         raise ValueError("form degree out of range")
-    for j in (p, p + 1):
-        if not 1 <= j <= n:
-            continue
-        for k in range(0, k_max + 1):
-            if not _included_k(j, p, n, k):
-                continue
-            label = family_label(g1.m, j, k)
-            if n_gamma(g1, label) != n_gamma(g2, label):
-                return False
-    return True
+    labels = [
+        family_label(g1.m, j, k) for j in (p, p + 1) if 1 <= j <= n for k in range(1, k_max + 1)
+    ]
+    return all(n_gamma(g1, label) == n_gamma(g2, label) for label in labels)
 
 
 def _interlacing_labels(m: int, mu: tuple[int, ...], k_max: int):

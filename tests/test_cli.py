@@ -25,6 +25,7 @@ RP3 = {
     "space": "spherical",
     "elements": [{"angles": ["0", "0"]}, {"angles": ["1/2", "1/2"]}],
 }
+MODES = ("spec", "tau", "half-closed", "half-coclosed")
 
 
 # ---------------------------------------------------------------- spectrum
@@ -173,6 +174,23 @@ def test_compare_spherical_modes(capsys, tmp_path):
         "--mode", "half-closed",
     )
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "fixture:klein_a"],
+        ["spectrum", "S3"],
+        *(["compare", "fixture:klein_a", "fixture:klein_b", "--mode", mode] for mode in MODES),
+        *(["compare", "S3", "RP3", "--mode", mode] for mode in MODES),
+    ],
+    ids=" ".join,
+)
+def test_negative_cutoff_exits_2_in_every_mode(capsys, tmp_path, argv):
+    files = {"S3": write_json(tmp_path, S3, "s3.json"), "RP3": write_json(tmp_path, RP3, "rp3.json")}
+    argv = [files.get(a, a) for a in argv]
+    code, out, err = run(capsys, *argv, "--p", "0", "--cutoff", "-1")
+    assert (code, out, err) == (2, "", "error: cutoff must be nonnegative\n")
 
 
 def test_compare_dimension_mismatch_exits_4(capsys):

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from curvspec.errors import UnsupportedElementError
 from curvspec.liealg import (
     IrrepLabelO,
     RootSystem,
@@ -162,20 +161,6 @@ def test_character_o_label_validation():
         IrrepLabelO((1, 0), 0).validate(D2)  # c_m = 0 forces delta = +-1
     with pytest.raises(ValueError):
         IrrepLabelO((1, -1), 0).validate(D2)  # negative last coordinate
-
-
-def test_character_o_rejects_orientation_reversing():
-    g = RotationElement((0, 0), reverses_orientation=True)
-    with pytest.raises(UnsupportedElementError):
-        character_o(D2, IrrepLabelO((1, 0), 1), g)
-
-
-def test_rotation_element_compose_and_inverse():
-    g = RotationElement((Fraction(1, 3), Fraction(2, 3)))
-    h = g.compose(g).compose(g)
-    assert h.is_identity
-    assert g.compose(g.inverse()).is_identity
-    assert not g.is_identity
 
 
 def test_branch_taup():

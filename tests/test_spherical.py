@@ -214,16 +214,46 @@ def test_degree_zero_and_top_include_zero_eigenvalue():
 # ---------------------------------------------------------------- halves
 
 
+def _family_walk(g, p, lam_max):
+    """The p-spectrum summed over both adjacent weight families, the k = 0
+    label counted at degrees 0 and n only."""
+    n, out = g.n, {}
+    for j in (p, p + 1):
+        if not 1 <= j <= n:
+            continue
+        for k, lam in eigenvalue_family(n, j, lam_max):
+            if k == 0 and (j, p) not in ((1, 0), (n, n)):
+                continue
+            d = n_gamma(g, family_label(g.m, j, k))
+            if d:
+                out[lam] = out.get(lam, 0) + d
+    return out
+
+
 def test_half_spectra_partition_the_positive_spectrum():
-    g = lens_space(7, [1, 2])
-    for p in range(g.n + 1):
-        closed = half_spectrum(g, p, True, 60)
-        coclosed = half_spectrum(g, p, False, 60)
-        assert not set(closed) & set(coclosed)
-        merged = dict(closed)
-        merged.update(coclosed)
-        full = {lam: d for lam, d in p_spectrum(g, p, 60).entries.items() if lam > 0}
-        assert merged == full
+    groups = [
+        lens_space(7, [1, 2]),
+        lens_space(5, [1, 3]),
+        lens_space(12, [1, 5]),
+        trivial_group(2),
+        lens_space(9, [1, 2, 4]),
+        lens_space(7, [1, 2, 3]),
+        lens_space(8, [1, 3, 5]),
+    ]
+    for g in groups:
+        n = g.n
+        for p in range(n + 1):
+            for lam_max in (-1, 0, 3, 60):
+                closed = half_spectrum(g, p, True, lam_max)
+                coclosed = half_spectrum(g, p, False, lam_max)
+                assert not set(closed) & set(coclosed)
+                assert all(lam > 0 for lam in (*closed, *coclosed))
+                merged = {0: 1} if p in (0, n) and lam_max >= 0 else {}
+                merged.update(closed)
+                merged.update(coclosed)
+                entries = p_spectrum(g, p, lam_max).entries
+                assert list(entries.items()) == sorted(merged.items())
+                assert entries == _family_walk(g, p, lam_max)
 
 
 def test_coclosed_half_equals_next_closed_half():
@@ -265,10 +295,27 @@ def test_permuted_lens_parameters_give_equal_spectra():
         assert tau_equivalent(g1, g2, p, 10)
 
 
+def test_trivial_label_is_invariant_under_every_group():
+    # tau_equivalent skips k = 0: it labels the trivial representation
+    for g in (
+        lens_space(7, [1, 2, 3]),
+        lens_space(2, [1, 1]),
+        lens_space(12, [1, 5, 7]),
+        lens_space(9, [2, 4]),
+    ):
+        for j in (1, g.n):
+            label = family_label(g.m, j, 0)
+            assert label == IrrepLabelO((0,) * g.m, 1)
+            assert n_gamma(g, label) == 1
+
+
 def test_tau_equivalence_examples():
     g1, g2 = trivial_group(2), lens_space(2, [1, 1])
     assert tau_equivalent(g1, g1, 0, 10)
     assert not tau_equivalent(g1, g2, 0, 10)
+    # the two first differ at k = 1; below it only the trivial label is left
+    assert not tau_equivalent(g1, g2, 0, 1)
+    assert tau_equivalent(g1, g2, 0, 0)
 
 
 def test_tau_equivalence_implies_isospectrality():
