@@ -5,9 +5,11 @@ the case reads, and the exit code, stdout and stderr the command gave when it
 was recorded.  The cases are `spectrum --p all`, `betti` and
 `compare --mode spec|tau` at cutoff 3 on every flat fixture and every pair
 of fixtures of one dimension (plus one pair that differs in dimension), a
-few valid groups given as files, malformed inputs, `compare` in all four
-modes between lens spaces of order 7, and the two refused comparisons (a half
-mode on flat groups, a flat group against a spherical one).  To record the
+few valid groups given as files (among them L(7;1,2,3) with its angles
+spelled in several ways, L(4;1,3) with decimal angles and the lens form of
+L(10007;1,2,3)), malformed inputs (malformed angles among them), `compare` in
+all four modes between lens spaces of order 7, and the two refused comparisons
+(a half mode on flat groups, a flat group against a spherical one).  To record the
 file again with the library on the path:
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -60,6 +62,27 @@ _VALID = {
         _elements(*([f"{t * q % 7}/7" for q in (1, 2, 3)] for t in (3, 0, 6, 1, 5, 2, 4))),
         [["spectrum", "--p", "all", "--cutoff", "40", "--format", "csv"]],
     ),
+    # L(7;1,2,3) again, its angles in other spellings of the same residues
+    "lens7_spellings.json": (
+        _elements(
+            [0, 1, "0"],
+            ["2/14", "2/7", "3/7"],
+            ["2/7", "4/7", "6/7"],
+            ["3/7", "6/7", "2/7"],
+            ["4/7", " 1/7 ", "5/7"],
+            ["5/7", "3/7", "8/7"],
+            ["-1/7", "5/7", "4/7"],
+        ),
+        [["spectrum", "--p", "all", "--cutoff", "40", "--format", "csv"]],
+    ),
+    "lens4_decimal.json": (
+        _elements(["0", "0"], ["0.25", "0.75"], ["0.5", "0.5"], ["0.75", "0.25"]),
+        [["spectrum", "--p", "all", "--cutoff", "40", "--format", "csv"]],
+    ),
+    "lens10007.json": (
+        {"space": "spherical", "lens": {"N": 10007, "q": [1, 2, 3]}},
+        [["spectrum", "--p", "all", "--cutoff", "40"]],
+    ),
 }
 
 # malformed or invalid groups: each is asked for its spectrum
@@ -82,6 +105,16 @@ _INVALID = {
     "sph_duplicate.json": _elements(["0", "0"], ["1/2", "1/2"], ["3/2", "1/2"]),
     "sph_float.json": _elements([0.5, "1/2"]),
     "lens_not_coprime.json": {"space": "spherical", "lens": {"N": 4, "q": [1, 2]}},
+    "sph_zero_denominator.json": _elements(["0", "0"], ["1/0", "1/2"]),
+    "sph_word.json": _elements(["0", "0"], ["abc", "1/2"]),
+    "sph_blank.json": _elements(["0", "0"], ["", "1/2"]),
+    "sph_null.json": _elements(["0", "0"], [None, "1/2"]),
+    "sph_bool.json": _elements(["0", "0"], [True, "1/2"]),
+    "sph_nested.json": _elements(["0", "0"], [["1/2"], "1/2"]),
+    "sph_no_angles.json": {
+        "space": "spherical",
+        "elements": [{"angles": ["0", "0"]}, {"angle": ["1/2", "1/2"]}],
+    },
 }
 
 # lens spaces compared with lens7.json = L(7;1,2,3): L(7;1,2,4) agrees in every
