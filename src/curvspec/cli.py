@@ -27,7 +27,6 @@ from math import isqrt
 
 from . import flat, hyperbolic, spectra, spherical
 from .errors import CurvspecError, InvariantViolation
-from .liealg import RotationElement
 
 
 class _ParseError(Exception):
@@ -43,6 +42,25 @@ def _fraction(x) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise _ParseError(f"bad rational {x!r}") from exc
     raise _ParseError(f"bad rational {x!r} (use integers or strings like '1/2')")
+
+
+def _angle(x) -> tuple[int, int]:
+    """An angle as a pair (numerator, denominator): plain digit strings "a/b"
+    and "a" directly, every other spelling through `_fraction`, which decides
+    what is accepted and with which message."""
+    if type(x) is str:
+        num, slash, den = x.partition("/")
+        if num.isdecimal() and (den.isdecimal() or not slash) and int(den or 1):
+            return int(num), int(den or 1)
+    x = _fraction(x)
+    return x.numerator, x.denominator
+
+
+def _integer(x) -> int:
+    """A lens parameter: floats and booleans are refused, not truncated."""
+    if isinstance(x, (bool, float)):
+        raise ValueError(f"bad integer {x!r}")
+    return int(x)
 
 
 def _load_group(token: str):
@@ -88,21 +106,19 @@ def _group_from_description(data):
         if "lens" in data:
             try:
                 lens = data["lens"]
-                group = spherical.lens_space(int(lens["N"]), [int(x) for x in lens["q"]])
+                big_n, q = _integer(lens["N"]), [_integer(x) for x in lens["q"]]
+                group = spherical.lens_space(big_n, q)
             except (KeyError, TypeError, ValueError) as exc:
                 raise _ParseError(f"malformed lens description: {exc}") from exc
             return "spherical", group
         if "elements" in data:
             try:
-                elems = tuple(
-                    RotationElement(tuple(_fraction(a) for a in e["angles"]))
-                    for e in data["elements"]
-                )
+                elems = tuple(tuple(_angle(a) for a in e["angles"]) for e in data["elements"])
             except (KeyError, TypeError) as exc:
                 raise _ParseError(f"malformed element list: {exc}") from exc
             if not elems:
                 raise _ParseError("element list is empty")
-            return "spherical", spherical.SphericalGroup(elems[0].rank, elems)
+            return "spherical", spherical.SphericalGroup(len(elems[0]), elems)
         raise _ParseError("spherical group needs 'lens' or 'elements'")
     raise _ParseError("group description needs space: 'flat' or 'spherical'")
 

@@ -239,14 +239,7 @@ class RotationElement:
     angles: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "angles",
-            tuple(
-                a if type(a) is Fraction and 0 <= a.numerator < a.denominator else Fraction(a) % 1
-                for a in self.angles
-            ),
-        )
+        object.__setattr__(self, "angles", tuple(Fraction(a) % 1 for a in self.angles))
 
     @property
     def rank(self) -> int:

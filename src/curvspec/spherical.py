@@ -4,8 +4,9 @@ A quotient of the unit sphere in R^{2m} by a finite fixed-point-free group of
 rotations has its p-form spectrum determined by two one-parameter families of
 highest weights: eigenvalues k^2 + k(n-1) + (p-1)(n-p) (n = 2m-1), with
 multiplicities given by the dimensions of the group invariants in the
-corresponding representations.  Every such group is a lens group L(N; q), so
-each of those dimensions is an exact count of weights mu with <mu, q> = 0 mod N.
+corresponding representations.  Every such group is a lens group L(N; q),
+stored as those integers (an element list is normalised to them), so each of
+those dimensions is an exact count of weights mu with <mu, q> = 0 mod N.
 """
 
 from __future__ import annotations
@@ -23,61 +24,87 @@ from .spectra import ComparisonResult, first_difference
 
 
 @dataclass(frozen=True)
+class LensElements:
+    """The rotations of L(N; q), with angles t q_j / N for t = 0..N-1, built
+    only when iterated.  They act freely exactly when every q_j is prime to N."""
+
+    order: int
+    q: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.order < 1:
+            raise InvariantViolation("order must be positive")
+        for qj in self.q:
+            if gcd(qj, self.order) != 1:
+                raise InvariantViolation(
+                    f"parameter {qj} shares a factor with {self.order}: action is not free"
+                )
+
+    def __len__(self) -> int:
+        return self.order
+
+    def __iter__(self):
+        for t in range(self.order):
+            yield RotationElement(tuple(Fraction(t * qj % self.order, self.order) for qj in self.q))
+
+
+@dataclass(frozen=True)
 class SphericalGroup:
     """Finite fixed-point-free rotation group acting on the sphere S^{2m-1},
-    given by exact angle data in a common maximal torus.
+    given by its `RotationElement`s, by their angles as (numerator,
+    denominator) pairs of integers, or as the `LensElements` of L(N; q).
 
     Such a group is abelian and acts freely, hence cyclic: the lens group
     L(N; q) generated by the rotation with angles q_j / N, N the order.
-    Validation finds that generator and stores q."""
+    Validation reads each angle as a residue mod N, finds that generator and
+    keeps only `LensElements(N, q)`."""
 
     m: int
-    elements: tuple[RotationElement, ...]
+    elements: tuple | LensElements
     name: str = ""
     _cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
-    _q: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.m < 2:
             raise ValueError("need m >= 2 (sphere dimension n = 2m-1 >= 3)")
+        if isinstance(self.elements, LensElements):
+            if len(self.elements.q) != self.m:
+                raise InvariantViolation("element rank does not match the group")
+            return
         elems = tuple(self.elements)
-        object.__setattr__(self, "elements", elems)
+        big_n = len(elems)
         if not elems:
             raise InvariantViolation("group is empty")
-        # angles are reduced fractions in [0, 1), so (numerator, denominator)
-        # pairs identify them
-        keys, seen = [], set()
+        # the angle a/b is the residue a N/b mod N when that is an integer
+        # and a fraction in [0, 1) otherwise, so equal keys are equal angles
+        seen = set()
         for g in elems:
-            if g.rank != self.m:
+            if isinstance(g, RotationElement):
+                g = [(a.numerator, a.denominator) for a in g.angles]
+            if len(g) != self.m:
                 raise InvariantViolation("element rank does not match the group")
-            key = tuple((a.numerator, a.denominator) for a in g.angles)
+            key = tuple(
+                a * big_n // b % big_n if a * big_n % b == 0 else Fraction(a, b) % 1 for a, b in g
+            )
             if key in seen:
                 raise InvariantViolation("duplicate element")
             seen.add(key)
-            keys.append(key)
-        if not any(g.is_identity for g in elems):
+        identity = (0,) * self.m
+        if identity not in seen:
             raise InvariantViolation("identity element missing")
-        for key in keys:
-            nums = [num for num, _ in key]
-            if 0 in nums and any(nums):
-                raise InvariantViolation(
-                    "fixed point on the sphere: non-identity element has a unit eigenvalue"
-                )
+        if any(0 in key for key in seen if key != identity):
+            raise InvariantViolation(
+                "fixed point on the sphere: non-identity element has a unit eigenvalue"
+            )
         # the first plane's character is injective on a free group, so a
         # group of order N has exactly one element with first angle 1/N, of
-        # order N, and its multiples are the whole group: as residues mod N,
-        # the vectors t q mod N
-        big_n = len(elems)
-        first = (1, big_n) if big_n > 1 else (0, 1)
-        gen = next((key for key in keys if key[0] == first), None)
-        if gen is None or any(big_n % den for key in keys for _, den in key):
-            raise InvariantViolation("element list is not closed under composition")
-        q = tuple(num * (big_n // den) for num, den in gen)
-        if {tuple(num * (big_n // den) for num, den in key) for key in keys} != {
-            tuple(t * qj % big_n for qj in q) for t in range(big_n)
+        # order N, and its multiples t q mod N are the whole group
+        gen = next((key for key in seen if key[0] == 1 % big_n), None)
+        if gen is None or any(type(r) is Fraction for key in seen for r in key) or seen != {
+            tuple(t * qj % big_n for qj in gen) for t in range(big_n)
         }:
             raise InvariantViolation("element list is not closed under composition")
-        object.__setattr__(self, "_q", q)
+        object.__setattr__(self, "elements", LensElements(big_n, gen))
 
     @property
     def n(self) -> int:
@@ -86,7 +113,7 @@ class SphericalGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return self.elements.order
 
     @property
     def root_system(self) -> RootSystem:
@@ -94,25 +121,14 @@ class SphericalGroup:
 
 
 def trivial_group(m: int, name: str = "") -> SphericalGroup:
-    ident = RotationElement((Fraction(0),) * m)
-    return SphericalGroup(m, (ident,), name or f"S{2 * m - 1}")
+    return lens_space(1, (0,) * m, name or f"S{2 * m - 1}")
 
 
 def lens_space(big_n: int, q, name: str = "") -> SphericalGroup:
     """Cyclic group of order big_n with rotation angles q_j / big_n."""
     q = tuple(int(x) for x in q)
-    m = len(q)
-    if big_n < 1:
-        raise InvariantViolation("order must be positive")
-    for qj in q:
-        if gcd(qj, big_n) != 1:
-            raise InvariantViolation(
-                f"parameter {qj} shares a factor with {big_n}: action is not free"
-            )
-    elems = tuple(
-        RotationElement(tuple(Fraction(t * qj % big_n, big_n) for qj in q)) for t in range(big_n)
-    )
-    return SphericalGroup(m, elems, name or f"L({big_n};{','.join(map(str, q))})")
+    name = name or f"L({big_n};{','.join(map(str, q))})"
+    return SphericalGroup(len(q), LensElements(big_n, q), name)
 
 
 def eigenvalue_family(n: int, p: int, lam_max: int) -> list[tuple[int, int]]:
@@ -174,13 +190,14 @@ def n_gamma(group: SphericalGroup, label: IrrepLabelO) -> int:
     L(N; q): the dimension of its invariants, i.e. the number of weights mu
     (with multiplicity) with <mu, q> = 0 mod N.  This is exactly the group
     average of the character, with no rounding."""
-    rs = group.root_system
-    label.validate(rs)
     key = (label.weight, label.delta)
     cached = group._cache.get(key)
     if cached is not None:
+        # only labels that passed validation for this rank are memoised
         return cached
-    q, big_n = group._q, group.order
+    rs = group.root_system
+    label.validate(rs)
+    big_n, q = group.order, group.elements.q
     weights = [label.weight]
     if label.delta == 0:
         weights.append(liealg.conjugate_weight(rs, label.weight))

@@ -97,6 +97,34 @@ def test_spectrum_invariant_violation_exits_3(capsys, tmp_path):
     assert "free" in err
 
 
+@pytest.mark.parametrize(
+    "lens",
+    [
+        {"N": 7.9, "q": [1, 2.5]},
+        {"N": True, "q": [True, True]},
+        {"N": 7, "q": [1, 2.0]},
+        {"N": 7.0, "q": [1, 2]},
+        {"N": 7, "q": [1, False]},
+    ],
+    ids=json.dumps,
+)
+def test_lens_form_refuses_non_integers(capsys, tmp_path, lens):
+    path = write_json(tmp_path, {"space": "spherical", "lens": lens})
+    code, out, err = run(capsys, "spectrum", path, "--p", "0", "--cutoff", "10")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed lens description: bad integer")
+
+
+def test_lens_form_takes_integers_and_integer_strings(capsys, tmp_path):
+    outs = set()
+    for lens in ({"N": 7, "q": [1, 2]}, {"N": "7", "q": ["1", " 2 "]}):
+        path = write_json(tmp_path, {"space": "spherical", "lens": lens})
+        code, out, _ = run(capsys, "spectrum", path, "--p", "all", "--cutoff", "30")
+        assert code == 0
+        outs.add(out)
+    assert len(outs) == 1
+
+
 def test_spectrum_torsion_exits_3(capsys, tmp_path):
     payload = {
         "space": "flat",

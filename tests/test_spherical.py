@@ -2,13 +2,18 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from curvspec import cli
 from curvspec.errors import InvariantViolation
 from curvspec.liealg import IrrepLabelO, RootSystem, RotationElement, character_o
 from curvspec.spherical import (
+    LensElements,
     SphericalGroup,
     casimir_collision_scan,
     compare,
@@ -59,8 +64,25 @@ def test_group_must_be_closed():
         ((0, 0), (half, half), (3 * half, half)),
     )
     for angles in bad:
-        with pytest.raises(InvariantViolation):
-            SphericalGroup(2, tuple(RotationElement(a) for a in angles))
+        for elements in _both_forms(angles):
+            with pytest.raises(InvariantViolation, match="closed|duplicate"):
+                SphericalGroup(2, elements)
+
+
+def _both_forms(angles):
+    """An element list as `RotationElement`s and as reduced angle pairs."""
+    elems = tuple(RotationElement(a) for a in angles)
+    return elems, tuple(tuple((a.numerator, a.denominator) for a in g.angles) for g in elems)
+
+
+def test_element_lists_become_the_lens_data():
+    lens = lens_space(12, [5, 7, 1])
+    for elements in _both_forms(g.angles for g in reversed(list(lens.elements))):
+        group = SphericalGroup(3, elements)
+        # the generator is the element with first angle 1/N: 5^-1 = 5 mod 12
+        assert group.elements == LensElements(12, (1, 11, 5))
+        assert group.order == len(group.elements) == 12
+        assert set(group.elements) == set(lens.elements)
 
 
 def test_group_must_act_freely():
@@ -72,8 +94,9 @@ def test_group_must_act_freely():
         ((0, 0), (half, 0), (0, half), (half, half)),
     )
     for angles in bad:
-        with pytest.raises(InvariantViolation):
-            SphericalGroup(2, tuple(RotationElement(a) for a in angles))
+        for elements in _both_forms(angles):
+            with pytest.raises(InvariantViolation):
+                SphericalGroup(2, elements)
 
 
 # ---------------------------------------------------------------- families
@@ -397,3 +420,94 @@ def test_n_gamma_is_the_rounded_character_average():
                 avg = sum(chars) / group.order
                 assert abs(avg - round(avg.real)) < 1e-6
                 assert n_gamma(group, label) == round(avg.real)
+
+
+@st.composite
+def _lens_data(draw):
+    m = draw(st.sampled_from((2, 3)))
+    big_n = draw(st.integers(1, 40))
+    units = [u for u in range(1, big_n + 1) if math.gcd(u, big_n) == 1]
+    return big_n, draw(st.lists(st.sampled_from(units), min_size=m, max_size=m)), units
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(_lens_data(), st.data())
+def test_lens_isometries_leave_every_p_spectrum_unchanged(lens, data):
+    # permuting q, negating a q_j and scaling q by a unit mod N give
+    # isometric quotients; a shuffled element list is the same group
+    big_n, q, units = lens
+    m = len(q)
+    signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=m, max_size=m))
+    unit = data.draw(st.sampled_from(units))
+    base = lens_space(big_n, q)
+    shuffled = data.draw(st.permutations(list(base.elements)))
+    variants = [
+        lens_space(big_n, data.draw(st.permutations(q))),
+        lens_space(big_n, [s * x for s, x in zip(signs, q)]),
+        lens_space(big_n, [unit * x for x in q]),
+        *(SphericalGroup(m, elements) for elements in _both_forms(g.angles for g in shuffled)),
+    ]
+    for p in range(base.n + 1):
+        expected = p_spectrum(base, p, 60)
+        for group in variants:
+            assert p_spectrum(group, p, 60) == expected
+
+
+def test_large_lens_space_builds_no_elements(monkeypatch):
+    built = []
+
+    def refuse(self):
+        built.append(self)
+        raise AssertionError("a RotationElement was built")
+
+    monkeypatch.setattr(RotationElement, "__post_init__", refuse)
+    big, small = lens_space(1_000_003, (1, 2, 3)), lens_space(10007, (1, 2, 3))
+    # both orders exceed every |<mu, q>| at lambda <= 40, so the spectra agree
+    for p in range(big.n + 1):
+        assert p_spectrum(big, p, 40) == p_spectrum(small, p, 40)
+    assert built == []
+    assert big.order == len(big.elements) == 1_000_003
+
+
+def _calls_during(codes, fn, *args):
+    """Number of calls of the given code objects while fn(*args) runs."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code in codes:
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_cli_element_list_builds_no_fraction_or_element():
+    big_n, q = 89, (1, 2, 3)
+    data = {
+        "space": "spherical",
+        "elements": [{"angles": [f"{t * x % big_n}/{big_n}" for x in q]} for t in range(big_n)],
+    }
+    codes = {Fraction.__new__.__code__, RotationElement.__post_init__.__code__}
+    assert _calls_during(codes, cli._group_from_description, data) == 0
+    # the oracle: the profile does see the constructions of the element form
+    angles = [[Fraction(t * x % big_n, big_n) for x in q] for t in range(big_n)]
+    assert _calls_during(codes, lambda: [RotationElement(a) for a in angles]) >= big_n
+    _, group = cli._group_from_description(data)
+    assert group.elements == LensElements(big_n, q)
+
+
+def test_n_gamma_reads_the_memo_before_validating(monkeypatch):
+    group, label = lens_space(7, [1, 2, 3]), family_label(3, 2, 3)
+    first = n_gamma(group, label)
+
+    def refuse(*args):
+        raise AssertionError("validated again")
+
+    monkeypatch.setattr(IrrepLabelO, "validate", refuse)
+    monkeypatch.setattr(RootSystem, "__post_init__", refuse)
+    assert n_gamma(group, label) == first
