@@ -8,8 +8,10 @@ of fixtures of one dimension (plus one pair that differs in dimension), a
 few valid groups given as files (among them L(7;1,2,3) with its angles
 spelled in several ways, L(4;1,3) with decimal angles and the lens form of
 L(10007;1,2,3)), malformed inputs (malformed angles among them), `compare` in
-all four modes between lens spaces of order 7, and the two refused comparisons
-(a half mode on flat groups, a flat group against a spherical one).  To record the
+all four modes between lens spaces of order 7, the two refused comparisons
+(a half mode on flat groups, a flat group against a spherical one), and the
+spectra at lambda <= 200 of lens spaces of small order (the sphere L(1; 0, 0)
+among them) with a tau comparison of L(7;1,2,3) and L(7;1,2,4) at that cutoff.  To record the
 file again with the library on the path:
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -124,6 +126,17 @@ _LENSES = {
     "lens7_112.json": {"space": "spherical", "lens": {"N": 7, "q": [1, 1, 2]}},
 }
 
+# lens forms with N <= 2R at lambda <= 200, R the largest 1-norm of a weight
+# there, so a congruence class mod N holds several values of one coordinate;
+# N = 1 is the sphere itself
+_CENSUS = {
+    "lens3_11.json": (3, [1, 1]),
+    "lens4_13.json": (4, [1, 3]),
+    "lens2_111.json": (2, [1, 1, 1]),
+    "lens1_00.json": (1, [0, 0]),
+    "lens7_1231.json": (7, [1, 2, 3, 1]),
+}
+
 
 def cases():
     """(argv, {file name: description}) for every recorded case."""
@@ -155,6 +168,11 @@ def cases():
     out.append((["compare", "fixture:klein_a", "fixture:klein_b", "--cutoff", "3",
                  "--mode", "half-closed"], {}))
     out.append((["compare", "fixture:flat4_a", "lens7.json", "--cutoff", "3"], lens7))
+    for file, (big_n, q) in _CENSUS.items():
+        data = {"space": "spherical", "lens": {"N": big_n, "q": q}}
+        out.append((["spectrum", file, "--p", "all", "--cutoff", "200"], {file: data}))
+    argv = ["compare", "lens7.json", "lens7_124.json", "--cutoff", "200", "--mode", "tau"]
+    out.append((argv, {**lens7, "lens7_124.json": _LENSES["lens7_124.json"]}))
     return out
 
 
