@@ -19,6 +19,7 @@ structural invariant, 4 dimension or space-type mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -266,7 +267,10 @@ def cmd_fixtures(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state in
+    it, every call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="curvspec",
         description="Spectra of constant-curvature space forms from representation data",

@@ -11,4 +11,5 @@ class InvariantViolation(CurvspecError):
 
 
 class IntegralityError(CurvspecError):
-    """A quantity that must be a nonnegative integer came out otherwise."""
+    """A quantity that must be a nonnegative integer came out otherwise, or
+    an exact count found its input without the structure it relies on."""

@@ -6,32 +6,50 @@ highest weights: eigenvalues k^2 + k(n-1) + (p-1)(n-p) (n = 2m-1), with
 multiplicities given by the dimensions of the group invariants in the
 corresponding representations.  Every such group is a lens group L(N; q),
 stored as those integers (an element list is normalised to them), so each of
-those dimensions is an exact count of weights mu with <mu, q> = 0 mod N.
+those dimensions is an exact count of weights mu in the congruence lattice
+L = {mu : <mu, q> = 0 mod N}.  The multiplicity of a weight of a family label
+depends only on its 1-norm r and its number l of zero coordinates, so the
+count is sum M(r, l) N_L(r, l): M read once per label from the dominant
+weight table, N_L counted once per group on the lattice.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt
-from operator import mul
+from operator import index
 
 from . import liealg
-from .errors import InvariantViolation
+from .errors import IntegralityError, InvariantViolation
 from .liealg import IrrepLabelO, RootSystem, RotationElement
 from .spectra import ComparisonResult, first_difference
+
+
+def _integer(x) -> int:
+    if not isinstance(x, bool):
+        try:
+            return index(x)
+        except TypeError:
+            pass
+    raise InvariantViolation(f"lens parameter {x!r} is not an integer")
 
 
 @dataclass(frozen=True)
 class LensElements:
     """The rotations of L(N; q), with angles t q_j / N for t = 0..N-1, built
-    only when iterated.  They act freely exactly when every q_j is prime to N."""
+    only when iterated.  N and the q_j must be integers (a float or a bool is
+    refused, not cast); they act freely exactly when every q_j is prime to N."""
 
     order: int
     q: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "order", _integer(self.order))
+        object.__setattr__(self, "q", tuple(map(_integer, self.q)))
         if self.order < 1:
             raise InvariantViolation("order must be positive")
         for qj in self.q:
@@ -126,9 +144,9 @@ def trivial_group(m: int, name: str = "") -> SphericalGroup:
 
 def lens_space(big_n: int, q, name: str = "") -> SphericalGroup:
     """Cyclic group of order big_n with rotation angles q_j / big_n."""
-    q = tuple(int(x) for x in q)
-    name = name or f"L({big_n};{','.join(map(str, q))})"
-    return SphericalGroup(len(q), LensElements(big_n, q), name)
+    lens = LensElements(big_n, tuple(q))
+    name = name or f"L({lens.order};{','.join(map(str, lens.q))})"
+    return SphericalGroup(len(lens.q), lens, name)
 
 
 def eigenvalue_family(n: int, p: int, lam_max: int) -> list[tuple[int, int]]:
@@ -188,8 +206,14 @@ def family_label(m: int, j: int, k: int) -> IrrepLabelO:
 def n_gamma(group: SphericalGroup, label: IrrepLabelO) -> int:
     """Multiplicity of the labelled irreducible in functions on the quotient
     L(N; q): the dimension of its invariants, i.e. the number of weights mu
-    (with multiplicity) with <mu, q> = 0 mod N.  This is exactly the group
-    average of the character, with no rounding."""
+    (with multiplicity) in the congruence lattice L = {mu : <mu, q> = 0 mod N}.
+
+    The multiplicity of a weight of a family label (k, 1^(j-1)) depends only
+    on its key (r, l) = (1-norm, number of zero coordinates) (Lauret,
+    Miatello, Rossetti, Spectra of lens spaces from 1-norm spectra of
+    congruence lattices, 2016), so the count is sum M(r, l) N_L(r, l) over
+    the keys of the label, in integers; a label for which that fails is
+    refused with `IntegralityError`."""
     key = (label.weight, label.delta)
     cached = group._cache.get(key)
     if cached is not None:
@@ -197,18 +221,115 @@ def n_gamma(group: SphericalGroup, label: IrrepLabelO) -> int:
         return cached
     rs = group.root_system
     label.validate(rs)
-    big_n, q = group.order, group.elements.q
-    weights = [label.weight]
-    if label.delta == 0:
-        weights.append(liealg.conjugate_weight(rs, label.weight))
-    total = sum(
-        mult
-        for w in weights
-        for mu, mult in liealg.weight_multiplicities(rs, w).items()
-        if sum(map(mul, mu, q)) % big_n == 0
-    )
+    mults = _key_multiplicities(rs, label)
+    lattice = group._cache.get("lattice")
+    if lattice is None:
+        lattice = group._cache["lattice"] = _LatticeCounts(group.order, group.elements.q)
+    counts = lattice.up_to(max(r for (r, _), _ in mults))
+    total = sum(mult * counts.get(rl, 0) for rl, mult in mults)
     group._cache[key] = total
     return total
+
+
+@lru_cache(maxsize=4096)
+def _key_multiplicities(rs: RootSystem, label: IrrepLabelO) -> tuple:
+    """The pairs ((r, l), M(r, l)): the weight multiplicity M of the label
+    (of V_w plus V_wbar when delta = 0) at the weights with 1-norm r and l
+    zero coordinates, read from the dominant weight table.  Checked exactly:
+    the dominant weights of one key share one multiplicity, and every
+    dominant weight of a key that occurs is in the table, since N_L counts
+    every lattice point of that key."""
+    table = Counter(liealg.dominant_multiplicities(rs, label.weight))
+    if label.delta == 0:
+        table.update(liealg.dominant_multiplicities(rs, liealg.conjugate_weight(rs, label.weight)))
+    mults: dict[tuple[int, int], int] = {}
+    for mu, mult in table.items():
+        if mults.setdefault((sum(map(abs, mu)), mu.count(0)), mult) != mult:
+            raise IntegralityError(
+                f"weight multiplicities of {label} are not a function of (1-norm, zeros)"
+            )
+    for r, zeros in mults:
+        for mu in _dominant_weights(rs.rank, r, zeros):
+            if mu not in table:
+                raise IntegralityError(f"dominant weight {mu} is missing from the table of {label}")
+    return tuple(mults.items())
+
+
+def _dominant_weights(m: int, r: int, zeros: int):
+    """The dominant weights of D_m (c_1 >= ... >= c_(m-1) >= |c_m|) with
+    1-norm r and `zeros` zero coordinates."""
+
+    def parts(total, count, cap):
+        # nonincreasing sequences of `count` positive integers <= cap summing to total
+        if count == 0:
+            if total == 0:
+                yield ()
+            return
+        for a in range(min(cap, total - count + 1), 0, -1):
+            if a * count < total:
+                return
+            for rest in parts(total - a, count - 1, a):
+                yield (a, *rest)
+
+    for head in parts(r, m - zeros, r):
+        yield head + (0,) * zeros
+        if not zeros:
+            yield head[:-1] + (-head[-1],)
+
+
+class _LatticeCounts:
+    """N_L(r, l): the number of points of L = {mu in Z^m : <mu, q> = 0 mod N}
+    with 1-norm r and l zero coordinates, counted for r <= `radius` and
+    extended when a label needs a larger one.
+
+    The first m-1 coordinates mu' are enumerated shell by shell.  They fix
+    the last coordinate mod N, c = -<mu', q'> q_m^-1, so each prefix is filed
+    under that class and its 1-norm; every c in the class completes it, and
+    when N <= 2r several do.  Extending to a larger radius adds the new
+    prefix shells and counts, for each c, only the points whose 1-norm is new."""
+
+    def __init__(self, big_n: int, q: tuple[int, ...]):
+        self.big_n, self.q = big_n, q
+        self.inverse = pow(q[-1], -1, big_n)
+        self.radius = -1
+        # (class of the last coordinate mod N, 1-norm, zeros) of the prefixes -> count
+        self.prefixes: dict[tuple[int, int, int], int] = {}
+        self.counts: dict[tuple[int, int], int] = {}
+
+    def up_to(self, radius: int) -> dict[tuple[int, int], int]:
+        big_n, done, prefixes, counts = self.big_n, self.radius, self.prefixes, self.counts
+        if radius <= done:
+            return counts
+        for r in range(done + 1, radius + 1):
+            for s, zeros in _shell(self.q[:-1], r):
+                key = (-s * self.inverse % big_n, r, zeros)
+                prefixes[key] = prefixes.get(key, 0) + 1
+        for c in range(-radius, radius + 1):
+            size, zero = abs(c), c == 0
+            for r in range(max(done + 1 - size, 0), radius - size + 1):
+                for zeros in range(len(self.q)):
+                    count = prefixes.get((c % big_n, r, zeros))
+                    if count:
+                        key = (r + size, zeros + zero)
+                        counts[key] = counts.get(key, 0) + count
+        self.radius = radius
+        return counts
+
+
+def _shell(q: tuple[int, ...], r: int):
+    """(<mu, q>, number of zero coordinates) of every mu in Z^len(q) with
+    1-norm r."""
+    *head, last = q
+    if not head:
+        if r == 0:
+            yield 0, 1
+        else:
+            yield r * last, 0
+            yield -r * last, 0
+        return
+    for a in range(-r, r + 1):
+        for s, zeros in _shell(head, r - abs(a)):
+            yield s + a * last, zeros + (a == 0)
 
 
 @dataclass(frozen=True)

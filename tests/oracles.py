@@ -1,11 +1,14 @@
-"""Exact linear algebra over `Fraction` that only the tests use: oracles for
-the integer code paths of `curvspec.flat` and `curvspec.liealg`, and helpers
-for building test data."""
+"""Code that only the tests use: exact linear algebra over `Fraction`, as
+oracles for the integer code paths of `curvspec.flat` and `curvspec.liealg`
+and helpers for building test data, and the per-weight count of the
+spherical multiplicities n_Gamma."""
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
+from curvspec import liealg
 from curvspec.ratlinalg import Mat, Vec, _hnf_rows, as_vec, identity
 
 
@@ -83,3 +86,21 @@ def in_integer_span(vec: Sequence, generators: Sequence[Sequence]) -> bool:
         # if not divisible the final all-zero check fails anyway
     return all(x == 0 for x in target)
 
+
+def n_gamma_by_weights(group, label) -> int:
+    """n_Gamma of a label on the lens group L(N; q), one weight at a time: the
+    weights mu of the full weight table (Freudenthal multiplicities along
+    Weyl orbits, plus the conjugate weight's table when delta = 0), with
+    multiplicity, that satisfy <mu, q> = 0 mod N."""
+    rs = group.root_system
+    label.validate(rs)
+    big_n, q = group.order, group.elements.q
+    weights = [label.weight]
+    if label.delta == 0:
+        weights.append(liealg.conjugate_weight(rs, label.weight))
+    return sum(
+        mult
+        for w in weights
+        for mu, mult in liealg.weight_multiplicities(rs, w).items()
+        if sum(map(mul, mu, q)) % big_n == 0
+    )

@@ -314,6 +314,43 @@ def test_fixture_round_trip_through_json(capsys, tmp_path):
 
 
 
+# ---------------------------------------------------------------- parser reuse
+
+
+def test_repeated_calls_in_one_process_match_fresh_interpreters(capsys, monkeypatch):
+    # the parser is built once per process; no parsed state may carry over
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    calls = [
+        ["spectrum", "fixture:klein_a"],  # argparse error: --cutoff missing
+        ["spectrum", "fixture:klein_a", "--cutoff", "2"],  # default --p 0
+        ["compare", "fixture:klein_a", "fixture:klein_b", "--cutoff", "1"],  # default --p all
+        ["dict", "--n", "5", "--p", "2", "--lambda", "3"],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+    fresh = []
+    for argv in calls:
+        code = "import sys; from curvspec import cli; sys.exit(cli.main(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert fresh[0][0] == 2 and "--cutoff" in fresh[0][2]
+    assert all(code in (0, 1) for code, _, _ in fresh[1:])
+    for argv, expected in [*zip(calls, fresh), *zip(calls, fresh)]:
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected, argv
+
+
 # ---------------------------------------------------------------- imports
 
 

@@ -1,6 +1,9 @@
 """Spectra of odd-dimensional spherical quotients and their comparisons."""
 
+import collections
+import itertools
 import math
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -9,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvspec import cli
-from curvspec.errors import InvariantViolation
+from curvspec import cli, liealg, spherical
+from curvspec.errors import IntegralityError, InvariantViolation
 from curvspec.liealg import IrrepLabelO, RootSystem, RotationElement, character_o
 from curvspec.spherical import (
     LensElements,
@@ -27,6 +30,7 @@ from curvspec.spherical import (
     tau_equivalent,
     trivial_group,
 )
+from oracles import n_gamma_by_weights
 
 
 # ---------------------------------------------------------------- groups
@@ -40,6 +44,15 @@ def test_trivial_and_small_lens_spaces():
     assert RotationElement((Fraction(1, 2), Fraction(1, 2))) in rp3.elements
     l7 = lens_space(7, [1, 2])
     assert l7.order == 7 and l7.n == 3
+
+
+def test_lens_space_refuses_non_integers():
+    # a float or bool N or q_j is refused, not truncated or taken as 0 or 1
+    for big_n, q in ((7, [1.5, 1]), (7, [True, 2]), (7.0, [1, 2])):
+        with pytest.raises(InvariantViolation, match="not an integer"):
+            lens_space(big_n, q)
+        with pytest.raises(InvariantViolation, match="not an integer"):
+            LensElements(big_n, tuple(q))
 
 
 def test_lens_space_requires_coprime_parameters():
@@ -167,6 +180,85 @@ def test_n_gamma_random_labels_are_nonnegative_integers():
         val = n_gamma(group, family_label(m, j, k))
         assert isinstance(val, int) and val >= 0
         trials += 1
+
+
+def _lens_sweep(m, seed):
+    """L(N; q) on S^(2m-1) for N = 1..30 and N = 10007, q drawn from the
+    units mod N (N = 1 is the sphere, q = 0)."""
+    rng = random.Random(seed)
+    for big_n in [*range(1, 31), 10007]:
+        units = [u for u in range(big_n) if math.gcd(u, big_n) == 1]
+        yield lens_space(big_n, [rng.choice(units) for _ in range(m)])
+
+
+def test_n_gamma_is_the_per_weight_count():
+    # every family label with m <= 4 and k <= 8; the per-weight scan of the
+    # full weight table is the oracle
+    for m in (2, 3, 4):
+        n = 2 * m - 1
+        labels = [
+            family_label(m, j, k)
+            for j in range(1, n + 1)
+            for k in range(0 if min(j, n + 1 - j) == 1 else 1, 9)
+        ]
+        for group in _lens_sweep(m, 7000 + m):
+            for label in labels:
+                assert n_gamma(group, label) == n_gamma_by_weights(group, label), (group, label)
+
+
+def test_lattice_counts_extend_to_the_brute_force_count():
+    # N <= 2R puts several values of the last coordinate in one class
+    for big_n, q in ((1, (0, 0)), (2, (1, 1, 1)), (3, (1, 2)), (7, (1, 2, 3, 1)), (10007, (1, 2, 3))):
+        m, radius = len(q), 7
+        ball = [
+            mu for mu in itertools.product(range(-radius, radius + 1), repeat=m)
+            if sum(map(abs, mu)) <= radius and sum(map(operator.mul, mu, q)) % big_n == 0
+        ]
+        expected = collections.Counter((sum(map(abs, mu)), mu.count(0)) for mu in ball)
+        grown = spherical._LatticeCounts(big_n, q)
+        for r in (0, 1, 4, 4, 2, 7):
+            grown.up_to(r)
+        assert grown.up_to(radius) == dict(expected)
+        assert spherical._LatticeCounts(big_n, q).up_to(radius) == dict(expected)
+
+
+def test_spectra_build_no_full_weight_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a full weight table was read")
+
+    monkeypatch.setattr(liealg, "weyl_orbit", refuse)
+    monkeypatch.setattr(liealg, "weight_multiplicities", refuse)
+    spherical._key_multiplicities.cache_clear()
+    g1, g2 = lens_space(7, [1, 2, 3]), lens_space(7, [1, 2, 4])
+    for p in range(g1.n + 1):
+        assert p_spectrum(g1, p, 80).entries
+        half_spectrum(g2, p, False, 80)
+        assert tau_equivalent(g1, g2, p, 8)
+
+
+@pytest.mark.parametrize(
+    "damage, message", [("inconsistent", "not a function of"), ("missing", "missing from the table")]
+)
+def test_key_multiplicity_check_refuses_a_damaged_table(monkeypatch, damage, message):
+    # (3, 1, 0) has the dominant weights (3, 1, 0) and (2, 2, 0) of key (4, 1),
+    # both of multiplicity 1
+    real = liealg.dominant_multiplicities
+
+    def damaged(rs, w):
+        table = dict(real(rs, w))
+        if damage == "inconsistent":
+            table[(2, 2, 0)] += 1
+        else:
+            del table[(2, 2, 0)]
+        return table
+
+    monkeypatch.setattr(liealg, "dominant_multiplicities", damaged)
+    spherical._key_multiplicities.cache_clear()
+    try:
+        with pytest.raises(IntegralityError, match=message):
+            n_gamma(lens_space(5, [1, 2, 3]), family_label(3, 2, 3))
+    finally:
+        spherical._key_multiplicities.cache_clear()
 
 
 # ---------------------------------------------------------------- spectra
