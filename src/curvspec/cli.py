@@ -64,6 +64,14 @@ def _integer(x) -> int:
     return int(x)
 
 
+def _items(x) -> list:
+    """A JSON list: a string or an object in its place would be iterated as
+    its characters or keys."""
+    if type(x) is not list:
+        raise TypeError(f"expected a list, got {x!r}")
+    return x
+
+
 def _load_group(token: str):
     """Returns ("flat", BieberbachGroup) or ("spherical", SphericalGroup)."""
     if token.startswith("fixture:"):
@@ -90,13 +98,15 @@ def _group_from_description(data):
     space = data.get("space")
     if space == "flat":
         try:
-            lattice = flat.Lattice([[_fraction(x) for x in row] for row in data["lattice"]])
+            lattice = flat.Lattice(
+                [[_fraction(x) for x in _items(row)] for row in _items(data["lattice"])]
+            )
             cosets = tuple(
                 (
-                    [[_fraction(x) for x in row] for row in c["rotation"]],
-                    [_fraction(x) for x in c["translation"]],
+                    [[_fraction(x) for x in _items(row)] for row in _items(c["rotation"])],
+                    [_fraction(x) for x in _items(c["translation"])],
                 )
-                for c in data["cosets"]
+                for c in _items(data["cosets"])
             )
         except (KeyError, TypeError) as exc:
             raise _ParseError(f"malformed flat group description: {exc}") from exc
@@ -107,14 +117,16 @@ def _group_from_description(data):
         if "lens" in data:
             try:
                 lens = data["lens"]
-                big_n, q = _integer(lens["N"]), [_integer(x) for x in lens["q"]]
+                big_n, q = _integer(lens["N"]), [_integer(x) for x in _items(lens["q"])]
                 group = spherical.lens_space(big_n, q)
             except (KeyError, TypeError, ValueError) as exc:
                 raise _ParseError(f"malformed lens description: {exc}") from exc
             return "spherical", group
         if "elements" in data:
             try:
-                elems = tuple(tuple(_angle(a) for a in e["angles"]) for e in data["elements"])
+                elems = tuple(
+                    tuple(_angle(a) for a in _items(e["angles"])) for e in _items(data["elements"])
+                )
             except (KeyError, TypeError) as exc:
                 raise _ParseError(f"malformed element list: {exc}") from exc
             if not elems:

@@ -1,4 +1,4 @@
-"""Root-system combinatorics for the even/odd special orthogonal algebras.
+"""Root-system combinatorics for the even special orthogonal algebras.
 
 Weights live in the epsilon-coordinate lattice, where the normalized invariant
 form is the standard dot product and every Casimir eigenvalue of an integral
@@ -28,17 +28,15 @@ Weight = tuple[int, ...]
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Type B (odd orthogonal) or D (even orthogonal) root system of given rank."""
+    """Type D (even orthogonal) root system of given rank."""
 
     family: str
     rank: int
 
     def __post_init__(self):
-        if self.family not in ("B", "D"):
+        if self.family != "D":
             raise ValueError(f"unknown family {self.family!r}")
-        if self.family == "B" and self.rank < 1:
-            raise ValueError("B requires rank >= 1")
-        if self.family == "D" and self.rank < 2:
+        if self.rank < 2:
             raise ValueError("D requires rank >= 2")
 
     def positive_roots(self) -> list[Weight]:
@@ -50,18 +48,11 @@ class RootSystem:
                     r = [0] * m
                     r[i], r[j] = 1, sign
                     roots.append(tuple(r))
-        if self.family == "B":
-            for i in range(m):
-                r = [0] * m
-                r[i] = 1
-                roots.append(tuple(r))
         return roots
 
     def rho(self) -> tuple[Fraction, ...]:
         """Half the sum of the positive roots."""
         m = self.rank
-        if self.family == "B":
-            return tuple(Fraction(2 * (m - i) + 1, 2) for i in range(1, m + 1))
         return tuple(Fraction(m - i) for i in range(1, m + 1))
 
     def is_dominant(self, w) -> bool:
@@ -70,7 +61,7 @@ class RootSystem:
             return False
         if any(w[i] < w[i + 1] for i in range(len(w) - 1)):
             return False
-        return w[-1] >= 0 if self.family == "B" else (len(w) < 2 or w[-2] >= abs(w[-1]))
+        return w[-2] >= abs(w[-1])
 
     def validate_weight(self, w) -> Weight:
         w = tuple(w)
@@ -102,10 +93,8 @@ def weyl_dimension(rs: RootSystem, w) -> int:
 
 
 def conjugate_weight(rs: RootSystem, w) -> Weight:
-    """Image of a D-type weight under the outer flip of the last coordinate."""
+    """Image of a weight under the outer flip of the last coordinate."""
     w = rs.validate_weight(w)
-    if rs.family != "D":
-        raise ValueError("conjugate_weight applies to family D only")
     return w[:-1] + (-w[-1],)
 
 
@@ -114,20 +103,17 @@ def _simple_root_coefficients(rs: RootSystem, diff) -> list[int] | None:
     nonnegative root cone.  diff must be an integer vector."""
     m = rs.rank
     s = list(accumulate(diff))
-    if rs.family == "B":
-        cs = s
-    else:
-        if s[-1] % 2:
-            return None
-        cm = s[-1] // 2
-        cs = s[: m - 2] + [cm - diff[-1], cm]
+    if s[-1] % 2:
+        return None
+    cm = s[-1] // 2
+    cs = s[: m - 2] + [cm - diff[-1], cm]
     return cs if all(c >= 0 for c in cs) else None
 
 
 def dominant_representative(rs: RootSystem, v) -> Weight:
     """The dominant weight in the Weyl orbit of v."""
     mags = sorted((abs(c) for c in v), reverse=True)
-    if rs.family == "D" and all(c != 0 for c in v):
+    if all(c != 0 for c in v):
         negatives = sum(1 for c in v if c < 0)
         if negatives % 2:
             mags[-1] = -mags[-1]
@@ -135,11 +121,11 @@ def dominant_representative(rs: RootSystem, v) -> Weight:
 
 
 def weyl_orbit(rs: RootSystem, w) -> set[Weight]:
-    """All signed permutations of w (even sign flips only for D, unless a
+    """All signed permutations of w (even sign flips only, unless a
     coordinate vanishes, in which case every sign pattern is reachable)."""
     w = rs.validate_weight(w)
     mags = tuple(abs(c) for c in w)
-    check_parity = rs.family == "D" and all(c != 0 for c in w)
+    check_parity = all(c != 0 for c in w)
     parity = sum(1 for c in w if c < 0) % 2
     orbit = set()
     for perm in set(permutations(mags)):
@@ -161,13 +147,9 @@ def _dominant_candidates(rs: RootSystem, lam: Weight) -> list[tuple[Weight, int]
     out = []
 
     def extend(prefix):
-        if len(prefix) == m - 1 and rs.family == "D":
-            hi = prefix[-1] if prefix else top
-            for c in range(-hi, hi + 1):
+        if len(prefix) == m - 1:
+            for c in range(-prefix[-1], prefix[-1] + 1):
                 check(prefix + (c,))
-            return
-        if len(prefix) == m:
-            check(prefix)
             return
         hi = prefix[-1] if prefix else top
         for c in range(hi, -1, -1):
@@ -278,8 +260,6 @@ class IrrepLabelO:
 
     def validate(self, rs: RootSystem) -> "IrrepLabelO":
         w = rs.validate_weight(self.weight)
-        if rs.family != "D":
-            raise ValueError("IrrepLabelO labels require family D")
         if w[-1] < 0:
             raise ValueError("labels use the nonnegative chamber: last coordinate >= 0")
         if self.delta not in (-1, 0, 1):

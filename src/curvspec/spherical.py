@@ -7,24 +7,24 @@ multiplicities given by the dimensions of the group invariants in the
 corresponding representations.  Every such group is a lens group L(N; q),
 stored as those integers (an element list is normalised to them), so each of
 those dimensions is an exact count of weights mu in the congruence lattice
-L = {mu : <mu, q> = 0 mod N}.  The multiplicity of a weight of a family label
-depends only on its 1-norm r and its number l of zero coordinates, so the
-count is sum M(r, l) N_L(r, l): M read once per label from the dominant
-weight table, N_L counted once per group on the lattice.
+L = {mu : <mu, q> = 0 mod N}.  Each family label is an integer combination
+of polynomials times exterior powers on C^(2m) (see `n_gamma`), so the
+multiplicity of its weights is a closed form M(r, l) in the 1-norm r and the
+number l of zero coordinates, and the count is sum M(r, l) N_L(r, l), with
+N_L counted once per group on the lattice.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import gcd, isqrt
+from itertools import combinations, product
+from math import comb, gcd, isqrt
 from operator import index
 
 from . import liealg
-from .errors import IntegralityError, InvariantViolation
+from .errors import InvariantViolation
 from .liealg import IrrepLabelO, RootSystem, RotationElement
 from .spectra import ComparisonResult, first_difference
 
@@ -205,76 +205,79 @@ def family_label(m: int, j: int, k: int) -> IrrepLabelO:
 
 def n_gamma(group: SphericalGroup, label: IrrepLabelO) -> int:
     """Multiplicity of the labelled irreducible in functions on the quotient
-    L(N; q): the dimension of its invariants, i.e. the number of weights mu
-    (with multiplicity) in the congruence lattice L = {mu : <mu, q> = 0 mod N}.
+    L(N; q): the number of its weights mu (with multiplicity) in the
+    congruence lattice L = {mu : <mu, q> = 0 mod N}.  Only the family labels
+    (k, 1^(q-1)) are counted; any other label is refused with ValueError.
 
-    The multiplicity of a weight of a family label (k, 1^(j-1)) depends only
-    on its key (r, l) = (1-norm, number of zero coordinates) (Lauret,
+    As SO(2m) characters, with S^a the degree-a polynomials on C^(2m) (zero
+    for a < 0) and Lambda^b its exterior powers, the label (merged with its
+    conjugate when q = m) is
+
+        F(k, q) = sum_{i<q} (-1)^i (S^(k+i) - S^(k-2-i)) (x) Lambda^(q-1-i),
+
+    by H_a (x) Lambda^b = F(a+1, b) + F(a, b+1) + F(a-1, b) + F(a, b-1) and
+    the exactness of the Koszul complex.  So a weight's multiplicity is a
+    function M(r, l) of its 1-norm r and number l of zero coordinates, and
+    the count is sum M(r, l) N_L(r, l) in integers (Ikeda 1980; Lauret,
     Miatello, Rossetti, Spectra of lens spaces from 1-norm spectra of
-    congruence lattices, 2016), so the count is sum M(r, l) N_L(r, l) over
-    the keys of the label, in integers; a label for which that fails is
-    refused with `IntegralityError`."""
+    congruence lattices, 2016)."""
     key = (label.weight, label.delta)
     cached = group._cache.get(key)
     if cached is not None:
         # only labels that passed validation for this rank are memoised
         return cached
-    rs = group.root_system
-    label.validate(rs)
-    mults = _key_multiplicities(rs, label)
+    m = group.m
+    label.validate(group.root_system)
+    k, *rest = label.weight
+    q = max(1, m - label.weight.count(0))
+    if rest != [1] * (q - 1) + [0] * (m - q):
+        raise ValueError(f"{label} is not a family label (k, 1^(q-1))")
     lattice = group._cache.get("lattice")
     if lattice is None:
         lattice = group._cache["lattice"] = _LatticeCounts(group.order, group.elements.q)
-    counts = lattice.up_to(max(r for (r, _), _ in mults))
-    total = sum(mult * counts.get(rl, 0) for rl, mult in mults)
+    counts = lattice.up_to(k + q - 1)
+    total = sum(mult * counts.get(rl, 0) for rl, mult in _key_multiplicities(m, k, q))
     group._cache[key] = total
     return total
 
 
 @lru_cache(maxsize=4096)
-def _key_multiplicities(rs: RootSystem, label: IrrepLabelO) -> tuple:
-    """The pairs ((r, l), M(r, l)): the weight multiplicity M of the label
-    (of V_w plus V_wbar when delta = 0) at the weights with 1-norm r and l
-    zero coordinates, read from the dominant weight table.  Checked exactly:
-    the dominant weights of one key share one multiplicity, and every
-    dominant weight of a key that occurs is in the table, since N_L counts
-    every lattice point of that key."""
-    table = Counter(liealg.dominant_multiplicities(rs, label.weight))
-    if label.delta == 0:
-        table.update(liealg.dominant_multiplicities(rs, liealg.conjugate_weight(rs, label.weight)))
-    mults: dict[tuple[int, int], int] = {}
-    for mu, mult in table.items():
-        if mults.setdefault((sum(map(abs, mu)), mu.count(0)), mult) != mult:
-            raise IntegralityError(
-                f"weight multiplicities of {label} are not a function of (1-norm, zeros)"
+def _key_multiplicities(m: int, k: int, q: int) -> tuple:
+    """The pairs ((r, l), M(r, l)), M nonzero: the multiplicity of F(k, q) at
+    the weights with 1-norm r and l zero coordinates.  A weight mu of
+    S^a (x) Lambda^b is nu + (mu - nu), nu a weight of Lambda^b; per
+    coordinate nu takes neither or both of +-e_j (y^0, y^2) or one of them
+    (y z^+-1: the 1-norm of mu - nu moves by +-1, by +1 at a zero), so c(b, d)
+    = [y^b z^d] (1 + y^2 + y(z + 1/z))^(m-l) (1 + y^2 + 2yz)^l counts the nu
+    leaving 1-norm r + d, and S^a has C((a-r-d)/2 + m-1, m-1) weights there."""
+    top = k + q - 1
+
+    def s(e):
+        # the weights of S^a at 1-norm a - e
+        return comb(e // 2 + m - 1, m - 1) if e >= 0 else 0
+
+    table = []
+    for zeros in range(m + 1):
+        c = {(0, 0): 1}
+        for j in range(m):
+            step = {}
+            for (b, d), count in c.items():
+                for db, dd in ((0, 0), (2, 0), (1, 1), (1, 1 if j < zeros else -1)):
+                    if b + db < q:
+                        step[b + db, d + dd] = step.get((b + db, d + dd), 0) + count
+            c = step
+        # the highest weight's parity, at least 1 per nonzero coordinate
+        for r in range(top, m - zeros - 1, -2):
+            if zeros == m and r:
+                continue
+            # Lambda^b is in the term i = q-1-b: (-1)^i (S^(k+i) - S^(k-2-i)) (x) Lambda^b
+            mult = sum(
+                (-1) ** (q - 1 - b) * count * (s(top - r - b - d) - s(top - r - 2 * q + b - d))
+                for (b, d), count in c.items()
             )
-    for r, zeros in mults:
-        for mu in _dominant_weights(rs.rank, r, zeros):
-            if mu not in table:
-                raise IntegralityError(f"dominant weight {mu} is missing from the table of {label}")
-    return tuple(mults.items())
-
-
-def _dominant_weights(m: int, r: int, zeros: int):
-    """The dominant weights of D_m (c_1 >= ... >= c_(m-1) >= |c_m|) with
-    1-norm r and `zeros` zero coordinates."""
-
-    def parts(total, count, cap):
-        # nonincreasing sequences of `count` positive integers <= cap summing to total
-        if count == 0:
-            if total == 0:
-                yield ()
-            return
-        for a in range(min(cap, total - count + 1), 0, -1):
-            if a * count < total:
-                return
-            for rest in parts(total - a, count - 1, a):
-                yield (a, *rest)
-
-    for head in parts(r, m - zeros, r):
-        yield head + (0,) * zeros
-        if not zeros:
-            yield head[:-1] + (-head[-1],)
+            if mult:
+                table.append(((r, zeros), mult))
+    return tuple(table)
 
 
 class _LatticeCounts:
@@ -400,8 +403,7 @@ def _interlacing_labels(m: int, mu: tuple[int, ...], k_max: int):
     for i in range(1, m - 1):
         ranges.append(range(mu[i], mu[i - 1] + 1))
     ranges.append(range(0, mu[m - 2] + 1))
-    for combo in product(*ranges):
-        yield tuple(combo)
+    return product(*ranges)
 
 
 def casimir_collision_scan(
@@ -425,11 +427,7 @@ def casimir_collision_scan(
     for w in _interlacing_labels(m, mu, k_max):
         lam = liealg.casimir_eigenvalue(rs, w)
         by_value.setdefault(lam, []).append(w)
-    collisions = []
-    for lam in sorted(by_value):
-        labels = by_value[lam]
-        for i in range(len(labels)):
-            for jdx in range(i + 1, len(labels)):
-                collisions.append((labels[i], labels[jdx], lam))
-    return collisions
+    return [
+        (a, b, lam) for lam in sorted(by_value) for a, b in combinations(by_value[lam], 2)
+    ]
 

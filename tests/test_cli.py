@@ -125,6 +125,40 @@ def test_lens_form_takes_integers_and_integer_strings(capsys, tmp_path):
     assert len(outs) == 1
 
 
+_I2 = [["1", "0"], ["0", "1"]]
+
+
+def _torus(lattice=_I2, rotation=_I2, translation=("0", "0")):
+    coset = {"rotation": rotation, "translation": translation}
+    return {"space": "flat", "lattice": lattice, "cosets": [coset]}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        # a string or an object where a list belongs was read as its
+        # characters or keys: these ran as S^3, L(7;1,2) and the 2-torus
+        ({"space": "spherical", "elements": [{"angles": "00"}]}, "element list"),
+        ({"space": "spherical", "elements": {"0": {"angles": ["0", "0"]}}}, "element list"),
+        ({"space": "spherical", "lens": {"N": 7, "q": "12"}}, "lens description"),
+        ({"space": "spherical", "lens": {"N": 7, "q": {"1": 0, "2": 0}}}, "lens description"),
+        (_torus(lattice=["10", "01"], translation="00"), "flat group description"),
+        (_torus(lattice={"10": 0, "01": 0}), "flat group description"),
+        (_torus(rotation=["10", "01"]), "flat group description"),
+        (_torus(rotation="10"), "flat group description"),
+        (_torus(translation="00"), "flat group description"),
+        ({**_torus(), "cosets": {"0": 0}}, "flat group description"),
+    ],
+    ids=lambda x: json.dumps(x) if isinstance(x, dict) else x,
+)
+def test_a_string_or_object_for_a_list_exits_2(capsys, tmp_path, payload, message):
+    path = write_json(tmp_path, payload)
+    for argv in (["spectrum", path, "--p", "all", "--cutoff", "10"], ["betti", path]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: malformed {message}: expected a list")
+
+
 def test_spectrum_torsion_exits_3(capsys, tmp_path):
     payload = {
         "space": "flat",

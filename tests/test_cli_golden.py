@@ -11,8 +11,10 @@ L(10007;1,2,3)), malformed inputs (malformed angles among them), `compare` in
 all four modes between lens spaces of order 7, the two refused comparisons
 (a half mode on flat groups, a flat group against a spherical one), and the
 spectra at lambda <= 200 of lens spaces of small order (the sphere L(1; 0, 0)
-among them) with a tau comparison of L(7;1,2,3) and L(7;1,2,4) at that cutoff.  To record the
-file again with the library on the path:
+among them) with a tau comparison of L(7;1,2,3) and L(7;1,2,4) at that cutoff,
+and the csv spectra of three deep rows: L(5;1,2) at lambda <= 2000,
+L(7;1,2,3,1) at lambda <= 300 and L(10007;1,2,3) at lambda <= 2000.  To
+record the file again with the library on the path:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -137,6 +139,13 @@ _CENSUS = {
     "lens7_1231.json": (7, [1, 2, 3, 1]),
 }
 
+# deep rows: lens forms far up the spectrum, file name -> (N, q, cutoff)
+_DEEP = {
+    "lens5_12.json": (5, [1, 2], "2000"),
+    "lens7_1231.json": (7, [1, 2, 3, 1], "300"),
+    "lens10007.json": (10007, [1, 2, 3], "2000"),
+}
+
 
 def cases():
     """(argv, {file name: description}) for every recorded case."""
@@ -173,6 +182,10 @@ def cases():
         out.append((["spectrum", file, "--p", "all", "--cutoff", "200"], {file: data}))
     argv = ["compare", "lens7.json", "lens7_124.json", "--cutoff", "200", "--mode", "tau"]
     out.append((argv, {**lens7, "lens7_124.json": _LENSES["lens7_124.json"]}))
+    for file, (big_n, q, cutoff) in _DEEP.items():
+        data = {"space": "spherical", "lens": {"N": big_n, "q": q}}
+        argv = ["spectrum", file, "--p", "all", "--cutoff", cutoff, "--format", "csv"]
+        out.append((argv, {file: data}))
     return out
 
 

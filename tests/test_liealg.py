@@ -24,19 +24,15 @@ from curvspec.liealg import (
 D2 = RootSystem("D", 2)
 D3 = RootSystem("D", 3)
 D4 = RootSystem("D", 4)
-B2 = RootSystem("B", 2)
-B3 = RootSystem("B", 3)
 
 
 def test_rho_values():
     assert D2.rho() == (1, 0)
     assert D3.rho() == (2, 1, 0)
-    assert B2.rho() == (Fraction(3, 2), Fraction(1, 2))
-    assert B3.rho() == (Fraction(5, 2), Fraction(3, 2), Fraction(1, 2))
 
 
 def test_rho_is_half_sum_of_positive_roots():
-    for rs in (D2, D3, D4, B2, B3):
+    for rs in (D2, D3, D4):
         total = [0] * rs.rank
         for root in rs.positive_roots():
             for i, c in enumerate(root):
@@ -45,20 +41,22 @@ def test_rho_is_half_sum_of_positive_roots():
 
 
 def test_positive_root_counts():
-    # m(m-1) for D_m, m^2 for B_m
+    # m(m-1) for D_m
     assert len(D2.positive_roots()) == 2
     assert len(D3.positive_roots()) == 6
-    assert len(B2.positive_roots()) == 4
-    assert len(B3.positive_roots()) == 9
 
 
 def test_dominance():
     assert D3.is_dominant((2, 1, -1))
     assert not D3.is_dominant((1, 2, 0))
-    assert not B2.is_dominant((1, -1))
-    assert B2.is_dominant((1, 1))
     with pytest.raises(ValueError):
         casimir_eigenvalue(D3, (1, 2, 0))
+
+
+def test_only_the_even_orthogonal_family_is_supported():
+    for family, rank in (("B", 2), ("B", 3), ("C", 2), ("D", 1)):
+        with pytest.raises(ValueError):
+            RootSystem(family, rank)
 
 
 def test_casimir_examples():
@@ -87,8 +85,6 @@ def test_weyl_dimension_examples():
         assert weyl_dimension(rs, (1,) + (0,) * (m - 1)) == 2 * m
     for k in range(6):
         assert weyl_dimension(D2, (k, 0)) == (k + 1) ** 2
-    # odd-rank sanity: SO(5) standard representation
-    assert weyl_dimension(B2, (1, 0)) == 5
 
 
 def test_weight_multiplicities_standard_rep():
@@ -101,7 +97,7 @@ def test_weight_multiplicities_standard_rep():
 def test_weight_table_sums_match_dimension():
     cases = [
         (D2, (3, 1)), (D2, (2, -2)), (D3, (2, 1, 0)), (D3, (1, 1, 1)),
-        (D4, (2, 1, 1, 0)), (B2, (2, 1)), (B2, (2, 2)), (B3, (1, 1, 0)),
+        (D4, (2, 1, 1, 0)),
     ]
     for rs, w in cases:
         table = weight_multiplicities(rs, w)
@@ -109,7 +105,7 @@ def test_weight_table_sums_match_dimension():
         # the weight table of an SO-irrep is stable under negation of any
         # even number of coordinates; in particular under full negation for
         # even rank
-        if rs.family == "D" and rs.rank % 2 == 0:
+        if rs.rank % 2 == 0:
             assert all(tuple(-c for c in mu) in table for mu in table)
 
 
@@ -117,7 +113,6 @@ def test_character_at_identity_is_dimension():
     e2 = RotationElement((0, 0))
     e3 = RotationElement((0, 0, 0))
     assert character_so(D2, (3, 1), e2) == weyl_dimension(D2, (3, 1))
-    assert character_so(B2, (2, 1), e2) == weyl_dimension(B2, (2, 1))
     assert character_so(D3, (2, 1, 1), e3) == weyl_dimension(D3, (2, 1, 1))
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvspec import cli, liealg, spherical
-from curvspec.errors import IntegralityError, InvariantViolation
+from curvspec.errors import InvariantViolation
 from curvspec.liealg import IrrepLabelO, RootSystem, RotationElement, character_o
 from curvspec.spherical import (
     LensElements,
@@ -224,10 +224,11 @@ def test_lattice_counts_extend_to_the_brute_force_count():
 
 def test_spectra_build_no_full_weight_table(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a full weight table was read")
+        raise AssertionError("a weight table was read")
 
     monkeypatch.setattr(liealg, "weyl_orbit", refuse)
     monkeypatch.setattr(liealg, "weight_multiplicities", refuse)
+    monkeypatch.setattr(liealg, "dominant_multiplicities", refuse)
     spherical._key_multiplicities.cache_clear()
     g1, g2 = lens_space(7, [1, 2, 3]), lens_space(7, [1, 2, 4])
     for p in range(g1.n + 1):
@@ -236,29 +237,36 @@ def test_spectra_build_no_full_weight_table(monkeypatch):
         assert tau_equivalent(g1, g2, p, 8)
 
 
-@pytest.mark.parametrize(
-    "damage, message", [("inconsistent", "not a function of"), ("missing", "missing from the table")]
-)
-def test_key_multiplicity_check_refuses_a_damaged_table(monkeypatch, damage, message):
-    # (3, 1, 0) has the dominant weights (3, 1, 0) and (2, 2, 0) of key (4, 1),
-    # both of multiplicity 1
-    real = liealg.dominant_multiplicities
+def test_key_multiplicities_are_the_dominant_weight_tables():
+    # every family label with m <= 5 and k <= 10: the Freudenthal table (plus
+    # the conjugate's when delta = 0) is a function of the key (1-norm,
+    # zeros), and the closed form gives it on every key that has a weight
+    for m in (2, 3, 4, 5):
+        rs = RootSystem("D", m)
+        for q in range(1, m + 1):
+            for k in range(0 if q == 1 else 1, 11):
+                label = family_label(m, q, k)
+                table = collections.Counter(liealg.dominant_multiplicities(rs, label.weight))
+                if label.delta == 0:
+                    conjugate = liealg.conjugate_weight(rs, label.weight)
+                    table.update(liealg.dominant_multiplicities(rs, conjugate))
+                expected = {}
+                for mu, mult in table.items():
+                    key = (sum(map(abs, mu)), mu.count(0))
+                    assert expected.setdefault(key, mult) == mult, (label, mu)
+                got = dict(spherical._key_multiplicities(m, k, q))
+                assert got == expected, label
 
-    def damaged(rs, w):
-        table = dict(real(rs, w))
-        if damage == "inconsistent":
-            table[(2, 2, 0)] += 1
-        else:
-            del table[(2, 2, 0)]
-        return table
 
-    monkeypatch.setattr(liealg, "dominant_multiplicities", damaged)
-    spherical._key_multiplicities.cache_clear()
-    try:
-        with pytest.raises(IntegralityError, match=message):
-            n_gamma(lens_space(5, [1, 2, 3]), family_label(3, 2, 3))
-    finally:
-        spherical._key_multiplicities.cache_clear()
+def test_n_gamma_refuses_a_label_outside_the_families():
+    for group, label in (
+        (trivial_group(3), IrrepLabelO((2, 2, 0), 1)),
+        (trivial_group(2), IrrepLabelO((2, 2), 0)),
+        (lens_space(7, [1, 2, 3]), IrrepLabelO((3, 2, 1), 0)),
+    ):
+        with pytest.raises(ValueError, match="not a family label"):
+            n_gamma(group, label)
+        assert (label.weight, label.delta) not in group._cache
 
 
 # ---------------------------------------------------------------- spectra
