@@ -20,16 +20,27 @@ the exterior traces tr Lambda^p(R).  A multiplicity is
 |F|^-1 sum_r C_r exp(-2 pi i r / D) for integer counts C_r; Galois invariance
 makes C_r depend on gcd(r, D) alone, and the primitive k-th roots of unity sum
 to the Moebius value mu(k), so the sum is evaluated in integers.
+
+Shells are keyed by the integer norm numerator t = K |v|^2 of the walk, where
+K depends on the lattice alone.  A group caches one row (d_0, ..., d_n) per
+shell t, from one pass over the shell's residues; spectra, comparisons and
+tau-equivalence read these rows, comparing two lattices' shells on the common
+scale lcm(K1, K2).  Fractions are built only for results that leave the
+module: spectrum entries, a first discrepancy, and the values of `shells`,
+a lazy mapping that converts a shell to ambient vectors when it is read.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections import Counter
+import numbers
+from bisect import bisect_right
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from operator import mul, sub
 from typing import NamedTuple
 
@@ -90,9 +101,10 @@ class Lattice:
     _scaled: tuple[tuple[IntMat, int], tuple[IntMat, int]] = field(
         init=False, repr=False, compare=False
     )
-    # dual ball: {"mu": cutoff walked, "shells": {norm: [dual coordinates]}}
+    # dual ball: {"mu": cutoff walked, "scale": K, "shells": {t: [dual coordinates]},
+    # "keys": [t, ...] and "norms": [t / K, ...] in increasing order}
     _ball: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the ball's shells as ambient vectors: {norm: vectors}, filled by shells()
+    # shells as ambient vectors: {t: vectors}, filled when a value of shells() is read
     _ambient: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -136,31 +148,42 @@ class Lattice:
         frac = [x - (x.numerator // x.denominator) for x in self.coords(v)]
         return rl.mat_vec(rl.transpose(self.basis), frac)
 
-    def _walked(self, mu_max: Fraction) -> dict[Fraction, list[tuple[int, ...]]]:
-        """The dual ball as integer coordinates on the dual basis, grouped by
-        the exact norm in increasing order, walked to a cutoff of at least
-        mu_max.  The walk runs once, at the largest cutoff asked for so far;
-        smaller cutoffs read its result."""
+    def _walked(self, mu_max: Fraction) -> tuple[int, dict[int, list[tuple[int, ...]]]]:
+        """(K, shells): the dual ball as integer coordinates on the dual basis,
+        grouped by the norm numerator t = K |v|^2 in increasing order, walked to
+        a cutoff of at least mu_max.  K depends on the lattice alone, so a key t
+        means the same norm at every cutoff.  The walk runs once, at the largest
+        cutoff asked for so far; smaller cutoffs read its result."""
         if mu_max < 0:
             raise ValueError("cutoff must be nonnegative")
         ball = self._ball
         if ball.get("mu", -1) < mu_max:
-            ball["shells"] = _fincke_pohst(*self._scaled[1], mu_max)
-            ball["mu"] = mu_max
-        return ball["shells"]
+            scale, found = _fincke_pohst(*self._scaled[1], mu_max)
+            ball.update(
+                mu=mu_max,
+                scale=scale,
+                shells=found,
+                keys=list(found),
+                norms=[Fraction(t, scale) for t in found],
+            )
+        return ball["scale"], ball["shells"]
 
 
-def _fincke_pohst(dual: IntMat, den: int, mu_max: Fraction) -> dict[Fraction, list[tuple[int, ...]]]:
-    """Integer vectors x with |x dual|^2 <= mu_max (dual = dual / den), by norm.
+def _fincke_pohst(
+    dual: IntMat, den: int, mu_max: Fraction
+) -> tuple[int, dict[int, list[tuple[int, ...]]]]:
+    """(K, {t: integer vectors x}) for the x with |x dual|^2 = t / K <= mu_max
+    (dual = dual / den), in increasing t.
 
     Fraction-free elimination (Bareiss) of the integer Gram matrix G of the
     scaled rows gives its leading principal minors Delta_i and rows U_i with
     x^T G x = sum_i y_i^2 / (Delta_{i-1} Delta_i), y_i = sum_{j>=i} U_ij x_j
     and Delta_{-1} = 1.  Dividing each row by its gcd and scaling the weights
-    to integers turns K x^T G x into sum_i w_i y_i^2 with
+    to integers turns K |x dual|^2 into sum_i w_i y_i^2 with
     y_i = m_i x_i + sum_{j>i} a_ij x_j and positive integers K, w_i, m_i and
     integers a_ij, so the walk over x_{n-1}, ..., x_0 bounds each y_i by an
-    integer square root and never leaves the integers.
+    integer square root and never leaves the integers.  K = scale den^2 comes
+    from G alone, not from the cutoff.
     """
     n = len(dual)
     gram = [[sum(map(mul, r, s)) for s in dual] for r in dual]
@@ -201,29 +224,64 @@ def _fincke_pohst(dual: IntMat, den: int, mu_max: Fraction) -> dict[Fraction, li
         x[level] = 0
 
     descend(n - 1, bound)
-    norm_den = scale * den * den
-    return {
-        Fraction(bound - left, norm_den): found[left] for left in sorted(found, reverse=True)
-    }
+    return scale * den * den, {bound - left: found[left] for left in sorted(found, reverse=True)}
 
 
-def shells(lattice: Lattice, mu_max) -> dict[Fraction, tuple[rl.Vec, ...]]:
-    """Dual-lattice vectors of squared norm <= mu_max, grouped by the exact
-    norm, as ambient vectors.  The enumeration is the lattice's cached
-    integer Fincke-Pohst walk, and each shell is converted once per lattice;
-    no floating point enters."""
-    dual, den = lattice._scaled[1]
-    cols = rl.transpose(dual)
-    mu_max, ambient, out = Fraction(mu_max), lattice._ambient, {}
-    for mu, xs in lattice._walked(mu_max).items():
-        if mu > mu_max:
-            break
-        if mu not in ambient:
-            ambient[mu] = tuple(
-                tuple(Fraction(sum(map(mul, x, col)), den) for col in cols) for x in xs
+class _Shells(Mapping):
+    """The value of shells(): {norm: ambient vectors} over the lattice's
+    walked ball up to a cutoff, in increasing norm.  Keys are the lattice's
+    cached norms; a shell is converted to ambient vectors only when its value
+    is read, and once per lattice."""
+
+    def __init__(self, lattice: Lattice, mu_max: Fraction):
+        self._scale, self._coords = lattice._walked(mu_max)
+        ball = lattice._ball
+        self._lattice, self._keys, self._norms = lattice, ball["keys"], ball["norms"]
+        self._bound = mu_max.numerator * self._scale // mu_max.denominator
+        self._len = bisect_right(self._keys, self._bound)
+
+    def _numerators(self) -> Iterator[int]:
+        """The shell keys t = K mu, in increasing order."""
+        return islice(self._keys, self._len)
+
+    def _key(self, mu) -> int | None:
+        """The shell key t = K mu, or None when mu is not a norm in the view."""
+        if not isinstance(mu, numbers.Rational):
+            return None
+        t, rest = divmod(mu.numerator * self._scale, mu.denominator)
+        return None if rest or t > self._bound or t not in self._coords else t
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[Fraction]:
+        return islice(self._norms, self._len)
+
+    def __contains__(self, mu) -> bool:
+        return self._key(mu) is not None
+
+    def __getitem__(self, mu) -> tuple[rl.Vec, ...]:
+        t = self._key(mu)
+        if t is None:
+            raise KeyError(mu)
+        ambient = self._lattice._ambient
+        if t not in ambient:
+            dual, den = self._lattice._scaled[1]
+            cols = rl.transpose(dual)
+            ambient[t] = tuple(
+                tuple(Fraction(sum(map(mul, x, col)), den) for col in cols) for x in self._coords[t]
             )
-        out[mu] = ambient[mu]
-    return out
+        return ambient[t]
+
+
+def shells(lattice: Lattice, mu_max) -> Mapping[Fraction, tuple[rl.Vec, ...]]:
+    """Dual-lattice vectors of squared norm <= mu_max, grouped by the exact
+    norm in increasing order, as ambient vectors.  The enumeration is the
+    lattice's cached integer Fincke-Pohst walk.  The result is a read-only,
+    lazy mapping: its keys come from the walk, and a shell is converted to
+    ambient vectors only when its value is read, then cached on the lattice;
+    no floating point enters."""
+    return _Shells(lattice, Fraction(mu_max))
 
 
 class _Coset(NamedTuple):
@@ -373,18 +431,17 @@ def is_orientable(group: BieberbachGroup) -> bool:
     return all(c.traces[-1] == 1 for c in group._holonomy)  # tr Lambda^n = det
 
 
-def _residue_counts(group: BieberbachGroup, coset_index: int, mu: Fraction) -> Counter:
-    """Counts of the residues r = D <v, b> mod D over the dual vectors v of
-    squared norm mu fixed by the rotation part of the chosen coset."""
-    key = ("r", coset_index, mu)
-    counts = group._cache.get(key)
-    if counts is None:
-        coset, d = group._holonomy[coset_index], group._denom
-        counts = group._cache[key] = Counter(
-            sum(map(mul, coset.shift, x)) % d
-            for x in group.lattice._walked(mu).get(mu, ())
-            if not any(sum(map(mul, row, x)) for row in coset.fixes)
-        )
+def _residue_counts(coset: _Coset, d: int, xs) -> dict[int, int]:
+    """Counts of the residues r = D <v, b> mod D over the dual vectors v
+    (integer coordinates xs of one shell) fixed by the coset's rotation part."""
+    counts: dict[int, int] = {}
+    for x in xs:
+        for row in coset.fixes:
+            if sum(map(mul, row, x)):
+                break
+        else:
+            r = sum(map(mul, coset.shift, x)) % d
+            counts[r] = counts.get(r, 0) + 1
     return counts
 
 
@@ -393,8 +450,10 @@ def e_mu_gamma(group: BieberbachGroup, coset_index: int, mu) -> complex:
     fixed by the rotation part of the chosen coset, evaluated as
     sum_r c_r exp(-2 pi i r / D) over the counts c_r of the exact residues
     r = D <v, b> mod D."""
-    d = group._denom
-    residues = _residue_counts(group, coset_index, Fraction(mu))
+    mu, d = Fraction(mu), group._denom
+    t = shells(group.lattice, mu)._key(mu)
+    xs = () if t is None else group.lattice._ball["shells"][t]
+    residues = _residue_counts(group._holonomy[coset_index], d, xs)
     return sum((c * cmath.exp(-2j * cmath.pi * r / d) for r, c in residues.items()), 0j)
 
 
@@ -446,6 +505,41 @@ def betti(group: BieberbachGroup, p: int) -> int:
     return int(val)
 
 
+def _row(group: BieberbachGroup, t: int) -> tuple[int, ...]:
+    """(d_0, ..., d_n) at the walked shell t > 0 of the group's lattice, cached
+    per group: the residues of every coset are counted in one pass over the
+    shell, then each degree p weights them by tr Lambda^p(B) and takes one
+    exact phase sum."""
+    row = group._cache.get(t)
+    if row is None:
+        d, order = group._denom, group.holonomy_order
+        xs = group.lattice._ball["shells"][t]
+        per_coset = [(c.traces, _residue_counts(c, d, xs)) for c in group._holonomy]
+        row = []
+        for p in range(group.n + 1):
+            counts: dict[int, int] = {}
+            for traces, residues in per_coset:
+                for r, c in residues.items():
+                    counts[r] = counts.get(r, 0) + traces[p] * c
+            total = _phase_sum(counts, d)
+            val, rest = divmod(total, order)
+            if rest or val < 0:
+                mu = Fraction(t, group.lattice._ball["scale"])
+                raise IntegralityError(
+                    f"multiplicity {Fraction(total, order)} at mu={mu}, p={p} "
+                    "is not a nonnegative integer"
+                )
+            row.append(val)
+        row = group._cache[t] = tuple(row)
+    return row
+
+
+def _row_at(group: BieberbachGroup, mu: Fraction) -> tuple[int, ...]:
+    """(d_0, ..., d_n) at the squared norm mu > 0; zeros off the dual lattice."""
+    t = shells(group.lattice, mu)._key(mu)
+    return (0,) * (group.n + 1) if t is None else _row(group, t)
+
+
 def d_lambda(group: BieberbachGroup, p: int, mu) -> int:
     """Multiplicity of the eigenvalue 4 pi^2 mu on p-forms:
     |F|^-1 sum over the cosets of tr Lambda^p(B) e_mu_gamma, in integers."""
@@ -456,23 +550,7 @@ def d_lambda(group: BieberbachGroup, p: int, mu) -> int:
         raise ValueError("form degree out of range")
     if mu == 0:
         return betti(group, p)
-    key = ("d", p, mu)
-    cached = group._cache.get(key)
-    if cached is not None:
-        return cached
-    counts: Counter[int] = Counter()
-    for idx, coset in enumerate(group._holonomy):
-        for r, c in _residue_counts(group, idx, mu).items():
-            counts[r] += coset.traces[p] * c
-    total = _phase_sum(counts, group._denom)
-    val, rest = divmod(total, group.holonomy_order)
-    if rest or val < 0:
-        raise IntegralityError(
-            f"multiplicity {Fraction(total, group.holonomy_order)} at mu={mu}, p={p} "
-            "is not a nonnegative integer"
-        )
-    group._cache[key] = val
-    return val
+    return _row_at(group, mu)[p]
 
 
 @dataclass(frozen=True)
@@ -488,19 +566,54 @@ def spectrum(group: BieberbachGroup, p: int, mu_max) -> FlatSpectrum:
     always present and equals the Betti number."""
     mu_max = Fraction(mu_max)
     entries: dict[Fraction, int] = {Fraction(0): betti(group, p)}
-    for mu in shells(group.lattice, mu_max):
-        if mu == 0:
-            continue
-        d = d_lambda(group, p, mu)
-        if d:
-            entries[mu] = d
-    return FlatSpectrum(group.n, p, mu_max, dict(sorted(entries.items())))
+    sh = shells(group.lattice, mu_max)
+    for t, mu in zip(sh._numerators(), sh):
+        if t:
+            d = _row(group, t)[p]
+            if d:
+                entries[mu] = d
+    return FlatSpectrum(group.n, p, mu_max, entries)
+
+
+def _common_tables(
+    g1: BieberbachGroup, g2: BieberbachGroup, mu_max
+) -> tuple[int, dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
+    """(L, rows1, rows2): each group's (d_0, ..., d_n) at its positive shells
+    up to mu_max, keyed by the norm numerator T = L mu on the common scale
+    L = lcm(K1, K2) of the two walks."""
+    sh1, sh2 = shells(g1.lattice, mu_max), shells(g2.lattice, mu_max)
+    scale = math.lcm(sh1._scale, sh2._scale)
+
+    def rows(group, sh):
+        return {t * (scale // sh._scale): _row(group, t) for t in sh._numerators() if t}
+
+    return scale, rows(g1, sh1), rows(g2, sh2)
 
 
 def compare(g1: BieberbachGroup, g2: BieberbachGroup, p: int, mu_max) -> ComparisonResult:
     if g1.n != g2.n:
         raise ValueError("groups act on spaces of different dimensions")
-    return first_difference(spectrum(g1, p, mu_max).entries, spectrum(g2, p, mu_max).entries)
+    b1, b2 = betti(g1, p), betti(g2, p)
+    scale, rows1, rows2 = _common_tables(g1, g2, mu_max)
+    res = first_difference(
+        {0: b1, **{t: row[p] for t, row in rows1.items()}},
+        {0: b2, **{t: row[p] for t, row in rows2.items()}},
+    )
+    if res.first_discrepancy is None:
+        return res
+    t, d1, d2 = res.first_discrepancy
+    return ComparisonResult(False, (Fraction(t, scale), d1, d2))
+
+
+def _telescoped(row: tuple[int, ...], p: int) -> tuple[int, int]:
+    """(n_sigma(p), n_sigma(p - 1)) of one shell, from its form multiplicities
+    by n_sigma(q) = d(q) - n_sigma(q - 1), with n_sigma(-1) = 0."""
+    now = below = 0
+    for q in range(p + 1):
+        now, below = row[q] - now, now
+        if now < 0:
+            raise IntegralityError(f"telescoped multiplicity {now} is negative")
+    return now, below
 
 
 def n_sigma_multiplicity(group: BieberbachGroup, p: int, mu) -> int:
@@ -512,10 +625,7 @@ def n_sigma_multiplicity(group: BieberbachGroup, p: int, mu) -> int:
         raise ValueError("mu must be positive")
     if not 0 <= p <= group.n:
         raise ValueError("degree out of range")
-    val = sum((-1) ** (p - q) * d_lambda(group, q, mu) for q in range(p + 1))
-    if val < 0:
-        raise IntegralityError(f"telescoped multiplicity {val} is negative")
-    return val
+    return _telescoped(_row_at(group, mu), p)[0]
 
 
 def tau_equivalent(g1: BieberbachGroup, g2: BieberbachGroup, p: int, mu_max) -> bool:
@@ -526,19 +636,14 @@ def tau_equivalent(g1: BieberbachGroup, g2: BieberbachGroup, p: int, mu_max) -> 
         raise ValueError("groups act on spaces of different dimensions")
     if not 0 <= p <= g1.n:
         raise ValueError("form degree out of range")
-    mu_max = Fraction(mu_max)
     if betti(g1, p) != betti(g2, p):
         return False
-    norms = set(shells(g1.lattice, mu_max)) | set(shells(g2.lattice, mu_max))
-    for mu in sorted(norms):
-        if mu == 0:
-            continue
-        for q in (p, p - 1):
-            if q < 0:
-                continue
-            if n_sigma_multiplicity(g1, q, mu) != n_sigma_multiplicity(g2, q, mu):
-                return False
-    return True
+    _, rows1, rows2 = _common_tables(g1, g2, mu_max)
+    absent = (0,) * (g1.n + 1)
+    return all(
+        _telescoped(rows1.get(t, absent), p) == _telescoped(rows2.get(t, absent), p)
+        for t in sorted(rows1.keys() | rows2.keys())
+    )
 
 
 def _block_diag(*blocks) -> list[list[Fraction]]:

@@ -2,16 +2,20 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from curvspec import ratlinalg as rl
 from curvspec.errors import IntegralityError, InvariantViolation
 from curvspec.flat import (
     BieberbachGroup,
+    ComparisonResult,
     Lattice,
     betti,
     compare,
@@ -714,3 +718,175 @@ def test_phase_sum_rejects_counts_that_are_not_galois_invariant():
         _phase_sum({1: 2, 5: 2, 7: 1, 11: 2}, 12)
     with pytest.raises(IntegralityError):
         _phase_sum({2: 1}, 6)  # a primitive cube root of unity
+
+
+# ---------------------------------------------------------------- integer shell keys
+
+
+_DILATIONS = (Fraction(2), Fraction(3, 2), Fraction(-3, 7))
+
+
+@pytest.mark.parametrize("name", sorted(fixtures()))
+@settings(derandomize=True, max_examples=4, deadline=None, database=None)
+@given(c=st.sampled_from(_DILATIONS), partner=st.integers(0, 9), seed=st.integers(0, 2**32))
+def test_re_presentation_and_dilation_rescale_every_flat_result(name, c, partner, seed):
+    # a GL(n, Z) re-presentation of cL with translations c b maps mu -> mu / c^2
+    # and keeps every verdict; two presentations of one group, whose walks
+    # mostly have different K, stay isospectral and tau-equivalent
+    table = fixtures()
+    group = table[name]
+    same_dim = sorted(k for k, g in table.items() if g.n == group.n)
+    other = table[same_dim[partner % len(same_dim)]]
+    rng = random.Random(seed)
+    moved, moved_other, moved_again = (
+        _dilate(_re_present(g, rng), c) for g in (group, other, group)
+    )
+    cutoff = Fraction(2 if group.n == 8 else 3)
+    scaled, c2 = cutoff / (c * c), c * c
+    for p in range(group.n + 1):
+        entries = spectrum(group, p, cutoff).entries
+        assert spectrum(moved, p, scaled).entries == {mu / c2: d for mu, d in entries.items()}
+        res = compare(group, other, p, cutoff)
+        disc = res.first_discrepancy
+        if disc is not None:
+            disc = (disc[0] / c2, disc[1], disc[2])
+        assert compare(moved, moved_other, p, scaled) == ComparisonResult(res.isospectral, disc)
+        assert tau_equivalent(moved, moved_other, p, scaled) == tau_equivalent(group, other, p, cutoff)
+        assert compare(moved, moved_again, p, scaled).isospectral
+        assert tau_equivalent(moved, moved_again, p, scaled)
+
+
+def test_tau_equivalence_across_walks_on_different_scales():
+    # two presentations of one space form, dilated by 3/2 and by -3/2, walk
+    # their balls on different K; the comparison runs on lcm(K1, K2)
+    rng = random.Random(2)
+    moved, beyond_both = [], []
+    for group in klein_pair():
+        g1, g2 = (_dilate(_re_present(group, rng), c) for c in (Fraction(3, 2), Fraction(-3, 2)))
+        k1, k2 = (shells(g.lattice, 4)._scale for g in (g1, g2))
+        assert k1 != k2
+        beyond_both.append(math.lcm(k1, k2) not in (k1, k2))
+        for p in range(3):
+            assert tau_equivalent(g1, g2, p, 4) and compare(g1, g2, p, 4).isospectral
+        moved.append(g1)
+    assert any(beyond_both)
+    # the Klein pair's own verdicts, with mu = 1/4 moved to 1/9
+    assert compare(*moved, 0, 4).first_discrepancy == (Fraction(1, 9), 1, 0)
+    assert compare(*moved, 1, 4).isospectral and not tau_equivalent(*moved, 1, 4)
+
+
+def test_tau_equivalence_reads_the_shells_of_both_groups():
+    # 2Z^2 has every shell of Z^2 with the same count (r_2(4m) = r_2(m)), and
+    # more: mu = 1/4 is a shell of the second group alone
+    t2, wide = _torus(2), _dilate(_torus(2), 2)
+    for p in range(3):
+        assert not tau_equivalent(t2, wide, p, 4) and not tau_equivalent(wide, t2, p, 4)
+        assert compare(t2, wide, p, 4).first_discrepancy == (Fraction(1, 4), 0, (1, 2, 1)[p] * 4)
+
+
+def test_pipeline_builds_no_ambient_vector_and_keys_no_fraction():
+    rng = random.Random(5)
+    for name_a, name_b in (("klein_a", "klein_b"), ("flat4_m24", "flat4_m25")):
+        g1, g2 = (_re_present(fixtures()[n], rng) for n in (name_a, name_b))
+        for p in range(g1.n + 1):
+            compare(g1, g2, p, 3)
+            tau_equivalent(g1, g2, p, 3)
+            spectrum(g1, p, 3)
+            spectrum(g2, p, 3)
+            d_lambda(g1, p, 2)
+            n_sigma_multiplicity(g2, p, 2)
+        for g in (g1, g2):
+            assert g.lattice._ambient == {}
+            assert g._cache and all(type(key) is int for key in g._cache)
+        # reading a value converts that shell alone, once
+        sh = shells(g1.lattice, 3)
+        first = sh[Fraction(1)]
+        assert len(g1.lattice._ambient) == 1
+        assert shells(g1.lattice, 2)[Fraction(1)] is first
+
+
+def test_shells_is_a_read_only_view_with_dict_semantics():
+    lat = Lattice(((1, 0), (Fraction(1, 2), Fraction(3, 2))))
+    sh = shells(lat, 2)
+    as_dict = dict(sh.items())
+    assert len(sh) == len(as_dict) and list(sh) == sorted(as_dict) == list(sh.keys())
+    assert 2 in sh and Fraction(10, 9) in sh and Fraction(1, 3) not in sh and "2" not in sh
+    assert sh.get(Fraction(1, 3)) is None and sh.get(Fraction(5)) is None
+    far = list(shells(lat, 5))[-1]
+    assert far > 2 and far not in sh and far not in shells(lat, 2)  # walked, beyond the cutoff
+    assert sh == as_dict and shells(lat, 1) != as_dict
+    with pytest.raises(KeyError):
+        sh[Fraction(1, 3)]
+    with pytest.raises(TypeError):
+        sh[Fraction(1)] = ()
+
+
+def test_d_lambda_off_the_dual_lattice_is_zero():
+    ka, _ = klein_pair()
+    # the norms a^2 + b^2 / 4 of the dual of Z x 2Z are quarters: 1/3 is not
+    # one, and 1/2 is one on the scale K = 4 but holds no vector
+    for mu in (Fraction(1, 3), Fraction(1, 2)):
+        for p in range(3):
+            assert d_lambda(ka, p, mu) == 0
+            assert n_sigma_multiplicity(ka, p, mu) == 0
+        assert e_mu_gamma(ka, 0, mu) == 0
+    assert ka._cache == {}
+
+
+def test_negative_telescoped_multiplicity_is_refused(monkeypatch):
+    from curvspec import flat
+
+    monkeypatch.setattr(flat, "_row", lambda group, t: (3, 1, 0))  # n_sigma(1) = 1 - 3
+    ka, kb = klein_pair()
+    with pytest.raises(IntegralityError, match="telescoped multiplicity -2 is negative"):
+        n_sigma_multiplicity(ka, 1, 1)
+    with pytest.raises(IntegralityError, match="telescoped multiplicity -2 is negative"):
+        tau_equivalent(ka, kb, 1, 1)
+
+
+def test_d_lambda_beyond_the_walk_extends_it_once(monkeypatch):
+    from curvspec import flat
+
+    fresh = klein_pair()[0]
+    expected = [spectrum(fresh, p, 4) for p in range(3)]
+    walks = []
+    real = flat._fincke_pohst
+
+    def counted(*args):
+        walks.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(flat, "_fincke_pohst", counted)
+    ka, _ = klein_pair()
+    before = [spectrum(ka, p, 1).entries for p in range(3)]
+    rows, coords = dict(ka._cache), dict(ka.lattice._ball["shells"])
+    assert walks == [1]
+    assert d_lambda(ka, 1, 4) == expected[1].entries[Fraction(4)]
+    assert walks == [1, 4]
+    # the earlier keys name the same shells, and their rows stay in the cache
+    shells_now = ka.lattice._ball["shells"]
+    assert all(sorted(shells_now[t]) == sorted(xs) for t, xs in coords.items())
+    assert all(ka._cache[t] == row for t, row in rows.items())
+    assert [spectrum(ka, p, 1).entries for p in range(3)] == before
+    assert [spectrum(ka, p, 4) for p in range(3)] == expected
+    assert walks == [1, 4]
+
+
+def test_damaged_phase_sum_names_mu_and_degree(monkeypatch):
+    from curvspec import flat
+
+    real = flat._phase_sum
+    calls = []
+
+    def damaged(counts, d):
+        calls.append(d)
+        return real(counts, d) + (len(calls) == 2)  # wrong in degree 1 only
+
+    monkeypatch.setattr(flat, "_phase_sum", damaged)
+    ka, _ = klein_pair()
+    with pytest.raises(IntegralityError, match=r"at mu=1/4, p=1 is not"):
+        d_lambda(ka, 0, Fraction(1, 4))
+    assert ka._cache == {}
+    monkeypatch.setattr(flat, "_phase_sum", lambda counts, d: -2 * real(counts, d))
+    with pytest.raises(IntegralityError, match=r"at mu=1/4, p=0 is not a nonnegative integer"):
+        spectrum(klein_pair()[0], 2, 1)
