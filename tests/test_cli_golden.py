@@ -13,8 +13,9 @@ all four modes between lens spaces of order 7, the two refused comparisons
 spectra at lambda <= 200 of lens spaces of small order (the sphere L(1; 0, 0)
 among them) with a tau comparison of L(7;1,2,3) and L(7;1,2,4) at that cutoff,
 and the csv spectra of three deep rows: L(5;1,2) at lambda <= 2000,
-L(7;1,2,3,1) at lambda <= 300 and L(10007;1,2,3) at lambda <= 2000.  To
-record the file again with the library on the path:
+L(7;1,2,3,1) at lambda <= 300 and L(10007;1,2,3) at lambda <= 2000, and the
+spectra of flat8_a and flat8_b at mu <= 16.  To record the file again with the
+library on the path:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -146,6 +147,9 @@ _DEEP = {
     "lens10007.json": (10007, [1, 2, 3], "2000"),
 }
 
+# deep flat rows: fixture -> cutoffs
+_DEEP_FLAT = {"flat8_a": ("16",), "flat8_b": ("16",)}
+
 
 def cases():
     """(argv, {file name: description}) for every recorded case."""
@@ -186,6 +190,9 @@ def cases():
         data = {"space": "spherical", "lens": {"N": big_n, "q": q}}
         argv = ["spectrum", file, "--p", "all", "--cutoff", cutoff, "--format", "csv"]
         out.append((argv, {file: data}))
+    for name, cutoffs in _DEEP_FLAT.items():
+        for cutoff in cutoffs:
+            out.append((["spectrum", f"fixture:{name}", "--p", "all", "--cutoff", cutoff], {}))
     return out
 
 
