@@ -28,6 +28,19 @@ tau-equivalence read these rows, comparing two lattices' shells on the common
 scale lcm(K1, K2).  Fractions are built only for results that leave the
 module: spectrum entries, a first discrepancy, and the values of `shells`,
 a lazy mapping that converts a shell to ambient vectors when it is read.
+
+A lattice whose dual is a scaled Z^n (a cubic frame f_1, ..., f_n of equal
+squared norm c, recognised in `Lattice._frame`) needs no walk.  On the basis
+f_i / c of the lattice every rotation is a signed permutation, so one test,
+that B maps each f_i to some +-f_j, replaces the orthogonality and lattice
+tests, and the closure table composes signed permutations in O(n); the
+torsion test and the traces run as above.  A dual vector fixed by B is 0 on
+each cycle of the permutation whose signs multiply to -1, and +-x along each
+other cycle C, where it adds c |C| x^2 to the norm and x beta_C to D <v, b>.
+So a coset's residue counts by norm are the coefficients of a product of
+one-dimensional theta series (Miatello-Rossetti), and the rows, keyed by
+t = den(c) mu, come from those products.  Other lattices, rectangular ones
+among them, keep the walk.
 """
 
 from __future__ import annotations
@@ -39,7 +52,7 @@ from bisect import bisect_right
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice
 from operator import mul, sub
 from typing import NamedTuple
@@ -129,6 +142,35 @@ class Lattice:
     def n(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _frame(self) -> tuple[IntMat, Fraction] | None:
+        """(F, c) when the dual lattice is a scaled Z^n: the rows of F, over the
+        dual denominator, are ambient vectors f_1, ..., f_n of squared norm c
+        that form an orthogonal basis of it.  None otherwise.
+
+        A basis of a scaled Z^n has the Gram matrix G = c U U^T with U
+        unimodular, so G / c is integral with coprime entries and
+        det G = c^n.
+        Conversely, when G / c is integral of determinant 1, no nonzero norm
+        is below c, two vectors of norm c are orthogonal or opposite
+        (|<u, v>| <= c, with equality only for u = +-v), and n orthogonal ones
+        span a sublattice of determinant det G, the whole lattice.  So a walk
+        to c that finds 2n vectors recognises the frame, and a lattice whose
+        G fails the determinant test is refused without a walk."""
+        dual, den = self._scaled[1]
+        gram = [[sum(map(mul, r, s)) for s in dual] for r in dual]  # den^2 G
+        root = math.gcd(*(x for row in gram for x in row))
+        form = _gram_form(gram)
+        if form.det != root ** len(dual):
+            return None
+        c = Fraction(root, den * den)
+        found = list(_walk(form, den, c)[1].values())  # [[0], norm c]
+        if len(found) != 2 or len(found[1]) != 2 * len(dual):
+            return None
+        cols = list(zip(*dual))
+        half = [x for x in found[1] if x > tuple(-a for a in x)]  # one of each +-x
+        return tuple(tuple(sum(map(mul, x, col)) for col in cols) for x in half), c
+
     def dual_basis(self) -> rl.Mat:
         """Rows d_j with <b_i, d_j> = delta_ij."""
         dual, den = self._scaled[1]
@@ -173,20 +215,29 @@ def _fincke_pohst(
     dual: IntMat, den: int, mu_max: Fraction
 ) -> tuple[int, dict[int, list[tuple[int, ...]]]]:
     """(K, {t: integer vectors x}) for the x with |x dual|^2 = t / K <= mu_max
-    (dual = dual / den), in increasing t.
+    (dual = dual / den), in increasing t."""
+    return _walk(_gram_form([[sum(map(mul, r, s)) for s in dual] for r in dual]), den, mu_max)
 
-    Fraction-free elimination (Bareiss) of the integer Gram matrix G of the
-    scaled rows gives its leading principal minors Delta_i and rows U_i with
+
+class _GramForm(NamedTuple):
+    """The Gram form of integer rows as a weighted sum of squares (see _walk)."""
+
+    steps: list[int]  # m_i
+    coeffs: list[list[int]]  # a_ij, j > i
+    weights: list[int]  # w_i
+    scale: int
+    det: int  # det G
+
+
+def _gram_form(gram: list[list[int]]) -> _GramForm:
+    """Fraction-free elimination (Bareiss) of an integer Gram matrix G, which
+    it overwrites, gives its leading principal minors Delta_i and rows U_i with
     x^T G x = sum_i y_i^2 / (Delta_{i-1} Delta_i), y_i = sum_{j>=i} U_ij x_j
     and Delta_{-1} = 1.  Dividing each row by its gcd and scaling the weights
-    to integers turns K |x dual|^2 into sum_i w_i y_i^2 with
-    y_i = m_i x_i + sum_{j>i} a_ij x_j and positive integers K, w_i, m_i and
-    integers a_ij, so the walk over x_{n-1}, ..., x_0 bounds each y_i by an
-    integer square root and never leaves the integers.  K = scale den^2 comes
-    from G alone, not from the cutoff.
-    """
-    n = len(dual)
-    gram = [[sum(map(mul, r, s)) for s in dual] for r in dual]
+    to integers turns scale x^T G x into sum_i w_i y_i^2 with
+    y_i = m_i x_i + sum_{j>i} a_ij x_j and positive integers w_i, m_i and
+    integers a_ij; the last minor is det G."""
+    n = len(gram)
     steps, coeffs, weights = [], [], []
     prev = 1
     for i in range(n):
@@ -204,8 +255,20 @@ def _fincke_pohst(
             gram[k] = [(pivot * x - f * y) // prev for x, y in zip(gram[k], row)]
         prev = pivot
     scale = math.lcm(*(v for _, v in weights))
-    weights = [w * (scale // v) for w, v in weights]
-    bound = scale * math.floor(mu_max * den * den)
+    return _GramForm(steps, coeffs, [w * (scale // v) for w, v in weights], scale, prev)
+
+
+def _walk(
+    form: _GramForm, den: int, mu_max: Fraction
+) -> tuple[int, dict[int, list[tuple[int, ...]]]]:
+    """(K, {t: integer vectors x}) for the x with x^T G x / den^2 = t / K <=
+    mu_max, in increasing t, G the Gram matrix of the form.  The walk over
+    x_{n-1}, ..., x_0 bounds each y_i of the form by an integer square root
+    and never leaves the integers.  K = scale den^2 comes from G alone, not
+    from the cutoff."""
+    steps, coeffs, weights = form.steps, form.coeffs, form.weights
+    n = len(steps)
+    bound = form.scale * math.floor(mu_max * den * den)
 
     found: dict[int, list[tuple[int, ...]]] = {}
     x = [0] * n
@@ -224,19 +287,19 @@ def _fincke_pohst(
         x[level] = 0
 
     descend(n - 1, bound)
-    return scale * den * den, {bound - left: found[left] for left in sorted(found, reverse=True)}
+    by_key = {bound - left: found[left] for left in sorted(found, reverse=True)}
+    return form.scale * den * den, by_key
 
 
-class _Shells(Mapping):
-    """The value of shells(): {norm: ambient vectors} over the lattice's
-    walked ball up to a cutoff, in increasing norm.  Keys are the lattice's
-    cached norms; a shell is converted to ambient vectors only when its value
-    is read, and once per lattice."""
+class _ShellKeys:
+    """The shells of a ball up to a cutoff, in increasing norm.  A ball is a
+    dict {"scale": K, "shells": {t: ...}, "keys": [t, ...], "norms": [t / K,
+    ...]} keyed by the integer norm numerator t = K mu: a lattice's walk, or
+    a group's theta products in a cubic frame.  Iterating gives the norms."""
 
-    def __init__(self, lattice: Lattice, mu_max: Fraction):
-        self._scale, self._coords = lattice._walked(mu_max)
-        ball = lattice._ball
-        self._lattice, self._keys, self._norms = lattice, ball["keys"], ball["norms"]
+    def __init__(self, ball: dict, mu_max: Fraction):
+        self._scale, self._found = ball["scale"], ball["shells"]
+        self._keys, self._norms = ball["keys"], ball["norms"]
         self._bound = mu_max.numerator * self._scale // mu_max.denominator
         self._len = bisect_right(self._keys, self._bound)
 
@@ -249,7 +312,7 @@ class _Shells(Mapping):
         if not isinstance(mu, numbers.Rational):
             return None
         t, rest = divmod(mu.numerator * self._scale, mu.denominator)
-        return None if rest or t > self._bound or t not in self._coords else t
+        return None if rest or t > self._bound or t not in self._found else t
 
     def __len__(self) -> int:
         return self._len
@@ -260,6 +323,17 @@ class _Shells(Mapping):
     def __contains__(self, mu) -> bool:
         return self._key(mu) is not None
 
+
+class _Shells(_ShellKeys, Mapping):
+    """The value of shells(): {norm: ambient vectors} over the lattice's
+    walked ball up to a cutoff.  A shell is converted to ambient vectors only
+    when its value is read, and once per lattice."""
+
+    def __init__(self, lattice: Lattice, mu_max: Fraction):
+        lattice._walked(mu_max)
+        super().__init__(lattice._ball, mu_max)
+        self._lattice = lattice
+
     def __getitem__(self, mu) -> tuple[rl.Vec, ...]:
         t = self._key(mu)
         if t is None:
@@ -269,7 +343,7 @@ class _Shells(Mapping):
             dual, den = self._lattice._scaled[1]
             cols = rl.transpose(dual)
             ambient[t] = tuple(
-                tuple(Fraction(sum(map(mul, x, col)), den) for col in cols) for x in self._coords[t]
+                tuple(Fraction(sum(map(mul, x, col)), den) for col in cols) for x in self._found[t]
             )
         return ambient[t]
 
@@ -287,7 +361,9 @@ def shells(lattice: Lattice, mu_max) -> Mapping[Fraction, tuple[rl.Vec, ...]]:
 class _Coset(NamedTuple):
     """A validated coset in integer coordinates."""
 
-    fixes: IntMat  # the nonzero rows of R^T - 1
+    # what fixes a dual vector: on basis coordinates the nonzero rows of
+    # R^T - 1, in a cubic frame the +cycles as (length, beta_C mod D)
+    fixes: tuple
     shift: tuple[int, ...]  # D times the lattice coordinates of b, mod D
     traces: tuple[int, ...]  # tr Lambda^p(B) for p = 0..n
 
@@ -319,6 +395,117 @@ def _in_scaled_span(v: list[int], gens: IntMat, scale: int) -> bool:
     return not any(v)
 
 
+class _OnBasis:
+    """Coordinates on the given lattice basis: a rotation B is the integer
+    matrix R = dual B basis^T, and rotations compose by matrix products."""
+
+    theta = None
+
+    def __init__(self, lattice: Lattice):
+        (basis, self._basis_den), (self.rows, self.den) = lattice._scaled
+        self._basis_t = rl.transpose(basis)
+        self.identity = _eye(lattice.n)
+
+    def rotation(self, b: rl.Mat) -> IntMat:
+        n = len(b)
+        b_int, b_den = _integral(b)
+        if rl.mat_mul(rl.transpose(b_int), b_int) != _eye(n, b_den * b_den):
+            raise InvariantViolation("rotation part is not orthogonal")
+        den = self.den * b_den * self._basis_den
+        rot = _divide(rl.mat_mul(rl.mat_mul(self.rows, b_int), self._basis_t), den)
+        if rot is None:
+            raise InvariantViolation("rotation part does not preserve the lattice")
+        return rot
+
+    mul = staticmethod(rl.mat_mul)
+
+    @staticmethod
+    def matrix(rot: IntMat) -> IntMat:
+        return rot
+
+    @staticmethod
+    def fixes(rot: IntMat, shift, d: int) -> IntMat:
+        # a dual vector x is fixed by B exactly when (R^T - 1) x = 0
+        fixed = [list(col) for col in zip(*rot)]
+        for a in range(len(rot)):
+            fixed[a][a] -= 1
+        return tuple(tuple(row) for row in fixed if any(row))
+
+
+class _OnFrame:
+    """Coordinates on the basis f_i / c of the lattice, dual to a cubic frame
+    f_1, ..., f_n of the dual lattice (see `Lattice._frame`).  A rotation B
+    is the signed permutation with B f_j = +-f_pi(j), stored as the tuple
+    whose entry j is pi(j) for + and ~pi(j) for -, so it composes in O(n);
+    as a matrix on coordinates it has the entry +-1 at (pi(j), j)."""
+
+    def __init__(self, lattice: Lattice):
+        self.rows, c = lattice._frame
+        self.den = lattice._scaled[1][1]
+        self.theta = {"c": c, "scale": c.denominator}
+        self._index = {row: i for i, row in enumerate(self.rows)}
+        self._index.update({tuple(-x for x in row): ~i for i, row in enumerate(self.rows)})
+        # the nonzero entries (l, f_il) of each frame vector: one each when the
+        # frame is the standard one up to order, sign and scale
+        self._supports = [[(l, a) for l, a in enumerate(row) if a] for row in self.rows]
+        self.identity = tuple(range(lattice.n))
+
+    def rotation(self, b: rl.Mat) -> tuple[int, ...] | None:
+        """B as a signed permutation of the frame, or None when B does not
+        map every f_i to some +-f_j (B is then not orthogonal or does not
+        preserve the lattice)."""
+        n = len(b)
+        b_int, b_den = _integral(b)
+        if len(b_int[0]) != n:
+            return None
+        cols = list(zip(*b_int))
+        image = []
+        for support in self._supports:
+            w = [0] * n  # b_den B f, summed over the columns of B that f meets
+            for l, a in support:
+                w = [x + a * y for x, y in zip(w, cols[l])]
+            if b_den != 1:
+                if any(x % b_den for x in w):
+                    return None
+                w = [x // b_den for x in w]
+            j = self._index.get(tuple(w))
+            if j is None:
+                return None
+            image.append(j)
+        return tuple(image) if len({max(j, ~j) for j in image}) == n else None
+
+    @staticmethod
+    def mul(p1: tuple[int, ...], p2: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(p1[a] if a >= 0 else ~p1[~a] for a in p2)
+
+    @staticmethod
+    def matrix(p: tuple[int, ...]) -> list[list[int]]:
+        out = [[0] * len(p) for _ in p]
+        for j, a in enumerate(p):
+            out[max(a, ~a)][j] = 1 if a >= 0 else -1
+        return out
+
+    @staticmethod
+    def fixes(p: tuple[int, ...], shift, d: int) -> tuple[tuple[int, int], ...]:
+        """The +cycles of p, as (|C|, beta_C mod D).  A fixed dual vector has
+        frame coordinates with y_pi(j) = +-y_j, so it is 0 on a cycle whose
+        signs multiply to -1 and +-x along a +cycle C, where it adds
+        c |C| x^2 to the norm and x beta_C to D <v, b>, beta_C being the sum
+        of the shift entries on C with the signs of the y_j."""
+        cycles, seen = [], set()
+        for start in range(len(p)):
+            sign, beta, length, j = 1, 0, 0, start
+            while j not in seen:
+                seen.add(j)
+                beta, length = beta + sign * shift[j], length + 1
+                j = p[j]
+                if j < 0:
+                    sign, j = -sign, ~j
+            if length and sign == 1:
+                cycles.append((length, beta % d))
+        return tuple(cycles)
+
+
 @dataclass(frozen=True)
 class BieberbachGroup:
     """Torsion-free crystallographic group: lattice plus holonomy cosets."""
@@ -330,63 +517,71 @@ class BieberbachGroup:
     # the cosets in integer coordinates, in the order of `cosets`
     _holonomy: tuple[_Coset, ...] = field(init=False, compare=False, repr=False)
     _denom: int = field(init=False, compare=False, repr=False)  # D
+    # the Betti numbers; a Fraction marks a trace average that is not a
+    # nonnegative integer, refused when it is asked for
+    _betti: tuple = field(init=False, compare=False, repr=False)
+    # in a cubic frame, the theta products as a ball (see _thetas); else None
+    _theta: dict | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         cosets = tuple(
             (rl.as_mat(b), rl.as_vec(t)) for b, t in self.cosets
         )
         object.__setattr__(self, "cosets", cosets)
+        # a frame check fails only where the basis coordinates raise
+        if self.lattice._frame is None or not self._validate(_OnFrame(self.lattice)):
+            self._validate(_OnBasis(self.lattice))
+
+    def _validate(self, coords: _OnBasis | _OnFrame) -> bool:
+        """Validate the cosets on the given coordinates and store them; False,
+        storing nothing, when a rotation has no signed permutation there."""
         n = self.lattice.n
-        (basis, basis_den), (dual, dual_den) = self.lattice._scaled
-        basis_t = rl.transpose(basis)
-        ident = _eye(n)
-        seen, rots, coords = [], [], []
-        for b, t in cosets:
+        seen, rots, fracs = [], [], []
+        for b, t in self.cosets:
             if len(b) != n or len(t) != n:
                 raise InvariantViolation("coset data has wrong dimension")
-            b_int, b_den = _integral(b)
-            if rl.mat_mul(rl.transpose(b_int), b_int) != _eye(n, b_den * b_den):
-                raise InvariantViolation("rotation part is not orthogonal")
+            # a repeated rotation passed the tests of `rotation` the first
+            # time, so testing repetition first changes no message
             if b in seen:
                 raise InvariantViolation("two cosets share a rotation part")
             seen.append(b)
-            den = dual_den * b_den * basis_den
-            rot = _divide(rl.mat_mul(rl.mat_mul(dual, b_int), basis_t), den)
+            rot = coords.rotation(b)
             if rot is None:
-                raise InvariantViolation("rotation part does not preserve the lattice")
+                return False
             rots.append(rot)
-            # the lattice coordinates of t are dual t_int / (dual_den t_den)
+            # the coordinates of t are rows t_int / (den t_den)
             (t_int,), t_den = _integral((t,))
-            num, den = rl.mat_vec(dual, t_int), dual_den * t_den
+            num, den = rl.mat_vec(coords.rows, t_int), coords.den * t_den
             g = math.gcd(den, *num)
-            coords.append(([x // g for x in num], den // g))
-        d = math.lcm(*(den for _, den in coords))
-        shifts = [tuple(x * (d // den) % d for x in num) for num, den in coords]
+            fracs.append(([x // g for x in num], den // g))
+        d = math.lcm(*(den for _, den in fracs))
+        shifts = [tuple(x * (d // den) % d for x in num) for num, den in fracs]
         try:
-            id_index = rots.index(ident)
+            id_index = rots.index(coords.identity)
         except ValueError:
             raise InvariantViolation("identity coset missing") from None
         if any(shifts[id_index]):
             raise InvariantViolation("identity coset carries a non-lattice translation")
         index = {r: i for i, r in enumerate(rots)}
+        mats = [coords.matrix(r) for r in rots]
         # products[i][j] is the index of R_i R_j
         products = []
         for r1, s1 in zip(rots, shifts):
             row = []
-            for r2, s2 in zip(rots, shifts):
-                match = index.get(rl.mat_mul(r1, r2))
+            for r2, m2, s2 in zip(rots, mats, shifts):
+                match = index.get(coords.mul(r1, r2))
                 # (B1, b1)(B2, b2) = (B1 B2, b2 + B2^-1 b1); on lattice
                 # coordinates, times R2: R2 (s2 - s_match) + s1 = 0 mod D
                 if match is None or any(
                     (x + y) % d
-                    for x, y in zip(s1, rl.mat_vec(r2, list(map(sub, s2, shifts[match]))))
+                    for x, y in zip(s1, rl.mat_vec(m2, list(map(sub, s2, shifts[match]))))
                 ):
                     raise InvariantViolation("coset system is not closed under composition")
                 row.append(match)
             products.append(row)
-        traces = [sum(r[i][i] for i in range(n)) for r in rots]
+        traces = [sum(r[i][i] for i in range(n)) for r in mats]
         holonomy = []
-        for i, (r, s) in enumerate(zip(rots, shifts)):
+        for i, s in enumerate(shifts):
             # the indices of R^0, R^1, ..., R^(m-1), m the order of R
             powers, k = [id_index], i
             while k != id_index:
@@ -396,27 +591,27 @@ class BieberbachGroup:
                 # N = 1 + R + ... + R^(m-1) is m times the projector onto the
                 # fixed space of R; some element of the coset fixes a point
                 # exactly when N s / D lies in N Z^n
-                total = [[sum(rots[k][a][b] for k in powers) for b in range(n)] for a in range(n)]
+                total = [list(map(sum, zip(*rows))) for rows in zip(*(mats[k] for k in powers))]
                 if not any(map(any, total)):
                     raise InvariantViolation("holonomy element acts with a fixed point")
                 if _in_scaled_span(rl.mat_vec(total, s), list(zip(*total)), d):
                     raise InvariantViolation(
                         "group has torsion: a holonomy coset contains a fixed-point isometry"
                     )
-            # a dual vector x is fixed by B exactly when (R^T - 1) x = 0
-            fixed = [list(col) for col in zip(*r)]
-            for a in range(n):
-                fixed[a][a] -= 1
             power_traces = [traces[powers[k % len(powers)]] for k in range(1, n + 1)]
             holonomy.append(
-                _Coset(
-                    tuple(tuple(row) for row in fixed if any(row)),
-                    s,
-                    _traces_from_powers(power_traces),
-                )
+                _Coset(coords.fixes(rots[i], s, d), s, _traces_from_powers(power_traces))
             )
+        betti = []
+        for p in range(n + 1):
+            trace_sum = sum(c.traces[p] for c in holonomy)
+            val, rest = divmod(trace_sum, len(holonomy))
+            betti.append(Fraction(trace_sum, len(holonomy)) if rest or val < 0 else val)
         object.__setattr__(self, "_holonomy", tuple(holonomy))
         object.__setattr__(self, "_denom", d)
+        object.__setattr__(self, "_betti", tuple(betti))
+        object.__setattr__(self, "_theta", coords.theta)
+        return True
 
     @property
     def n(self) -> int:
@@ -445,15 +640,76 @@ def _residue_counts(coset: _Coset, d: int, xs) -> dict[int, int]:
     return counts
 
 
+def _theta_table(cycles, d: int, m: int) -> list[dict[int, int]]:
+    """[{r: C_r} for e = 0..m]: the counts of the residues r = D <v, b> mod D
+    over the dual vectors v of squared norm c e fixed by one rotation, as the
+    q^e coefficients of the product over its +cycles C of the one-dimensional
+    theta series sum_x q^(|C| x^2) z^(x beta_C), with z^D = 1."""
+    table = [{} for _ in range(m + 1)]
+    table[0][0] = 1
+    for length, beta in cycles:
+        k = math.isqrt(m // length)
+        terms = sorted((length * x * x, x * beta % d) for x in range(-k, k + 1))
+        out = [{} for _ in range(m + 1)]
+        for e, counts in enumerate(table):
+            for step, shift in terms:
+                if e + step > m:
+                    break
+                target = out[e + step]
+                for r, c in counts.items():
+                    r = (r + shift) % d
+                    target[r] = target.get(r, 0) + c
+        table = out
+    return table
+
+
+def _thetas(group: BieberbachGroup, mu_max: Fraction) -> dict:
+    """The ball of a group in a cubic frame of squared norm c, extended to
+    mu_max: as `Lattice._walked` with K = den(c), but each shell t = K c e
+    holds the cosets' residue counts, read off the theta products."""
+    if mu_max < 0:
+        raise ValueError("cutoff must be nonnegative")
+    ball = group._theta
+    if ball.get("mu", -1) < mu_max:
+        c, d = ball["c"], group._denom
+        tables = [_theta_table(coset.fixes, d, math.floor(mu_max / c)) for coset in group._holonomy]
+        found = {
+            c.numerator * e: per_coset for e, per_coset in enumerate(zip(*tables)) if any(per_coset)
+        }
+        ball.update(
+            mu=mu_max,
+            shells=found,
+            keys=list(found),
+            norms=[Fraction(t, c.denominator) for t in found],
+        )
+    return ball
+
+
+def _group_shells(group: BieberbachGroup, mu_max) -> _ShellKeys:
+    """The group's shells up to mu_max: from theta products in a cubic frame,
+    else the lattice's walk."""
+    mu_max = Fraction(mu_max)
+    if group._theta is None:
+        return shells(group.lattice, mu_max)
+    return _ShellKeys(_thetas(group, mu_max), mu_max)
+
+
+def _residues(group: BieberbachGroup, t: int) -> list[dict[int, int]]:
+    """Each coset's residue counts at the shell t of the group's ball."""
+    if group._theta is not None:
+        return group._theta["shells"][t]
+    xs = group.lattice._ball["shells"][t]
+    return [_residue_counts(c, group._denom, xs) for c in group._holonomy]
+
+
 def e_mu_gamma(group: BieberbachGroup, coset_index: int, mu) -> complex:
     """Sum of exp(-2 pi i <v, b>) over the dual vectors of squared norm mu
     fixed by the rotation part of the chosen coset, evaluated as
     sum_r c_r exp(-2 pi i r / D) over the counts c_r of the exact residues
     r = D <v, b> mod D."""
     mu, d = Fraction(mu), group._denom
-    t = shells(group.lattice, mu)._key(mu)
-    xs = () if t is None else group.lattice._ball["shells"][t]
-    residues = _residue_counts(group._holonomy[coset_index], d, xs)
+    t = _group_shells(group, mu)._key(mu)
+    residues = {} if t is None else _residues(group, t)[coset_index]
     return sum((c * cmath.exp(-2j * cmath.pi * r / d) for r, c in residues.items()), 0j)
 
 
@@ -496,25 +752,23 @@ def _phase_sum(counts: dict[int, int], d: int) -> int:
 
 def betti(group: BieberbachGroup, p: int) -> int:
     """p-th Betti number: the holonomy average of the exterior traces,
-    computed exactly."""
+    computed exactly once per group."""
     if not 0 <= p <= group.n:
         raise ValueError("form degree out of range")
-    val = Fraction(sum(c.traces[p] for c in group._holonomy), group.holonomy_order)
-    if val.denominator != 1 or val < 0:
+    val = group._betti[p]
+    if isinstance(val, Fraction):
         raise IntegralityError(f"holonomy trace average {val} is not a nonnegative integer")
-    return int(val)
+    return val
 
 
 def _row(group: BieberbachGroup, t: int) -> tuple[int, ...]:
-    """(d_0, ..., d_n) at the walked shell t > 0 of the group's lattice, cached
-    per group: the residues of every coset are counted in one pass over the
-    shell, then each degree p weights them by tr Lambda^p(B) and takes one
-    exact phase sum."""
+    """(d_0, ..., d_n) at the shell t > 0 of the group's ball, cached per
+    group: each degree p weights the cosets' residue counts by
+    tr Lambda^p(B) and takes one exact phase sum."""
     row = group._cache.get(t)
     if row is None:
         d, order = group._denom, group.holonomy_order
-        xs = group.lattice._ball["shells"][t]
-        per_coset = [(c.traces, _residue_counts(c, d, xs)) for c in group._holonomy]
+        per_coset = [(c.traces, res) for c, res in zip(group._holonomy, _residues(group, t))]
         row = []
         for p in range(group.n + 1):
             counts: dict[int, int] = {}
@@ -524,7 +778,8 @@ def _row(group: BieberbachGroup, t: int) -> tuple[int, ...]:
             total = _phase_sum(counts, d)
             val, rest = divmod(total, order)
             if rest or val < 0:
-                mu = Fraction(t, group.lattice._ball["scale"])
+                ball = group.lattice._ball if group._theta is None else group._theta
+                mu = Fraction(t, ball["scale"])
                 raise IntegralityError(
                     f"multiplicity {Fraction(total, order)} at mu={mu}, p={p} "
                     "is not a nonnegative integer"
@@ -536,7 +791,7 @@ def _row(group: BieberbachGroup, t: int) -> tuple[int, ...]:
 
 def _row_at(group: BieberbachGroup, mu: Fraction) -> tuple[int, ...]:
     """(d_0, ..., d_n) at the squared norm mu > 0; zeros off the dual lattice."""
-    t = shells(group.lattice, mu)._key(mu)
+    t = _group_shells(group, mu)._key(mu)
     return (0,) * (group.n + 1) if t is None else _row(group, t)
 
 
@@ -566,7 +821,7 @@ def spectrum(group: BieberbachGroup, p: int, mu_max) -> FlatSpectrum:
     always present and equals the Betti number."""
     mu_max = Fraction(mu_max)
     entries: dict[Fraction, int] = {Fraction(0): betti(group, p)}
-    sh = shells(group.lattice, mu_max)
+    sh = _group_shells(group, mu_max)
     for t, mu in zip(sh._numerators(), sh):
         if t:
             d = _row(group, t)[p]
@@ -580,8 +835,8 @@ def _common_tables(
 ) -> tuple[int, dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
     """(L, rows1, rows2): each group's (d_0, ..., d_n) at its positive shells
     up to mu_max, keyed by the norm numerator T = L mu on the common scale
-    L = lcm(K1, K2) of the two walks."""
-    sh1, sh2 = shells(g1.lattice, mu_max), shells(g2.lattice, mu_max)
+    L = lcm(K1, K2) of the two balls."""
+    sh1, sh2 = _group_shells(g1, mu_max), _group_shells(g2, mu_max)
     scale = math.lcm(sh1._scale, sh2._scale)
 
     def rows(group, sh):

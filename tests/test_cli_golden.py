@@ -14,8 +14,8 @@ spectra at lambda <= 200 of lens spaces of small order (the sphere L(1; 0, 0)
 among them) with a tau comparison of L(7;1,2,3) and L(7;1,2,4) at that cutoff,
 and the csv spectra of three deep rows: L(5;1,2) at lambda <= 2000,
 L(7;1,2,3,1) at lambda <= 300 and L(10007;1,2,3) at lambda <= 2000, and the
-spectra of flat8_a and flat8_b at mu <= 16.  To record the file again with the
-library on the path:
+spectra of flat8_a and flat8_b at mu <= 16 (recorded from the dual-ball walk)
+and at mu <= 200.  To record the file again with the library on the path:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -147,8 +147,8 @@ _DEEP = {
     "lens10007.json": (10007, [1, 2, 3], "2000"),
 }
 
-# deep flat rows: fixture -> cutoffs
-_DEEP_FLAT = {"flat8_a": ("16",), "flat8_b": ("16",)}
+# deep flat rows: (fixture, cutoff)
+_DEEP_FLAT = (("flat8_a", "16"), ("flat8_b", "16"), ("flat8_a", "200"), ("flat8_b", "200"))
 
 
 def cases():
@@ -190,9 +190,8 @@ def cases():
         data = {"space": "spherical", "lens": {"N": big_n, "q": q}}
         argv = ["spectrum", file, "--p", "all", "--cutoff", cutoff, "--format", "csv"]
         out.append((argv, {file: data}))
-    for name, cutoffs in _DEEP_FLAT.items():
-        for cutoff in cutoffs:
-            out.append((["spectrum", f"fixture:{name}", "--p", "all", "--cutoff", cutoff], {}))
+    for name, cutoff in _DEEP_FLAT:
+        out.append((["spectrum", f"fixture:{name}", "--p", "all", "--cutoff", cutoff], {}))
     return out
 
 

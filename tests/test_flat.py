@@ -890,3 +890,185 @@ def test_damaged_phase_sum_names_mu_and_degree(monkeypatch):
     monkeypatch.setattr(flat, "_phase_sum", lambda counts, d: -2 * real(counts, d))
     with pytest.raises(IntegralityError, match=r"at mu=1/4, p=0 is not a nonnegative integer"):
         spectrum(klein_pair()[0], 2, 1)
+
+
+# ---------------------------------------------------------------- cubic frames
+
+
+def _on_basis(lattice: Lattice, cosets) -> BieberbachGroup:
+    """The group validated on the coordinates of its lattice basis, as on a
+    lattice without a cubic frame, so its rows come from the dual-ball walk."""
+    from curvspec import flat
+
+    group = object.__new__(BieberbachGroup)
+    for name, value in (("lattice", lattice), ("name", ""), ("_cache", {})):
+        object.__setattr__(group, name, value)
+    object.__setattr__(group, "cosets", tuple((rl.as_mat(b), rl.as_vec(t)) for b, t in cosets))
+    group._validate(flat._OnBasis(lattice))
+    return group
+
+
+def _rows_on_both_paths(group: BieberbachGroup, mu_max) -> tuple[dict, dict]:
+    """The group's rows {t: (d_0, ..., d_n)} from theta products and from
+    the walk, on a common scale."""
+    from curvspec.flat import _common_tables
+
+    return _common_tables(group, _on_basis(group.lattice, group.cosets), mu_max)[1:]
+
+
+_NOT_KLEIN = sorted(name for name in fixtures() if not name.startswith("klein"))
+
+
+@pytest.mark.parametrize("name", _NOT_KLEIN)
+@settings(derandomize=True, max_examples=3, deadline=None, database=None)
+@given(c=st.sampled_from(_DILATIONS), seed=st.integers(0, 2**32))
+def test_theta_rows_equal_the_walk_rows(name, c, seed):
+    group = fixtures()[name]
+    moved = _dilate(_re_present(group, random.Random(seed)), c)
+    assert group._theta is not None and moved._theta is not None
+    cutoff = Fraction(6 if group.n == 8 else 12)
+    for g, mu_max in ((group, cutoff), (moved, cutoff / (c * c))):
+        theta, walk = _rows_on_both_paths(g, mu_max)
+        assert theta == walk and len(theta) >= 6
+        twin = _on_basis(g.lattice, g.cosets)
+        assert twin._theta is None and twin._betti == g._betti
+        assert [c.traces for c in twin._holonomy] == [c.traces for c in g._holonomy]
+
+
+# the Klein bottle on Z^2: the glide (x1 + 1/2, -x2)
+_KLEIN_Z2 = ((rl.identity(2), (0, 0)), (_REFL, (Fraction(1, 2), 0)))
+
+
+def test_frame_and_walk_groups_compare_on_a_common_scale():
+    ka = klein_pair()[0]
+    for c in (Fraction(1), Fraction(3, 2)):
+        square = _dilate(BieberbachGroup(Lattice(rl.identity(2)), _KLEIN_Z2), c)
+        walked = _on_basis(square.lattice, square.cosets)
+        assert square._theta is not None and walked._theta is None and ka._theta is None
+        for p in range(3):
+            for first, second in ((square, ka), (ka, square)):
+                reference = (walked, ka) if first is square else (ka, walked)
+                assert compare(first, second, p, 4) == compare(*reference, p, 4)
+                assert tau_equivalent(first, second, p, 4) == tau_equivalent(*reference, p, 4)
+    # the dual of Z x 2Z has the shell 1/4 that Z^2 lacks; at mu = 1 both
+    # have (+-1, 0), fixed by the glide with phase -1, and (0, +-1)
+    square = BieberbachGroup(Lattice(rl.identity(2)), _KLEIN_Z2)
+    assert compare(square, ka, 0, 4).first_discrepancy == (Fraction(1, 4), 0, 1)
+    assert d_lambda(square, 0, 1) == d_lambda(ka, 0, 1) == 1
+
+
+def test_groups_on_cubic_lattices_take_the_frame_path(monkeypatch):
+    from curvspec import flat
+
+    rng = random.Random(41)
+    for name, group in fixtures().items():
+        on_frame = not name.startswith("klein")
+        assert (group._theta is not None) == on_frame
+        assert (_re_present(group, rng)._theta is not None) == on_frame
+    # a rotated Z^2 (the 3-4-5 rotation) has a frame with no zero entry
+    turn = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(3, 5)))
+    lat = Lattice(turn)
+    cosets = ((rl.identity(2), (0, 0)), (rl.mat_mul(rl.transpose(turn), rl.mat_mul(_REFL, turn)),
+                                         tuple(Fraction(1, 2) * x for x in turn[0])))
+    tilted = BieberbachGroup(lat, cosets)
+    assert tilted._theta is not None and lat._frame[1] == 1
+    assert all(x for row in lat._frame[0] for x in row)
+    theta, walk = _rows_on_both_paths(tilted, 9)
+    assert theta == walk and len(theta) == 6  # the norms 1, 2, 4, 5, 8, 9
+    # the walk takes the rest, and frame recognition walks none of them by
+    # _fincke_pohst; E8 is unimodular, so only its walk to norm 1 (which
+    # finds 0 alone) tells it from Z^8
+    walks = []
+    real = flat._fincke_pohst
+    monkeypatch.setattr(flat, "_fincke_pohst", lambda *args: walks.append(args) or real(*args))
+    hexagonal = Lattice(((1, 0), (Fraction(1, 2), Fraction(3, 4))))
+    e8 = Lattice(
+        [[2] + [0] * 7]
+        + [[0] * i + [-1, 1] + [0] * (6 - i) for i in range(6)]
+        + [[Fraction(1, 2)] * 8]
+    )
+    assert oracles.det(e8.basis) in (1, -1)
+    for lattice in (Lattice(((1, 0), (0, 3))), hexagonal, _skew(((1, 0), (0, 2))), e8):
+        assert lattice._frame is None
+        ident = rl.identity(lattice.n)
+        assert BieberbachGroup(lattice, ((ident, (0,) * lattice.n),))._theta is None
+    assert walks == []
+
+
+def test_signed_permutations_compose_as_their_matrices():
+    from curvspec.flat import _OnFrame
+
+    rng = random.Random(3)
+    lattice = Lattice(rl.identity(5))
+    frame = _OnFrame(lattice)
+    perms = []
+    for _ in range(12):
+        b = _signed_permutation(5, rng)
+        p = frame.rotation(rl.as_mat(b))
+        # the matrix on the frame's own basis, so B up to a signed reordering
+        assert sum(_OnFrame.matrix(p)[i][i] for i in range(5)) == sum(b[i][i] for i in range(5))
+        perms.append(p)
+    for p, q in zip(perms, perms[1:]):
+        assert _OnFrame.matrix(_OnFrame.mul(p, q)) == [
+            list(row) for row in rl.mat_mul(_OnFrame.matrix(p), _OnFrame.matrix(q))
+        ]
+    assert any(_OnFrame.mul(p, q) != _OnFrame.mul(q, p) for p, q in zip(perms, perms[1:]))
+
+
+# orthogonal, not integral
+_TURN = ((Fraction(3, 5), Fraction(-4, 5)), (Fraction(4, 5), Fraction(3, 5)))
+
+
+@pytest.mark.parametrize(
+    "cosets, message",
+    [
+        (((rl.identity(2), (0, 0)), (((1, 1), (0, 1)), (0, 0))), "not orthogonal"),
+        (((rl.identity(2), (0, 0)), (((1, 0, 0), (0, 1, 0)), (0, 0))), "not orthogonal"),
+        # f_1 and f_2 both go to f_1
+        (((rl.identity(2), (0, 0)), (((1, 1), (0, 0)), (0, 0))), "not orthogonal"),
+        (((rl.identity(2), (0, 0)), (_TURN, (0, 0))), "does not preserve"),
+        (
+            ((rl.identity(2), (0, 0)), (_REFL, (Fraction(1, 2), 0)), (_REFL, (Fraction(1, 2), 1))),
+            "share a rotation",
+        ),
+        (((_REFL, (Fraction(1, 2), 0)),), "identity coset missing"),
+        (((rl.identity(2), (0, Fraction(1, 2))),), "non-lattice translation"),
+        (((rl.identity(2), (0, 0)), (((0, 1), (-1, 0)), (0, 0))), "not closed"),
+        (((rl.identity(2), (0, 0)), (_REFL, (Fraction(1, 3), 0))), "not closed"),
+        (((rl.identity(2), (0, 0)), (_REFL, (0, Fraction(1, 2)))), "torsion"),
+        (((rl.identity(2), (0, 0)), (((-1, 0), (0, -1)), (0, 0))), "fixed point"),
+    ],
+)
+def test_rejections_on_a_cubic_frame_match_the_basis_coordinates(cosets, message):
+    # Z^2 on two bases, and Z^2 turned so that the rotations here leave it
+    for lattice in (Lattice(rl.identity(2)), _skew(rl.identity(2)), Lattice(_TURN)):
+        assert lattice._frame is not None
+        with pytest.raises(InvariantViolation) as on_frame:
+            BieberbachGroup(lattice, cosets)
+        with pytest.raises(InvariantViolation) as on_basis:
+            _on_basis(lattice, cosets)
+        assert str(on_frame.value) == str(on_basis.value)
+        if lattice.basis != _TURN:
+            assert message in str(on_frame.value)
+
+
+def test_betti_numbers_are_computed_once_and_refused_when_fractional(monkeypatch):
+    from curvspec import flat
+
+    group = BieberbachGroup(Lattice(rl.identity(2)), _KLEIN_Z2)
+    assert group._betti == (1, 1, 0)
+    # one more in tr Lambda^1 of the first coset makes b_1 = (3 + 0) / 2
+    real, calls = flat._traces_from_powers, []
+
+    def damaged(power_traces):
+        calls.append(power_traces)
+        traces = real(power_traces)
+        return (traces[0], traces[1] + 1, *traces[2:]) if len(calls) == 1 else traces
+
+    monkeypatch.setattr(flat, "_traces_from_powers", damaged)
+    group = BieberbachGroup(Lattice(rl.identity(2)), _KLEIN_Z2)
+    assert len(calls) == 2 and group._betti == (1, Fraction(3, 2), 0)
+    assert betti(group, 0) == 1 and betti(group, 2) == 0
+    with pytest.raises(IntegralityError, match="trace average 3/2 is not a nonnegative integer"):
+        betti(group, 1)
+    assert len(calls) == 2
