@@ -4,43 +4,41 @@ A group is described by a full-rank lattice together with the finitely many
 cosets (B, b) representing the isometries x -> B(x + b) modulo the lattice
 translations.
 
-The kernel runs on integers.  The dual basis is a fraction-free (Bareiss)
-inverse of the integer-scaled basis.  A dual-lattice vector is an integer
-coordinate vector x on the dual basis; the dual ball is enumerated once per
-lattice by an integer Fincke-Pohst walk set up by fraction-free elimination
-of the Gram matrix.  On lattice coordinates a rotation B is the integer
-matrix R = dual B basis^T, and on dual coordinates it is A = (R^-1)^T, so the
-fixed-vector test A x = x is the integer equation R^T x = x.  The
-translations are integer residue vectors modulo their common denominator D,
-so each phase <v, b> is a residue r mod D.  Validation, Betti numbers and
-exterior traces work with R alone: the closure check's product table gives
-the powers of R, hence the torsion test on N = sum_k R^k (an integer Hermite
-reduction) and the power traces tr R^k, from which Newton's identities give
-the exterior traces tr Lambda^p(R).  A multiplicity is
-|F|^-1 sum_r C_r exp(-2 pi i r / D) for integer counts C_r; Galois invariance
-makes C_r depend on gcd(r, D) alone, and the primitive k-th roots of unity sum
-to the Moebius value mu(k), so the sum is evaluated in integers.
+The kernel runs on integers.  Int and Fraction input entries are kept as
+given (any other number goes through Fraction once), each matrix is scaled
+to integers over its common denominator, and a basis S / d is refused as
+singular when its Gram matrix S S^T has a leading minor that is not positive.
 
-Shells are keyed by the integer norm numerator t = K |v|^2 of the walk, where
-K depends on the lattice alone.  A group caches one row (d_0, ..., d_n) per
-shell t, from one pass over the shell's residues; spectra, comparisons and
-tau-equivalence read these rows, comparing two lattices' shells on the common
-scale lcm(K1, K2).  Fractions are built only for results that leave the
-module: spectrum entries, a first discrepancy, and the values of `shells`,
-a lazy mapping that converts a shell to ambient vectors when it is read.
+When the dual lattice is a scaled Z^n, with a cubic frame f_1, ..., f_n of
+squared norm c, `Lattice._frame` finds the frame on the basis alone, and no
+walk or inverse is needed.  On the basis f_i / c of the lattice every
+rotation is a signed permutation: one test, that B maps each f_i to some
++-f_j, replaces the orthogonality and lattice tests, and products and
+shifts take O(n).  A dual vector fixed by B is 0 on each cycle whose signs
+multiply to -1 and +-x along each other cycle C, adding c |C| x^2 to the
+norm and x beta_C to D <v, b>, so a coset's residue counts by norm are the
+coefficients of a product of one-dimensional theta series
+(Miatello-Rossetti), keyed by t = den(c) mu, and the coset holds no
+fixed-point isometry exactly when some beta_C is not 0 mod D.
 
-A lattice whose dual is a scaled Z^n (a cubic frame f_1, ..., f_n of equal
-squared norm c, recognised in `Lattice._frame`) needs no walk.  On the basis
-f_i / c of the lattice every rotation is a signed permutation, so one test,
-that B maps each f_i to some +-f_j, replaces the orthogonality and lattice
-tests, and the closure table composes signed permutations in O(n); the
-torsion test and the traces run as above.  A dual vector fixed by B is 0 on
-each cycle of the permutation whose signs multiply to -1, and +-x along each
-other cycle C, where it adds c |C| x^2 to the norm and x beta_C to D <v, b>.
-So a coset's residue counts by norm are the coefficients of a product of
-one-dimensional theta series (Miatello-Rossetti), and the rows, keyed by
-t = den(c) mu, come from those products.  Other lattices, rectangular ones
-among them, keep the walk.
+Other lattices are walked.  Their dual basis, a fraction-free (Bareiss)
+inverse built on first use, gives dual vectors integer coordinates x; an
+integer Fincke-Pohst walk enumerates the dual ball once per lattice, keyed
+by t = K |v|^2 with K fixed by the lattice; a rotation B is the integer
+matrix R = dual B basis^T, the fixed-vector test is R^T x = x, and the
+torsion test asks whether N s / D lies in N Z^n for N = sum_k R^k (an
+integer Hermite reduction).
+
+On both, translations are residue vectors modulo their common denominator
+D, so each phase <v, b> is a residue r mod D.  The closure check's product
+table gives the powers of R, hence the exterior traces (Newton's identities
+on the power traces).  A group caches one row (d_0, ..., d_n) per shell t, each
+entry |F|^-1 sum_r C_r exp(-2 pi i r / D) for integer counts C_r that
+depend on gcd(r, D) alone (Galois invariance), so Moebius values sum it in
+integers.  Two lattices' shells compare on the scale lcm(K1, K2).
+Fractions are built only for results that leave the module: spectrum
+entries, a first discrepancy, and the values of `shells`, a lazy mapping
+that converts a shell to ambient vectors when it is read.
 """
 
 from __future__ import annotations
@@ -65,9 +63,28 @@ from .spectra import ComparisonResult, first_difference
 IntMat = tuple[tuple[int, ...], ...]
 
 
+def _exact(row) -> tuple:
+    """row as a tuple of exact numbers: an int or a Fraction entry as it is,
+    any other through Fraction."""
+    row = tuple(row)
+    if set(map(type, row)) <= {int, Fraction}:
+        return row
+    return tuple(x if type(x) in (int, Fraction) else Fraction(x) for x in row)
+
+
+def _exact_rows(rows) -> rl.Mat:
+    """rows as a matrix of exact numbers (see _exact), refusing a ragged one."""
+    m = tuple(map(_exact, rows))
+    if m and any(len(r) != len(m[0]) for r in m):
+        raise ValueError("ragged matrix")
+    return m
+
+
 def _integral(rows) -> tuple[IntMat, int]:
     """(M, d) with rows = M / d and d the least common denominator."""
-    den = math.lcm(*(x.denominator for row in rows for x in row))
+    den = math.lcm(*{x.denominator for row in rows for x in row})
+    if den == 1:
+        return tuple(tuple(map(int, row)) for row in rows), 1
     return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows), den
 
 
@@ -75,24 +92,15 @@ def _eye(n: int, c: int = 1) -> IntMat:
     return tuple(tuple(c if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _divide(a, den: int) -> IntMat | None:
-    """a / den if every entry is divisible, else None."""
-    if any(x % den for row in a for x in row):
-        return None
-    return tuple(tuple(x // den for x in row) for row in a)
-
-
-def _inverse(m: IntMat) -> tuple[IntMat, int] | None:
-    """(A, p) with m^-1 = A / p for an integer matrix m, by fraction-free
-    Gauss-Jordan elimination (Bareiss): every entry stays a minor of the
-    row-permuted m, so every division is exact; None if m is singular."""
+def _inverse(m: IntMat) -> tuple[IntMat, int]:
+    """(A, p) with m^-1 = A / p for a nonsingular integer matrix m, by
+    fraction-free Gauss-Jordan elimination (Bareiss): every entry stays a
+    minor of the row-permuted m, so every division is exact."""
     n = len(m)
     rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
     prev = 1
     for k in range(n):
-        piv = next((i for i in range(k, n) if rows[i][k]), None)
-        if piv is None:
-            return None
+        piv = next(i for i in range(k, n) if rows[i][k])
         rows[k], rows[piv] = rows[piv], rows[k]
         pivot_row = rows[k]
         p = pivot_row[k]
@@ -110,10 +118,9 @@ class Lattice:
     """Full-rank lattice given by basis vectors as the rows of `basis`."""
 
     basis: rl.Mat
-    # the basis and the dual basis as (integer matrix, denominator)
-    _scaled: tuple[tuple[IntMat, int], tuple[IntMat, int]] = field(
-        init=False, repr=False, compare=False
-    )
+    # the basis as an integer matrix S and a denominator d, basis = S / d,
+    # with the Gram form of S S^T (see _gram_form, which refuses a singular S)
+    _integer: tuple[IntMat, int, _GramForm] = field(init=False, repr=False, compare=False)
     # dual ball: {"mu": cutoff walked, "scale": K, "shells": {t: [dual coordinates]},
     # "keys": [t, ...] and "norms": [t / K, ...] in increasing order}
     _ball: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -121,55 +128,57 @@ class Lattice:
     _ambient: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        basis = rl.as_mat(self.basis)
+        basis = _exact_rows(self.basis)
         object.__setattr__(self, "basis", basis)
         n = len(basis)
         if n == 0 or any(len(r) != n for r in basis):
             raise ValueError("basis must be square")
         scaled, den = _integral(basis)
-        inverse = _inverse(scaled)
-        if inverse is None:
-            raise ValueError("basis is singular")
-        # basis = scaled / den, so dual = (basis^-1)^T = den inv^T / p, in lowest terms
-        inv, p = inverse
-        g = math.gcd(p, *(den * x for row in inv for x in row))
-        g = -g if p < 0 else g
-        dual = tuple(tuple(den * x // g for x in col) for col in zip(*inv))
-        dual_den = p // g
-        object.__setattr__(self, "_scaled", ((scaled, den), (dual, dual_den)))
+        object.__setattr__(self, "_integer", (scaled, den, _gram_form(scaled)))
 
     @property
     def n(self) -> int:
         return len(self.basis)
 
     @cached_property
-    def _frame(self) -> tuple[IntMat, Fraction] | None:
-        """(F, c) when the dual lattice is a scaled Z^n: the rows of F, over the
-        dual denominator, are ambient vectors f_1, ..., f_n of squared norm c
-        that form an orthogonal basis of it.  None otherwise.
+    def _scaled(self) -> tuple[tuple[IntMat, int], tuple[IntMat, int]]:
+        """The basis and the dual basis as (integer matrix, denominator).  Only
+        a walk or a coordinate query needs the dual, so it is inverted then."""
+        scaled, den, _ = self._integer
+        # basis = scaled / den, so dual = (basis^-1)^T = den inv^T / p, in lowest terms
+        inv, p = _inverse(scaled)
+        g = math.gcd(p, *(den * x for row in inv for x in row))
+        g = -g if p < 0 else g
+        dual = tuple(tuple(den * x // g for x in col) for col in zip(*inv))
+        return (scaled, den), (dual, p // g)
 
-        A basis of a scaled Z^n has the Gram matrix G = c U U^T with U
-        unimodular, so G / c is integral with coprime entries and
-        det G = c^n.
-        Conversely, when G / c is integral of determinant 1, no nonzero norm
-        is below c, two vectors of norm c are orthogonal or opposite
-        (|<u, v>| <= c, with equality only for u = +-v), and n orthogonal ones
-        span a sublattice of determinant det G, the whole lattice.  So a walk
-        to c that finds 2n vectors recognises the frame, and a lattice whose
-        G fails the determinant test is refused without a walk."""
-        dual, den = self._scaled[1]
-        gram = [[sum(map(mul, r, s)) for s in dual] for r in dual]  # den^2 G
-        root = math.gcd(*(x for row in gram for x in row))
-        form = _gram_form(gram)
-        if form.det != root ** len(dual):
+    @cached_property
+    def _frame(self) -> tuple[IntMat, Fraction, int] | None:
+        """(F, c, e) when the dual lattice is a scaled Z^n: the rows of F / e
+        are ambient vectors f_1, ..., f_n of squared norm c that form an
+        orthogonal basis of it.  None otherwise.
+
+        The lattice is then a scaled Z^n too, so the proof runs on the basis
+        S / d.  Its Gram matrix G = S S^T of a scaled Z^n is k U U^T with U
+        unimodular, so k is the gcd of the entries and det G = k^n.
+        Conversely, when G / k is integral of determinant 1, no nonzero norm
+        is below c' = k / d^2, two vectors of norm c' are orthogonal or
+        opposite (|<u, v>| <= c', with equality only for u = +-v), and n
+        orthogonal ones span a sublattice of the full determinant.  So a walk
+        to c' that finds 2n vectors g_i = x_i S / d recognises the frame,
+        whose dual frame is f_i = g_i / c', the integer rows x_i S d over k;
+        a lattice that fails the determinant test is refused unwalked."""
+        scaled, den, form = self._integer
+        k = form.content
+        if form.det != k ** len(scaled):
             return None
-        c = Fraction(root, den * den)
-        found = list(_walk(form, den, c)[1].values())  # [[0], norm c]
-        if len(found) != 2 or len(found[1]) != 2 * len(dual):
+        found = list(_walk(form, den, Fraction(k, den * den))[1].values())  # [[0], norm c']
+        if len(found) != 2 or len(found[1]) != 2 * len(scaled):
             return None
-        cols = list(zip(*dual))
         half = [x for x in found[1] if x > tuple(-a for a in x)]  # one of each +-x
-        return tuple(tuple(sum(map(mul, x, col)) for col in cols) for x in half), c
+        rows = rl.mat_mul(half, scaled)
+        g = math.gcd(k, *(den * v for row in rows for v in row))
+        return tuple(tuple(den * v // g for v in row) for row in rows), Fraction(den * den, k), k // g
 
     def dual_basis(self) -> rl.Mat:
         """Rows d_j with <b_i, d_j> = delta_ij."""
@@ -211,12 +220,10 @@ class Lattice:
         return ball["scale"], ball["shells"]
 
 
-def _fincke_pohst(
-    dual: IntMat, den: int, mu_max: Fraction
-) -> tuple[int, dict[int, list[tuple[int, ...]]]]:
+def _fincke_pohst(dual: IntMat, den: int, mu_max: Fraction) -> tuple[int, dict]:
     """(K, {t: integer vectors x}) for the x with |x dual|^2 = t / K <= mu_max
     (dual = dual / den), in increasing t."""
-    return _walk(_gram_form([[sum(map(mul, r, s)) for s in dual] for r in dual]), den, mu_max)
+    return _walk(_gram_form(dual), den, mu_max)
 
 
 class _GramForm(NamedTuple):
@@ -227,23 +234,28 @@ class _GramForm(NamedTuple):
     weights: list[int]  # w_i
     scale: int
     det: int  # det G
+    content: int  # the gcd of the entries of G
 
 
-def _gram_form(gram: list[list[int]]) -> _GramForm:
-    """Fraction-free elimination (Bareiss) of an integer Gram matrix G, which
-    it overwrites, gives its leading principal minors Delta_i and rows U_i with
+def _gram_form(rows: IntMat) -> _GramForm:
+    """Fraction-free elimination (Bareiss) of the Gram matrix G of integer
+    rows gives its leading principal minors Delta_i and rows U_i with
     x^T G x = sum_i y_i^2 / (Delta_{i-1} Delta_i), y_i = sum_{j>=i} U_ij x_j
     and Delta_{-1} = 1.  Dividing each row by its gcd and scaling the weights
     to integers turns scale x^T G x into sum_i w_i y_i^2 with
     y_i = m_i x_i + sum_{j>i} a_ij x_j and positive integers w_i, m_i and
-    integers a_ij; the last minor is det G."""
-    n = len(gram)
+    integers a_ij; the last minor is det G.  A Gram matrix is positive
+    semidefinite, so a minor that is not positive means its rows are
+    dependent: that raises ValueError("basis is singular")."""
+    gram = [[sum(map(mul, r, s)) for s in rows] for r in rows]
+    n, content = len(gram), math.gcd(*(x for row in gram for x in row))
     steps, coeffs, weights = [], [], []
     prev = 1
     for i in range(n):
         row = gram[i]
         pivot = row[i]
-        assert pivot > 0  # G is positive definite
+        if pivot <= 0:
+            raise ValueError("basis is singular")
         g = math.gcd(*row[i:])
         steps.append(pivot // g)
         coeffs.append([u // g for u in row[i + 1:]])
@@ -255,7 +267,7 @@ def _gram_form(gram: list[list[int]]) -> _GramForm:
             gram[k] = [(pivot * x - f * y) // prev for x, y in zip(gram[k], row)]
         prev = pivot
     scale = math.lcm(*(v for _, v in weights))
-    return _GramForm(steps, coeffs, [w * (scale // v) for w, v in weights], scale, prev)
+    return _GramForm(steps, coeffs, [w * (scale // v) for w, v in weights], scale, prev, content)
 
 
 def _walk(
@@ -373,11 +385,10 @@ def _traces_from_powers(power_traces: list[int]) -> tuple[int, ...]:
     these are the elementary and the power sums of the eigenvalues, so
     Newton's identities p e_p = sum_k (-1)^(k-1) e_(p-k) tr R^k apply, with an
     exact division for an integer matrix."""
+    signed = [-x if k % 2 else x for k, x in enumerate(power_traces)]  # (-1)^(k-1) tr R^k
     traces = [1]
     for p in range(1, len(power_traces) + 1):
-        e, rest = divmod(
-            sum((-1) ** (k - 1) * traces[p - k] * power_traces[k - 1] for k in range(1, p + 1)), p
-        )
+        e, rest = divmod(sum(map(mul, reversed(traces), signed)), p)
         assert rest == 0
         traces.append(e)
     return tuple(traces)
@@ -407,21 +418,18 @@ class _OnBasis:
         self.identity = _eye(lattice.n)
 
     def rotation(self, b: rl.Mat) -> IntMat:
-        n = len(b)
         b_int, b_den = _integral(b)
-        if rl.mat_mul(rl.transpose(b_int), b_int) != _eye(n, b_den * b_den):
+        if rl.mat_mul(rl.transpose(b_int), b_int) != _eye(len(b), b_den * b_den):
             raise InvariantViolation("rotation part is not orthogonal")
         den = self.den * b_den * self._basis_den
-        rot = _divide(rl.mat_mul(rl.mat_mul(self.rows, b_int), self._basis_t), den)
-        if rot is None:
+        rot = rl.mat_mul(rl.mat_mul(self.rows, b_int), self._basis_t)
+        if any(x % den for row in rot for x in row):
             raise InvariantViolation("rotation part does not preserve the lattice")
-        return rot
+        return tuple(tuple(x // den for x in row) for row in rot)
 
     mul = staticmethod(rl.mat_mul)
-
-    @staticmethod
-    def matrix(rot: IntMat) -> IntMat:
-        return rot
+    act = staticmethod(rl.mat_vec)
+    matrix = staticmethod(tuple)  # R is its own matrix
 
     @staticmethod
     def fixes(rot: IntMat, shift, d: int) -> IntMat:
@@ -430,6 +438,17 @@ class _OnBasis:
         for a in range(len(rot)):
             fixed[a][a] -= 1
         return tuple(tuple(row) for row in fixed if any(row))
+
+    @staticmethod
+    def torsion(fixes, powers: list[IntMat], s, d: int) -> bool | None:
+        """None when R fixes no vector, else whether some element of the
+        coset fixes a point.  N = 1 + R + ... + R^(m-1) over the m powers of
+        R is m times the projector onto the fixed space of R, so that is
+        when N = 0, else when N s / D lies in N Z^n."""
+        total = [list(map(sum, zip(*rows))) for rows in zip(*powers)]
+        if not any(map(any, total)):
+            return None
+        return _in_scaled_span(rl.mat_vec(total, s), list(zip(*total)), d)
 
 
 class _OnFrame:
@@ -440,8 +459,7 @@ class _OnFrame:
     as a matrix on coordinates it has the entry +-1 at (pi(j), j)."""
 
     def __init__(self, lattice: Lattice):
-        self.rows, c = lattice._frame
-        self.den = lattice._scaled[1][1]
+        self.rows, c, self.den = lattice._frame
         self.theta = {"c": c, "scale": c.denominator}
         self._index = {row: i for i, row in enumerate(self.rows)}
         self._index.update({tuple(-x for x in row): ~i for i, row in enumerate(self.rows)})
@@ -472,11 +490,19 @@ class _OnFrame:
             if j is None:
                 return None
             image.append(j)
-        return tuple(image) if len({max(j, ~j) for j in image}) == n else None
+        return tuple(image) if len({j if j >= 0 else ~j for j in image}) == n else None
 
     @staticmethod
     def mul(p1: tuple[int, ...], p2: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(p1[a] if a >= 0 else ~p1[~a] for a in p2)
+
+    @staticmethod
+    def act(p: tuple[int, ...], v: list[int]) -> list[int]:
+        """The matrix of p times v, in O(n): entry pi(j) is +-v_j."""
+        out = [0] * len(p)
+        for a, x in zip(p, v):
+            out[a if a >= 0 else ~a] = x if a >= 0 else -x
+        return out
 
     @staticmethod
     def matrix(p: tuple[int, ...]) -> list[list[int]]:
@@ -505,6 +531,13 @@ class _OnFrame:
                 cycles.append((length, beta % d))
         return tuple(cycles)
 
+    @staticmethod
+    def torsion(cycles, powers, s, d: int) -> bool | None:
+        """As `_OnBasis.torsion`: N is m / |C| times the signed sum along each
+        +cycle C and 0 elsewhere, so N s / D lies in N Z^n exactly when every
+        beta_C is 0 mod D."""
+        return not any(beta for _, beta in cycles) if cycles else None
+
 
 @dataclass(frozen=True)
 class BieberbachGroup:
@@ -524,9 +557,7 @@ class BieberbachGroup:
     _theta: dict | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        cosets = tuple(
-            (rl.as_mat(b), rl.as_vec(t)) for b, t in self.cosets
-        )
+        cosets = tuple((_exact_rows(b), _exact(t)) for b, t in self.cosets)
         object.__setattr__(self, "cosets", cosets)
         # a frame check fails only where the basis coordinates raise
         if self.lattice._frame is None or not self._validate(_OnFrame(self.lattice)):
@@ -536,7 +567,7 @@ class BieberbachGroup:
         """Validate the cosets on the given coordinates and store them; False,
         storing nothing, when a rotation has no signed permutation there."""
         n = self.lattice.n
-        seen, rots, fracs = [], [], []
+        seen, rots = [], []
         for b, t in self.cosets:
             if len(b) != n or len(t) != n:
                 raise InvariantViolation("coset data has wrong dimension")
@@ -549,13 +580,12 @@ class BieberbachGroup:
             if rot is None:
                 return False
             rots.append(rot)
-            # the coordinates of t are rows t_int / (den t_den)
-            (t_int,), t_den = _integral((t,))
-            num, den = rl.mat_vec(coords.rows, t_int), coords.den * t_den
-            g = math.gcd(den, *num)
-            fracs.append(([x // g for x in num], den // g))
-        d = math.lcm(*(den for _, den in fracs))
-        shifts = [tuple(x * (d // den) % d for x in num) for num, den in fracs]
+        # the coordinates of t are rows t_int / (den t_den), reduced to D
+        t_int, t_den = _integral([t for _, t in self.cosets])
+        d = coords.den * t_den
+        shifts = [[x % d for x in rl.mat_vec(coords.rows, t)] for t in t_int]
+        g = math.gcd(d, *(x for s in shifts for x in s))
+        d, shifts = d // g, [tuple(x // g for x in s) for s in shifts]
         try:
             id_index = rots.index(coords.identity)
         except ValueError:
@@ -568,13 +598,13 @@ class BieberbachGroup:
         products = []
         for r1, s1 in zip(rots, shifts):
             row = []
-            for r2, m2, s2 in zip(rots, mats, shifts):
+            for r2, s2 in zip(rots, shifts):
                 match = index.get(coords.mul(r1, r2))
                 # (B1, b1)(B2, b2) = (B1 B2, b2 + B2^-1 b1); on lattice
                 # coordinates, times R2: R2 (s2 - s_match) + s1 = 0 mod D
                 if match is None or any(
                     (x + y) % d
-                    for x, y in zip(s1, rl.mat_vec(m2, list(map(sub, s2, shifts[match]))))
+                    for x, y in zip(s1, coords.act(r2, list(map(sub, s2, shifts[match]))))
                 ):
                     raise InvariantViolation("coset system is not closed under composition")
                 row.append(match)
@@ -587,21 +617,17 @@ class BieberbachGroup:
             while k != id_index:
                 powers.append(k)
                 k = products[k][i]
+            fixes = coords.fixes(rots[i], s, d)
             if i != id_index:
-                # N = 1 + R + ... + R^(m-1) is m times the projector onto the
-                # fixed space of R; some element of the coset fixes a point
-                # exactly when N s / D lies in N Z^n
-                total = [list(map(sum, zip(*rows))) for rows in zip(*(mats[k] for k in powers))]
-                if not any(map(any, total)):
+                torsion = coords.torsion(fixes, [mats[k] for k in powers], s, d)
+                if torsion is None:
                     raise InvariantViolation("holonomy element acts with a fixed point")
-                if _in_scaled_span(rl.mat_vec(total, s), list(zip(*total)), d):
+                if torsion:
                     raise InvariantViolation(
                         "group has torsion: a holonomy coset contains a fixed-point isometry"
                     )
             power_traces = [traces[powers[k % len(powers)]] for k in range(1, n + 1)]
-            holonomy.append(
-                _Coset(coords.fixes(rots[i], s, d), s, _traces_from_powers(power_traces))
-            )
+            holonomy.append(_Coset(fixes, s, _traces_from_powers(power_traces)))
         betti = []
         for p in range(n + 1):
             trace_sum = sum(c.traces[p] for c in holonomy)
@@ -708,6 +734,10 @@ def e_mu_gamma(group: BieberbachGroup, coset_index: int, mu) -> complex:
     sum_r c_r exp(-2 pi i r / D) over the counts c_r of the exact residues
     r = D <v, b> mod D."""
     mu, d = Fraction(mu), group._denom
+    if mu < 0:
+        raise ValueError("mu must be nonnegative")
+    if not 0 <= coset_index < group.holonomy_order:
+        raise ValueError("coset index out of range")
     t = _group_shells(group, mu)._key(mu)
     residues = {} if t is None else _residues(group, t)[coset_index]
     return sum((c * cmath.exp(-2j * cmath.pi * r / d) for r, c in residues.items()), 0j)
@@ -726,6 +756,14 @@ def _moebius(k: int) -> int:
     return -out if k > 1 else out
 
 
+@lru_cache(maxsize=256)
+def _gcd_classes(d: int) -> tuple[tuple[int, int, int], ...]:
+    """(r, g, m) for r = 1..d with g = gcd(r, d): m = mu(d / g), the sum of
+    the primitive (d/g)-th roots of unity, when r = g, and 0 elsewhere."""
+    gcds = [(r, math.gcd(r, d)) for r in range(1, d + 1)]
+    return tuple((r, g, _moebius(d // g) if g == r else 0) for r, g in gcds)
+
+
 def _phase_sum(counts: dict[int, int], d: int) -> int:
     """sum_r C_r exp(2 pi i r / d), exactly, for integer counts C_r that are
     constant on each class gcd(r, d): the class of g | d holds the primitive
@@ -737,16 +775,14 @@ def _phase_sum(counts: dict[int, int], d: int) -> int:
     d //= g0
     counts = {r // g0: c for r, c in counts.items()}
     total = 0
-    for r in range(1, d + 1):
-        g = math.gcd(r, d)
+    for r, g, m in _gcd_classes(d):
         c = counts.get(r % d, 0)
         if c != counts.get(g % d, 0):
             raise IntegralityError(
                 f"residue counts are not Galois invariant: {c} at {r} but "
                 f"{counts.get(g % d, 0)} at {g} (mod {d})"
             )
-        if g == r:
-            total += c * _moebius(d // r)
+        total += c * m
     return total
 
 
@@ -954,101 +990,42 @@ def klein_pair(c: int = 2) -> tuple[BieberbachGroup, BieberbachGroup]:
 @lru_cache(maxsize=1)
 def _fixture_table() -> dict[str, BieberbachGroup]:
     out: dict[str, BieberbachGroup] = {}
-    ka, kb = klein_pair()
-    out["klein_a"], out["klein_b"] = ka, kb
+    out["klein_a"], out["klein_b"] = klein_pair()
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+
+    def cyclic(name: str, lat: Lattice, rot, *shifts) -> None:
+        """The group with holonomy generated by rot, R^k carrying shifts[k - 1]."""
+        powers = [rl.identity(lat.n)]
+        for _ in shifts:
+            powers.append(rl.mat_mul(powers[-1], rot))
+        out[name] = BieberbachGroup(lat, tuple(zip(powers, (_e(lat.n), *shifts))), name=name)
 
     lat4 = Lattice(rl.identity(4))
-    id4 = rl.identity(4)
-    out["flat4_a"] = BieberbachGroup(
-        lat4,
-        (
-            (id4, _e(4)),
-            (_block_diag(((1,),), ((1,),), ((-1,),), ((-1,),)), _e(4, (0, Fraction(1, 2)))),
-        ),
-        name="flat4_a",
-    )
-    out["flat4_b"] = BieberbachGroup(
-        lat4,
-        (
-            (id4, _e(4)),
-            (_block_diag(((1,),), _SWAP, ((-1,),)), _e(4, (0, Fraction(1, 2)))),
-        ),
-        name="flat4_b",
-    )
-    half = Fraction(1, 2)
+    cyclic("flat4_a", lat4, _block_diag(((1,),), ((1,),), ((-1,),), ((-1,),)), _e(4, (0, half)))
+    cyclic("flat4_b", lat4, _block_diag(((1,),), _SWAP, ((-1,),)), _e(4, (0, half)))
     g1_rot = _block_diag(((-1,),), ((-1,),), ((1,),), ((1,),))
     g2_rot = _block_diag(((1,),), ((-1,),), ((-1,),), ((1,),))
     g12_rot = _block_diag(((-1,),), ((1,),), ((-1,),), ((1,),))
-    out["flat4_m24"] = BieberbachGroup(
-        lat4,
-        (
-            (id4, _e(4)),
-            (g1_rot, _e(4, (3, half))),
-            (g2_rot, _e(4, (1, half), (3, half))),
-            (g12_rot, _e(4, (1, half))),
-        ),
-        name="flat4_m24",
-    )
-    out["flat4_m25"] = BieberbachGroup(
-        lat4,
-        (
-            (id4, _e(4)),
-            (g1_rot, _e(4, (3, half))),
-            (g2_rot, _e(4, (0, half), (1, half))),
-            (g12_rot, _e(4, (0, half), (1, half), (3, half))),
-        ),
-        name="flat4_m25",
-    )
+    rots = (rl.identity(4), g1_rot, g2_rot, g12_rot)
+    # the non-identity cosets translate by 1/2 along the listed axes
+    for name, axes in (("flat4_m24", ((3,), (1, 3), (1,))), ("flat4_m25", ((3,), (0, 1), (0, 1, 3)))):
+        cosets = tuple((b, _e(4, *((i, half) for i in ix))) for b, ix in zip(rots, ((), *axes)))
+        out[name] = BieberbachGroup(lat4, cosets, name=name)
 
     lat8 = Lattice(rl.identity(8))
-    id8 = rl.identity(8)
     rot = _block_diag(_ROT90, _ROT90, ((1,),), ((1,),), ((-1,),), ((-1,),))
-    rot2 = rl.mat_mul(rl.as_mat(rot), rl.as_mat(rot))
-    rot3 = rl.mat_mul(rl.as_mat(rot2), rl.as_mat(rot))
-    quarter = Fraction(1, 4)
-    out["flat8_a"] = BieberbachGroup(
-        lat8,
-        (
-            (id8, _e(8)),
-            (rot, _e(8, (4, quarter))),
-            (rot2, _e(8, (4, half))),
-            (rot3, _e(8, (4, 3 * quarter))),
-        ),
-        name="flat8_a",
+    cyclic("flat8_a", lat8, rot, _e(8, (4, quarter)), _e(8, (4, half)), _e(8, (4, 3 * quarter)))
+    cyclic(
+        "flat8_b", lat8, rot,
+        _e(8, (4, quarter), (5, half)), _e(8, (4, half)), _e(8, (4, 3 * quarter), (5, half)),
     )
-    out["flat8_b"] = BieberbachGroup(
-        lat8,
-        (
-            (id8, _e(8)),
-            (rot, _e(8, (4, quarter), (5, half))),
-            (rot2, _e(8, (4, half))),
-            (rot3, _e(8, (4, 3 * quarter), (5, half))),
-        ),
-        name="flat8_b",
-    )
-    out["flat8_c"] = BieberbachGroup(
-        lat8,
-        (
-            (id8, _e(8)),
-            (rot, _e(8, (4, quarter), (5, quarter))),
-            (rot2, _e(8, (4, half), (5, half))),
-            (rot3, _e(8, (4, 3 * quarter), (5, 3 * quarter))),
-        ),
-        name="flat8_c",
+    cyclic(
+        "flat8_c", lat8, rot,
+        _e(8, (4, quarter), (5, quarter)), _e(8, (4, half), (5, half)),
+        _e(8, (4, 3 * quarter), (5, 3 * quarter)),
     )
     rot_d = _block_diag(_ROT90, _ROT90, _SWAP, ((1,),), ((-1,),))
-    rot_d2 = rl.mat_mul(rl.as_mat(rot_d), rl.as_mat(rot_d))
-    rot_d3 = rl.mat_mul(rl.as_mat(rot_d2), rl.as_mat(rot_d))
-    out["flat8_d"] = BieberbachGroup(
-        lat8,
-        (
-            (id8, _e(8)),
-            (rot_d, _e(8, (4, half))),
-            (rot_d2, _e(8, (4, half), (5, half))),
-            (rot_d3, _e(8, (5, half))),
-        ),
-        name="flat8_d",
-    )
+    cyclic("flat8_d", lat8, rot_d, _e(8, (4, half)), _e(8, (4, half), (5, half)), _e(8, (5, half)))
     return out
 
 

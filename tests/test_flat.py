@@ -1072,3 +1072,208 @@ def test_betti_numbers_are_computed_once_and_refused_when_fractional(monkeypatch
     with pytest.raises(IntegralityError, match="trace average 3/2 is not a nonnegative integer"):
         betti(group, 1)
     assert len(calls) == 2
+
+
+# ---------------------------------------------------------------- integer construction
+
+_PARTNER = {"flat4_a": "flat4_b", "flat4_m24": "flat4_m25", "flat8_a": "flat8_b", "flat8_c": "flat8_d"}
+_PARTNER.update({b: a for a, b in _PARTNER.items()})
+
+
+class _Inverted(Exception):
+    pass
+
+
+def _refuse_inverse(m):
+    raise _Inverted("the dual basis was inverted")
+
+
+def _answers(g1: BieberbachGroup, g2: BieberbachGroup, cutoff) -> list:
+    """Every spectrum of both groups and every verdict between them."""
+    out = []
+    for p in range(g1.n + 1):
+        out.append((spectrum(g1, p, cutoff), spectrum(g2, p, cutoff)))
+        out.append((compare(g1, g2, p, cutoff), tau_equivalent(g1, g2, p, cutoff)))
+    return out
+
+
+@pytest.mark.parametrize("name", _NOT_KLEIN)
+@pytest.mark.parametrize("c", _DILATIONS)
+def test_cubic_lattices_are_built_and_counted_without_an_inverse(name, c, monkeypatch):
+    from curvspec import flat
+
+    rng = random.Random(f"{name}:{c}")
+    table = fixtures()
+    refs = [_dilate(_re_present(table[g], rng), c) for g in (name, _PARTNER[name])]
+    cutoff = Fraction(2 if refs[0].n == 8 else 3) / (c * c)
+    monkeypatch.setattr(flat, "_inverse", _refuse_inverse)
+    groups = [BieberbachGroup(Lattice(g.lattice.basis), g.cosets) for g in refs]
+    found = _answers(*groups, cutoff)
+    assert all(g._theta is not None and "_scaled" not in vars(g.lattice) for g in groups)
+    monkeypatch.undo()
+    assert found == _answers(*refs, cutoff)
+
+    # the walk path of the same lattices answers as the rational inverse does
+    lat = groups[0].lattice
+    basis, inv = lat.basis, oracles.mat_inv(lat.basis)
+    assert lat.dual_basis() == rl.transpose(inv)
+    n = lat.n
+    vectors = [
+        tuple(Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(n)),
+        rl.mat_vec(rl.transpose(basis), [rng.randrange(-3, 4) for _ in range(n)]),
+    ]
+    for v in vectors:
+        coords = tuple(sum(v[k] * inv[k][j] for k in range(n)) for j in range(n))
+        assert lat.coords(v) == coords
+        assert lat.contains(v) == all(x.denominator == 1 for x in coords)
+        frac = [x - math.floor(x) for x in coords]
+        assert lat.reduce(v) == rl.mat_vec(rl.transpose(basis), frac)
+    # the lattice is c Z^n, so its dual ball to 2 / c^2 is {w / c : w in Z^n, |w|^2 <= 2}
+    expected: dict = {}
+    for w in itertools.product((-1, 0, 1), repeat=n):
+        if sum(x * x for x in w) <= 2:
+            expected.setdefault(sum(x * x for x in w) / (c * c), []).append(tuple(x / c for x in w))
+    sh = shells(lat, 2 / (c * c))
+    assert {mu: sorted(sh[mu]) for mu in sh} == {mu: sorted(vs) for mu, vs in expected.items()}
+
+
+def test_klein_pair_still_walks_and_reads_shells(monkeypatch):
+    from curvspec import flat
+
+    monkeypatch.setattr(flat, "_inverse", _refuse_inverse)
+    with pytest.raises(_Inverted):
+        klein_pair()
+    monkeypatch.undo()
+    ka, kb = klein_pair()
+    assert ka._theta is None and kb._theta is None and ka.lattice._frame is None
+    calls, real = [], flat.shells
+    monkeypatch.setattr(flat, "shells", lambda *args: calls.append(args) or real(*args))
+    spectrum(ka, 1, 4)
+    compare(ka, kb, 1, 4)
+    tau_equivalent(ka, kb, 1, 4)
+    assert len(calls) == 5
+
+
+# the Klein bottle on 2Z x 4Z with the glide (x1 + 1, -x2): all entries integers
+_KLEIN_INTEGRAL = (((2, 0), (0, 4)), ((((1, 0), (0, 1)), (0, 0)), (((1, 0), (0, -1)), (1, 0))))
+# the Klein bottle on Z x 2Z with the glide (x1 + 1/2, -x2)
+_KLEIN_HALF = (((1, 0), (0, 2)), ((((1, 0), (0, 1)), (0, 0)), (((1, 0), (0, -1)), (Fraction(1, 2), 0))))
+
+
+def _encoded(data, number) -> BieberbachGroup:
+    """The group of data with every entry written by number."""
+    basis, cosets = data
+
+    def matrix(rows):
+        return [[number(x) for x in row] for row in rows]
+
+    return BieberbachGroup(
+        Lattice(matrix(basis)), [(matrix(b), [number(x) for x in t]) for b, t in cosets]
+    )
+
+
+def _entry_strings(group: BieberbachGroup) -> list[str]:
+    rows = [*group.lattice.basis, *(row for b, t in group.cosets for row in (*b, t))]
+    return [str(x) for row in rows for x in row]
+
+
+@pytest.mark.parametrize(
+    "data, numbers",
+    [
+        (
+            _KLEIN_INTEGRAL,
+            (int, str, float, lambda x: bool(x) if x in (0, 1) else x, lambda x: str(Fraction(x))),
+        ),
+        (
+            _KLEIN_HALF,
+            (lambda x: int(x) if x.denominator == 1 else x, float, str, lambda x: x if x else False),
+        ),
+    ],
+)
+def test_every_input_number_type_builds_the_same_group(data, numbers):
+    ref = _encoded(data, Fraction)
+    for number in numbers:
+        group = _encoded(data, number)
+        for got, want in ((group.lattice.basis, ref.lattice.basis), (group.cosets, ref.cosets)):
+            assert got == want and hash(got) == hash(want)
+        assert _entry_strings(group) == _entry_strings(ref)
+        assert group._betti == ref._betti
+        for p in range(3):
+            assert spectrum(group, p, 4) == spectrum(ref, p, 4)
+    # an int or a Fraction entry is kept as it is, any other becomes a Fraction
+    group = _encoded(data, lambda x: int(x) if x == int(x) else x)
+    assert {type(x) for row in group.lattice.basis for x in row} == {int}
+    assert {type(x) for row in _encoded(data, float).lattice.basis for x in row} == {Fraction}
+
+
+def test_malformed_bases_fail_as_before():
+    for basis in (((1, 0), (2, 0)), ((1, 2, 3), (4, 5, 6), (7, 8, 9)), ((0,),)):
+        with pytest.raises(ValueError, match="basis is singular"):
+            Lattice(basis)
+    with pytest.raises(ValueError, match="ragged matrix"):
+        Lattice(((1, 0), (1,)))
+    for basis in (((1, 0, 0), (0, 1, 0)), ()):
+        with pytest.raises(ValueError, match="basis must be square"):
+            Lattice(basis)
+    for basis in (((1, None), (0, 1)), ((1, None), (0,))):
+        with pytest.raises(TypeError):
+            Lattice(basis)
+    ident = ((1, 0), (0, 1))
+    with pytest.raises(ValueError, match="ragged matrix"):
+        BieberbachGroup(Lattice(ident), ((ident, (0, 0)), (((1, 0), (0,)), (0, 0))))
+    with pytest.raises(TypeError):
+        BieberbachGroup(Lattice(ident), ((ident, (0, None)),))
+
+
+def test_e_mu_gamma_names_the_argument_it_refuses():
+    for group in (klein_pair()[0], fixtures()["flat4_a"]):
+        with pytest.raises(ValueError, match="mu must be nonnegative"):
+            e_mu_gamma(group, 0, -1)
+        for index in (2, -1):
+            for mu in (1, Fraction(1, 3)):
+                with pytest.raises(ValueError, match="coset index out of range"):
+                    e_mu_gamma(group, index, mu)
+        assert e_mu_gamma(group, 1, Fraction(1, 3)) == 0
+
+
+def test_phase_sum_builds_each_class_table_once():
+    from curvspec.flat import _gcd_classes, _phase_sum
+
+    _gcd_classes.cache_clear()
+    # 3 + exp(2 pi i / 3) + exp(4 pi i / 3) after reducing mod 6 to mod 3
+    assert _phase_sum({0: 3, 2: 1, 4: 1}, 6) == _phase_sum({0: 3, 4: 1, 2: 1}, 6) == 2
+    info = _gcd_classes.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert _gcd_classes(12) == tuple(
+        (r, math.gcd(r, 12), _moebius(12 // r) if 12 % r == 0 else 0) for r in range(1, 13)
+    )
+
+
+def test_frame_torsion_test_agrees_with_the_hermite_test():
+    # cyclic groups generated by (R, t) for a random signed permutation R:
+    # (R^k, t_k)(R, t) = (R^(k+1), t + R^T t_k), stopped at R^m = 1
+    rng = random.Random(12)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randrange(1, 6)
+        rot = rl.as_mat(_signed_permutation(n, rng))
+        d = rng.choice((1, 2, 3, 4, 6))
+        t = tuple(Fraction(rng.randrange(d), d) for _ in range(n))
+        cosets, power, shift = [], rl.identity(n), (Fraction(0),) * n
+        while not cosets or power != rl.identity(n):
+            cosets.append((power, shift))
+            power = rl.mat_mul(power, rot)
+            shift = oracles.vec_add(t, rl.mat_vec(rl.transpose(rot), shift))
+        lattice = _skew(rl.identity(2)) if n == 2 else Lattice(rl.identity(n))
+        try:
+            on_frame = BieberbachGroup(lattice, cosets)._betti
+        except InvariantViolation as exc:
+            on_frame = str(exc)
+        try:
+            on_basis = _on_basis(lattice, cosets)._betti
+        except InvariantViolation as exc:
+            on_basis = str(exc)
+        assert on_frame == on_basis
+        outcomes.add(on_frame if isinstance(on_frame, str) else "free")
+    assert {"free", "holonomy element acts with a fixed point"} <= outcomes
+    assert any("torsion" in x for x in outcomes) and any("not closed" in x for x in outcomes)
