@@ -123,9 +123,16 @@ def _group_from_description(data):
                 raise _ParseError(f"malformed lens description: {exc}") from exc
             return "spherical", group
         if "elements" in data:
+            pairs: dict[str, tuple[int, int]] = {}  # each distinct string is read once
+
+            def angle(x):
+                if type(x) is str and x not in pairs:
+                    pairs[x] = _angle(x)
+                return pairs[x] if type(x) is str else _angle(x)
+
             try:
                 elems = tuple(
-                    tuple(_angle(a) for a in _items(e["angles"])) for e in _items(data["elements"])
+                    tuple(map(angle, _items(e["angles"]))) for e in _items(data["elements"])
                 )
             except (KeyError, TypeError) as exc:
                 raise _ParseError(f"malformed element list: {exc}") from exc

@@ -204,19 +204,17 @@ class Lattice:
         grouped by the norm numerator t = K |v|^2 in increasing order, walked to
         a cutoff of at least mu_max.  K depends on the lattice alone, so a key t
         means the same norm at every cutoff.  The walk runs once, at the largest
-        cutoff asked for so far; smaller cutoffs read its result."""
+        cutoff asked for so far; smaller cutoffs read its result, and that
+        cutoff itself passes by identity, comparing no Fraction."""
+        ball = self._ball
+        if ball.get("mu") is mu_max:
+            return ball["scale"], ball["shells"]
         if mu_max < 0:
             raise ValueError("cutoff must be nonnegative")
-        ball = self._ball
         if ball.get("mu", -1) < mu_max:
             scale, found = _fincke_pohst(*self._scaled[1], mu_max)
-            ball.update(
-                mu=mu_max,
-                scale=scale,
-                shells=found,
-                keys=list(found),
-                norms=[Fraction(t, scale) for t in found],
-            )
+            ball.update(mu=mu_max, scale=scale, shells=found, keys=list(found))
+            ball["norms"] = [Fraction(t, scale) for t in found]
         return ball["scale"], ball["shells"]
 
 
@@ -367,7 +365,7 @@ def shells(lattice: Lattice, mu_max) -> Mapping[Fraction, tuple[rl.Vec, ...]]:
     lazy mapping: its keys come from the walk, and a shell is converted to
     ambient vectors only when its value is read, then cached on the lattice;
     no floating point enters."""
-    return _Shells(lattice, Fraction(mu_max))
+    return _Shells(lattice, mu_max if type(mu_max) in (int, Fraction) else Fraction(mu_max))
 
 
 class _Coset(NamedTuple):
@@ -693,30 +691,28 @@ def _thetas(group: BieberbachGroup, mu_max: Fraction) -> dict:
     """The ball of a group in a cubic frame of squared norm c, extended to
     mu_max: as `Lattice._walked` with K = den(c), but each shell t = K c e
     holds the cosets' residue counts, read off the theta products."""
+    ball = group._theta
+    if ball.get("mu") is mu_max:
+        return ball
     if mu_max < 0:
         raise ValueError("cutoff must be nonnegative")
-    ball = group._theta
     if ball.get("mu", -1) < mu_max:
         c, d = ball["c"], group._denom
         tables = [_theta_table(coset.fixes, d, math.floor(mu_max / c)) for coset in group._holonomy]
         found = {
             c.numerator * e: per_coset for e, per_coset in enumerate(zip(*tables)) if any(per_coset)
         }
-        ball.update(
-            mu=mu_max,
-            shells=found,
-            keys=list(found),
-            norms=[Fraction(t, c.denominator) for t in found],
-        )
+        ball.update(mu=mu_max, shells=found, keys=list(found))
+        ball["norms"] = [Fraction(t, c.denominator) for t in found]
     return ball
 
 
 def _group_shells(group: BieberbachGroup, mu_max) -> _ShellKeys:
     """The group's shells up to mu_max: from theta products in a cubic frame,
     else the lattice's walk."""
-    mu_max = Fraction(mu_max)
     if group._theta is None:
         return shells(group.lattice, mu_max)
+    mu_max = mu_max if type(mu_max) in (int, Fraction) else Fraction(mu_max)
     return _ShellKeys(_thetas(group, mu_max), mu_max)
 
 

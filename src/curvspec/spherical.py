@@ -11,7 +11,9 @@ L = {mu : <mu, q> = 0 mod N}.  Each family label is an integer combination
 of polynomials times exterior powers on C^(2m) (see `n_gamma`), so the
 multiplicity of its weights is a closed form M(r, l) in the 1-norm r and the
 number l of zero coordinates, and the count is sum M(r, l) N_L(r, l), with
-N_L counted once per group on the lattice.
+N_L counted once per group on the lattice.  A group keeps one table per
+label shape q = min(j, n+1-j), the counts of (k, 1^(q-1)) for k up to the
+largest cutoff asked so far, which families j and n+1-j both read.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb, gcd, isqrt
+from math import comb, floor, gcd, isqrt
 from operator import index
 
 from . import liealg
@@ -93,17 +95,22 @@ class SphericalGroup:
         big_n = len(elems)
         if not elems:
             raise InvariantViolation("group is empty")
-        # the angle a/b is the residue a N/b mod N when that is an integer
-        # and a fraction in [0, 1) otherwise, so equal keys are equal angles
-        seen = set()
+        # the angle a/b is the residue a N/b mod N when that is an integer and a
+        # fraction in [0, 1) otherwise, once per pair; equal keys are equal angles
+        seen, residues = set(), {}
         for g in elems:
             if isinstance(g, RotationElement):
                 g = [(a.numerator, a.denominator) for a in g.angles]
             if len(g) != self.m:
                 raise InvariantViolation("element rank does not match the group")
-            key = tuple(
-                a * big_n // b % big_n if a * big_n % b == 0 else Fraction(a, b) % 1 for a, b in g
-            )
+            key = []
+            for a, b in g:
+                r = residues.get((a, b))
+                if r is None:
+                    r = a * big_n // b % big_n if a * big_n % b == 0 else Fraction(a, b) % 1
+                    residues[a, b] = r
+                key.append(r)
+            key = tuple(key)
             if key in seen:
                 raise InvariantViolation("duplicate element")
             seen.add(key)
@@ -118,7 +125,7 @@ class SphericalGroup:
         # group of order N has exactly one element with first angle 1/N, of
         # order N, and its multiples t q mod N are the whole group
         gen = next((key for key in seen if key[0] == 1 % big_n), None)
-        if gen is None or any(type(r) is Fraction for key in seen for r in key) or seen != {
+        if gen is None or any(type(r) is Fraction for r in residues.values()) or seen != {
             tuple(t * qj % big_n for qj in gen) for t in range(big_n)
         }:
             raise InvariantViolation("element list is not closed under composition")
@@ -232,13 +239,23 @@ def n_gamma(group: SphericalGroup, label: IrrepLabelO) -> int:
     q = max(1, m - label.weight.count(0))
     if rest != [1] * (q - 1) + [0] * (m - q):
         raise ValueError(f"{label} is not a family label (k, 1^(q-1))")
-    lattice = group._cache.get("lattice")
-    if lattice is None:
-        lattice = group._cache["lattice"] = _LatticeCounts(group.order, group.elements.q)
-    counts = lattice.up_to(k + q - 1)
-    total = sum(mult * counts.get(rl, 0) for rl, mult in _key_multiplicities(m, k, q))
-    group._cache[key] = total
-    return total
+    return group._cache.setdefault(key, _family_counts(group, q, k)[k])
+
+
+def _family_counts(group: SphericalGroup, q: int, k_max: int) -> list[int]:
+    """The group's list of n_gamma(k, 1^(q-1)) by k = 0, 1, ... (0 at k = 0
+    when q > 1), cached under q and extended to k_max when it is shorter:
+    one N_L count to 1-norm k_max + q - 1, then sum M(r, l) N_L(r, l) per k."""
+    table = group._cache.setdefault(q, [])
+    if len(table) <= k_max:
+        if "lattice" not in group._cache:
+            group._cache["lattice"] = _LatticeCounts(group.order, group.elements.q)
+        counts = group._cache["lattice"].up_to(k_max + q - 1)
+        table.extend(
+            sum(mult * counts.get(rl, 0) for rl, mult in _key_multiplicities(group.m, k, q))
+            for k in range(len(table), k_max + 1)
+        )
+    return table
 
 
 @lru_cache(maxsize=4096)
@@ -283,7 +300,7 @@ def _key_multiplicities(m: int, k: int, q: int) -> tuple:
 class _LatticeCounts:
     """N_L(r, l): the number of points of L = {mu in Z^m : <mu, q> = 0 mod N}
     with 1-norm r and l zero coordinates, counted for r <= `radius` and
-    extended when a label needs a larger one.
+    extended when a family table needs a larger one.
 
     The first m-1 coordinates mu' are enumerated shell by shell.  They fix
     the last coordinate mod N, c = -<mu', q'> q_m^-1, so each prefix is filed
@@ -348,30 +365,25 @@ def p_spectrum(group: SphericalGroup, p: int, lam_max: int) -> Spectrum:
     up to lam_max, as an eigenvalue -> multiplicity map (zeros omitted): the
     closed and the coclosed half, which share no eigenvalue, plus the
     eigenvalue 0 of the constant functions and top forms."""
-    n = group.n
-    entries = {0: 1} if p in (0, n) and lam_max >= 0 else {}
+    n, top = group.n, floor(lam_max)
+    entries = {0: 1} if p in (0, n) and top >= 0 else {}
     for closed in (True, False):
-        entries.update(half_spectrum(group, p, closed, lam_max))
+        entries.update(half_spectrum(group, p, closed, top))
     return Spectrum(n, p, lam_max, dict(sorted(entries.items())))
 
 
 def half_spectrum(group: SphericalGroup, p: int, closed: bool, lam_max: int) -> dict[int, int]:
     """Positive spectrum restricted to closed (differential in the kernel) or
-    coclosed p-forms; the coclosed half at degree p equals the closed half at
-    degree p+1."""
+    coclosed p-forms, read from the group's table for the family (see
+    `_family_counts`); the coclosed half at degree p is the closed half at p+1."""
     n = group.n
     if not 0 <= p <= n:
         raise ValueError("form degree out of range")
     j = p if closed else p + 1
-    entries: dict[int, int] = {}
-    if 1 <= j <= n:
-        for k, lam in eigenvalue_family(n, j, lam_max):
-            if k < 1:
-                continue
-            d = n_gamma(group, family_label(group.m, j, k))
-            if d:
-                entries[lam] = d
-    return entries
+    # eigenvalues are integers: lam <= lam_max exactly when lam <= floor(lam_max)
+    family = eigenvalue_family(n, j, floor(lam_max))
+    counts = _family_counts(group, min(j, n + 1 - j), family[-1][0]) if family else []
+    return {lam: counts[k] for k, lam in family if k and counts[k]}
 
 
 def compare(g1: SphericalGroup, g2: SphericalGroup, p: int, lam_max: int) -> ComparisonResult:

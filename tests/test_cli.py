@@ -1,5 +1,6 @@
 """Command-line interface: parsing, exit codes, output formats."""
 
+import collections
 import json
 from fractions import Fraction
 
@@ -317,6 +318,75 @@ def test_fixtures_listing(capsys):
     assert code == 0
     names = {line.split()[0] for line in out.splitlines()}
     assert names == set(flat.fixtures())
+
+
+# ------------------------------------------------------ element-list angles
+
+
+def _lens_elements(big_n, q, spell=str):
+    """The element list of L(N; q), each angle t q_j / N written by spell."""
+    angles = [[Fraction(t * x % big_n, big_n) for x in q] for t in range(big_n)]
+    return {"space": "spherical", "elements": [{"angles": list(map(spell, a))} for a in angles]}
+
+
+def _spectrum_csv(capsys, tmp_path, payload, name="group.json"):
+    return run(capsys, "spectrum", write_json(tmp_path, payload, name), "--p", "all",
+               "--cutoff", "40", "--format", "csv")
+
+
+@pytest.mark.parametrize("big_n, q", [(30, (1, 7, 11)), (89, (1, 2, 3))])
+def test_element_list_and_lens_shorthand_print_the_same_bytes(capsys, tmp_path, big_n, q):
+    lens = {"space": "spherical", "lens": {"N": big_n, "q": list(q)}}
+    elements = _spectrum_csv(capsys, tmp_path, _lens_elements(big_n, q), "elements.json")
+    assert elements == _spectrum_csv(capsys, tmp_path, lens, "lens.json")
+    assert elements[0] == 0 and elements[1].count("\n") > 20
+
+
+def test_every_spelling_of_an_angle_reads_the_same(capsys, tmp_path):
+    # L(8;1,3,5): 1/2 fills the element t = 4 and 1/4, 3/4 recur across
+    # elements; each occurrence of an angle takes the next spelling in turn
+    seen = collections.Counter()
+
+    def spell(x):
+        forms = [str(x), f"{2 * x.numerator}/{2 * x.denominator}", f" {x}", str(float(x))]
+        seen[x] += 1
+        return forms[seen[x] % len(forms)]
+
+    plain = _spectrum_csv(capsys, tmp_path, _lens_elements(8, (1, 3, 5)), "plain.json")
+    mixed = _spectrum_csv(capsys, tmp_path, _lens_elements(8, (1, 3, 5), spell), "mixed.json")
+    assert seen[Fraction(1, 2)] == seen[Fraction(1, 4)] == 3
+    assert plain[0] == 0 and mixed == plain
+    halves = [["0", "0", "0"], ["1/2", "2/4", "0.5"], ["2/4", " 1/2", "1/2"]]
+    code, out, err = _spectrum_csv(
+        capsys, tmp_path, {"space": "spherical", "elements": [{"angles": a} for a in halves]}
+    )
+    assert (code, out) == (3, "") and "duplicate element" in err
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (True, "bad rational True"),
+        (False, "bad rational False"),
+        (None, "bad rational None (use integers or strings like '1/2')"),
+        (0.5, "bad rational 0.5 (use integers or strings like '1/2')"),
+    ],
+)
+def test_a_non_string_among_repeated_angles_keeps_its_message(capsys, tmp_path, bad, message):
+    # the ints 0, 1 and the strings "0", "1/2" are read before the bad entry,
+    # which equals one of them as a number
+    payload = _lens_elements(4, (1, 1, 3))
+    payload["elements"] += [{"angles": [0, 1, "1/2"]}, {"angles": ["0", "1/2", bad]}]
+    code, out, err = _spectrum_csv(capsys, tmp_path, payload)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("angles", [["0"], []], ids=["rank-1", "empty"])
+def test_rank_1_and_empty_angle_lists_exit_2(capsys, tmp_path, angles):
+    payload = {"space": "spherical", "elements": [{"angles": angles}, {"angles": angles}]}
+    code, out, err = _spectrum_csv(capsys, tmp_path, payload)
+    assert (code, out) == (2, "")
+    assert err == "error: need m >= 2 (sphere dimension n = 2m-1 >= 3)\n"
 
 
 # ---------------------------------------------------------------- round trip

@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvspec import cli, liealg, spherical
@@ -611,3 +611,62 @@ def test_n_gamma_reads_the_memo_before_validating(monkeypatch):
     monkeypatch.setattr(IrrepLabelO, "validate", refuse)
     monkeypatch.setattr(RootSystem, "__post_init__", refuse)
     assert n_gamma(group, label) == first
+
+
+def test_cli_element_list_reads_each_distinct_angle_once():
+    big_n, q = 89, (1, 2, 3)
+    data = {
+        "space": "spherical",
+        "elements": [{"angles": [f"{t * x % big_n}/{big_n}" for x in q]} for t in range(big_n)],
+    }
+    distinct = {a for e in data["elements"] for a in e["angles"]}
+    assert len(distinct) == big_n < 3 * big_n
+    assert _calls_during({cli._angle.__code__}, cli._group_from_description, data) == big_n
+
+
+@st.composite
+def _lens_and_cutoffs(draw):
+    m = draw(st.sampled_from((2, 3, 4)))
+    big_n = draw(st.integers(1, 60))
+    units = [u for u in range(1, big_n + 1) if math.gcd(u, big_n) == 1]
+    q = draw(st.lists(st.sampled_from(units), min_size=m, max_size=m))
+    cutoff = st.one_of(st.integers(-1, 50), st.fractions(-1, 50, max_denominator=6))
+    return big_n, q, draw(st.lists(cutoff, min_size=2, max_size=4))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_lens_and_cutoffs())
+@example((7, [1, 2, 3], [Fraction(-1, 2), Fraction(81, 2), 12, Fraction(1, 3)]))
+def test_family_tables_equal_the_per_label_counts(case):
+    # one group asked at rising cutoffs extends its tables; another asked at
+    # falling cutoffs reads prefixes of the first, longest ones; the oracle
+    # counts label by label on a fresh group per spectrum
+    big_n, q, cutoffs = case
+    n = 2 * len(q) - 1
+    walks = {(p, c): _family_walk(lens_space(big_n, q), p, c) for p in range(n + 1) for c in cutoffs}
+    for ordered in (sorted(cutoffs), sorted(cutoffs, reverse=True)):
+        group = lens_space(big_n, q)
+        for c in ordered:
+            for p in range(n + 1):
+                closed, coclosed = half_spectrum(group, p, True, c), half_spectrum(group, p, False, c)
+                spec = p_spectrum(group, p, c)
+                assert spec.entries == walks[p, c] and spec.lam_max is c
+                assert {**closed, **coclosed} == {lam: d for lam, d in walks[p, c].items() if lam}
+
+
+def test_spectra_build_no_label_and_compare_no_fraction():
+    group, cutoffs = lens_space(89, (1, 2, 3)), (40, Fraction(81, 2), Fraction(200))
+    label = IrrepLabelO.__init__, IrrepLabelO.validate, RootSystem.__post_init__
+    fraction = Fraction.__new__, Fraction.__lt__, Fraction.__le__, Fraction.__gt__, Fraction.__ge__
+    codes = {f.__code__ for f in (*label, *fraction)}
+
+    def spectra():
+        for p in range(group.n + 1):
+            for cutoff in cutoffs:
+                p_spectrum(group, p, cutoff)
+                half_spectrum(group, p, False, cutoff)
+
+    assert _calls_during(codes, spectra) == 0
+    # the oracle: the profile does see a label built and a Fraction compared
+    assert _calls_during(codes, n_gamma, group, family_label(3, 2, 3)) >= 1
+    assert _calls_during(codes, operator.lt, Fraction(81, 2), 40) >= 1
