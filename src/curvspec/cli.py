@@ -57,6 +57,17 @@ def _angle(x) -> tuple[int, int]:
     return x.numerator, x.denominator
 
 
+class _Angles(dict):
+    """Angle -> (numerator, denominator) pair: each distinct string is parsed
+    once and stored, any other entry goes through `_angle` unstored."""
+
+    def __missing__(self, x):
+        if type(x) is not str:
+            return _angle(x)
+        pair = self[x] = _angle(x)
+        return pair
+
+
 def _integer(x) -> int:
     """A lens parameter: floats and booleans are refused, not truncated."""
     if isinstance(x, (bool, float)):
@@ -123,17 +134,17 @@ def _group_from_description(data):
                 raise _ParseError(f"malformed lens description: {exc}") from exc
             return "spherical", group
         if "elements" in data:
-            pairs: dict[str, tuple[int, int]] = {}  # each distinct string is read once
+            pairs = _Angles()
 
-            def angle(x):
-                if type(x) is str and x not in pairs:
-                    pairs[x] = _angle(x)
-                return pairs[x] if type(x) is str else _angle(x)
+            def angles(e):
+                row = _items(e["angles"])
+                try:
+                    return tuple(map(pairs.__getitem__, row))
+                except TypeError:  # an unhashable entry, which `_angle` refuses by name
+                    return tuple(map(_angle, row))
 
             try:
-                elems = tuple(
-                    tuple(map(angle, _items(e["angles"]))) for e in _items(data["elements"])
-                )
+                elems = tuple(map(angles, _items(data["elements"])))
             except (KeyError, TypeError) as exc:
                 raise _ParseError(f"malformed element list: {exc}") from exc
             if not elems:

@@ -432,9 +432,7 @@ class _OnBasis:
     @staticmethod
     def fixes(rot: IntMat, shift, d: int) -> IntMat:
         # a dual vector x is fixed by B exactly when (R^T - 1) x = 0
-        fixed = [list(col) for col in zip(*rot)]
-        for a in range(len(rot)):
-            fixed[a][a] -= 1
+        fixed = ([x - (a == b) for b, x in enumerate(col)] for a, col in enumerate(zip(*rot)))
         return tuple(tuple(row) for row in fixed if any(row))
 
     @staticmethod
@@ -669,8 +667,7 @@ def _theta_table(cycles, d: int, m: int) -> list[dict[int, int]]:
     over the dual vectors v of squared norm c e fixed by one rotation, as the
     q^e coefficients of the product over its +cycles C of the one-dimensional
     theta series sum_x q^(|C| x^2) z^(x beta_C), with z^D = 1."""
-    table = [{} for _ in range(m + 1)]
-    table[0][0] = 1
+    table = [{0: 1}] + [{} for _ in range(m)]
     for length, beta in cycles:
         k = math.isqrt(m // length)
         terms = sorted((length * x * x, x * beta % d) for x in range(-k, k + 1))
@@ -866,13 +863,16 @@ def _common_tables(
     g1: BieberbachGroup, g2: BieberbachGroup, mu_max
 ) -> tuple[int, dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
     """(L, rows1, rows2): each group's (d_0, ..., d_n) at its positive shells
-    up to mu_max, keyed by the norm numerator T = L mu on the common scale
-    L = lcm(K1, K2) of the two balls."""
+    up to mu_max, keyed by T = L mu on the common scale L = lcm(K1, K2) of the
+    two balls; kept per group under (L, mu_max) in `_cache[0]` (t = 0 is no shell)."""
     sh1, sh2 = _group_shells(g1, mu_max), _group_shells(g2, mu_max)
     scale = math.lcm(sh1._scale, sh2._scale)
 
     def rows(group, sh):
-        return {t * (scale // sh._scale): _row(group, t) for t in sh._numerators() if t}
+        tables, key = group._cache.setdefault(0, {}), (scale, mu_max)
+        if key not in tables:
+            tables[key] = {t * (scale // sh._scale): _row(group, t) for t in sh._numerators() if t}
+        return tables[key]
 
     return scale, rows(g1, sh1), rows(g2, sh2)
 

@@ -5,15 +5,15 @@ rotations has its p-form spectrum determined by two one-parameter families of
 highest weights: eigenvalues k^2 + k(n-1) + (p-1)(n-p) (n = 2m-1), with
 multiplicities given by the dimensions of the group invariants in the
 corresponding representations.  Every such group is a lens group L(N; q),
-stored as those integers (an element list is normalised to them), so each of
-those dimensions is an exact count of weights mu in the congruence lattice
-L = {mu : <mu, q> = 0 mod N}.  Each family label is an integer combination
-of polynomials times exterior powers on C^(2m) (see `n_gamma`), so the
-multiplicity of its weights is a closed form M(r, l) in the 1-norm r and the
-number l of zero coordinates, and the count is sum M(r, l) N_L(r, l), with
-N_L counted once per group on the lattice.  A group keeps one table per
-label shape q = min(j, n+1-j), the counts of (k, 1^(q-1)) for k up to the
-largest cutoff asked so far, which families j and n+1-j both read.
+stored as those integers (an element list is checked plane by plane on its
+residues mod N and normalised to them), so each of those dimensions is an
+exact count of weights mu in the congruence lattice L = {mu : <mu, q> = 0
+mod N}.  A family label is an integer combination of polynomials times
+exterior powers on C^(2m) (see `n_gamma`), so the multiplicity of its weights
+is a closed form M(r, l) in the 1-norm r and the number l of zero
+coordinates, and the count is sum M(r, l) N_L(r, l), N_L counted by a
+residue DP sized once per cutoff for every family.  A group keeps one table
+per label shape q = min(j, n+1-j), which families j and n+1-j both read.
 """
 
 from __future__ import annotations
@@ -68,6 +68,20 @@ class LensElements:
             yield RotationElement(tuple(Fraction(t * qj % self.order, self.order) for qj in self.q))
 
 
+class _Residues(dict):
+    """(a, b) -> the angle a/b as the residue a N/b mod N when that is an
+    integer and as a fraction in [0, 1) otherwise, reduced once per pair;
+    equal values are equal angles."""
+
+    def __init__(self, big_n: int):
+        self.big_n = big_n
+
+    def __missing__(self, pair):
+        (a, b), big_n = pair, self.big_n
+        r = self[pair] = a * big_n // b % big_n if a * big_n % b == 0 else Fraction(a, b) % 1
+        return r
+
+
 @dataclass(frozen=True)
 class SphericalGroup:
     """Finite fixed-point-free rotation group acting on the sphere S^{2m-1},
@@ -91,45 +105,37 @@ class SphericalGroup:
             if len(self.elements.q) != self.m:
                 raise InvariantViolation("element rank does not match the group")
             return
-        elems = tuple(self.elements)
-        big_n = len(elems)
-        if not elems:
+        rows = [
+            [(a.numerator, a.denominator) for a in g.angles] if isinstance(g, RotationElement) else g
+            for g in self.elements
+        ]
+        big_n = len(rows)
+        if not rows:
             raise InvariantViolation("group is empty")
-        # the angle a/b is the residue a N/b mod N when that is an integer and a
-        # fraction in [0, 1) otherwise, once per pair; equal keys are equal angles
-        seen, residues = set(), {}
-        for g in elems:
-            if isinstance(g, RotationElement):
-                g = [(a.numerator, a.denominator) for a in g.angles]
-            if len(g) != self.m:
-                raise InvariantViolation("element rank does not match the group")
-            key = []
-            for a, b in g:
-                r = residues.get((a, b))
-                if r is None:
-                    r = a * big_n // b % big_n if a * big_n % b == 0 else Fraction(a, b) % 1
-                    residues[a, b] = r
-                key.append(r)
-            key = tuple(key)
-            if key in seen:
-                raise InvariantViolation("duplicate element")
-            seen.add(key)
-        identity = (0,) * self.m
-        if identity not in seen:
+        # the planes (columns), as residues, of the rows before the first of the wrong rank
+        bad = next((i for i, g in enumerate(rows) if len(g) != self.m), big_n)
+        residues = _Residues(big_n)
+        planes = [list(map(residues.__getitem__, plane)) for plane in zip(*rows[:bad])]
+        keys = set(zip(*planes))
+        if len(keys) < bad:
+            raise InvariantViolation("duplicate element")
+        if bad < big_n:
+            raise InvariantViolation("element rank does not match the group")
+        if (0,) * self.m not in keys:
             raise InvariantViolation("identity element missing")
-        if any(0 in key for key in seen if key != identity):
+        if any(plane.count(0) > 1 for plane in planes):
             raise InvariantViolation(
                 "fixed point on the sphere: non-identity element has a unit eigenvalue"
             )
         # the first plane's character is injective on a free group, so a
         # group of order N has exactly one element with first angle 1/N, of
-        # order N, and its multiples t q mod N are the whole group
-        gen = next((key for key in seen if key[0] == 1 % big_n), None)
-        if gen is None or any(type(r) is Fraction for r in residues.values()) or seen != {
-            tuple(t * qj % big_n for qj in gen) for t in range(big_n)
-        }:
+        # order N, and the element with first angle t/N is t times it
+        at = planes[0].index(1 % big_n) if 1 % big_n in planes[0] else None
+        if at is None or any(type(r) is Fraction for r in residues.values()) or any(
+            plane != [t * plane[at] % big_n for t in planes[0]] for plane in planes[1:]
+        ):
             raise InvariantViolation("element list is not closed under composition")
-        object.__setattr__(self, "elements", LensElements(big_n, gen))
+        object.__setattr__(self, "elements", LensElements(big_n, tuple(p[at] for p in planes)))
 
     @property
     def n(self) -> int:
@@ -242,20 +248,31 @@ def n_gamma(group: SphericalGroup, label: IrrepLabelO) -> int:
     return group._cache.setdefault(key, _family_counts(group, q, k)[k])
 
 
-def _family_counts(group: SphericalGroup, q: int, k_max: int) -> list[int]:
+def _family_counts(group: SphericalGroup, q: int, k_max: int, radius: int = 0) -> list[int]:
     """The group's list of n_gamma(k, 1^(q-1)) by k = 0, 1, ... (0 at k = 0
-    when q > 1), cached under q and extended to k_max when it is shorter:
-    one N_L count to 1-norm k_max + q - 1, then sum M(r, l) N_L(r, l) per k."""
+    when q > 1), cached under q and extended to k_max when it is shorter, as
+    sum M(r, l) N_L(r, l) per k.  N_L is counted again when its 1-norm stops
+    short of k_max + q - 1: to `radius` when the caller sizes it for every
+    family at its cutoff, else to at least twice as far, so k_max rising one
+    by one costs O(log k_max) counts."""
     table = group._cache.setdefault(q, [])
     if len(table) <= k_max:
-        if "lattice" not in group._cache:
-            group._cache["lattice"] = _LatticeCounts(group.order, group.elements.q)
-        counts = group._cache["lattice"].up_to(k_max + q - 1)
+        lattice = group._cache.setdefault("lattice", _LatticeCounts(group.order, group.elements.q))
+        if k_max + q - 1 > lattice.radius:
+            lattice.up_to(max(k_max + q - 1, radius or 2 * lattice.radius))
         table.extend(
-            sum(mult * counts.get(rl, 0) for rl, mult in _key_multiplicities(group.m, k, q))
+            sum(mult * lattice.counts.get(rl, 0) for rl, mult in _key_multiplicities(group.m, k, q))
             for k in range(len(table), k_max + 1)
         )
     return table
+
+
+@lru_cache(maxsize=256)
+def _radius(n: int, lam_max: int) -> int:
+    """The 1-norm that the family tables of every degree need at eigenvalues
+    <= lam_max: the largest k + q - 1 over the families j = 1..n."""
+    tops = ((j, k) for j in range(1, n + 1) for k, _ in eigenvalue_family(n, j, lam_max)[-1:])
+    return max((k + min(j, n + 1 - j) - 1 for j, k in tops), default=0)
 
 
 @lru_cache(maxsize=4096)
@@ -299,57 +316,52 @@ def _key_multiplicities(m: int, k: int, q: int) -> tuple:
 
 class _LatticeCounts:
     """N_L(r, l): the number of points of L = {mu in Z^m : <mu, q> = 0 mod N}
-    with 1-norm r and l zero coordinates, counted for r <= `radius` and
-    extended when a family table needs a larger one.
+    with 1-norm r and l zero coordinates, for r <= `radius`; a larger radius
+    counts again from scratch, so the callers size it (see `_family_counts`).
 
-    The first m-1 coordinates mu' are enumerated shell by shell.  They fix
-    the last coordinate mod N, c = -<mu', q'> q_m^-1, so each prefix is filed
-    under that class and its 1-norm; every c in the class completes it, and
-    when N <= 2r several do.  Extending to a larger radius adds the new
-    prefix shells and counts, for each c, only the points whose 1-norm is new."""
+    A DP over the first m-1 coordinates mu' keeps, per (1-norm, zeros), the
+    count of each class c = -<mu', q'> q_m^-1 mod N that the last coordinate
+    must lie in: at most N (R+1) m states per step.  A coordinate d != 0 of
+    one sign is a run of |d| unit moves, each adding 1 to the 1-norm and
+    -+q_j q_m^-1 to the class, so one pass over the 1-norms per sign and zero
+    count takes each step, not one per value of d.  Each state is completed
+    by every c in its class with |c| <= R - r."""
 
     def __init__(self, big_n: int, q: tuple[int, ...]):
         self.big_n, self.q = big_n, q
-        self.inverse = pow(q[-1], -1, big_n)
         self.radius = -1
-        # (class of the last coordinate mod N, 1-norm, zeros) of the prefixes -> count
-        self.prefixes: dict[tuple[int, int, int], int] = {}
         self.counts: dict[tuple[int, int], int] = {}
 
     def up_to(self, radius: int) -> dict[tuple[int, int], int]:
-        big_n, done, prefixes, counts = self.big_n, self.radius, self.prefixes, self.counts
-        if radius <= done:
-            return counts
-        for r in range(done + 1, radius + 1):
-            for s, zeros in _shell(self.q[:-1], r):
-                key = (-s * self.inverse % big_n, r, zeros)
-                prefixes[key] = prefixes.get(key, 0) + 1
-        for c in range(-radius, radius + 1):
-            size, zero = abs(c), c == 0
-            for r in range(max(done + 1 - size, 0), radius - size + 1):
-                for zeros in range(len(self.q)):
-                    count = prefixes.get((c % big_n, r, zeros))
-                    if count:
-                        key = (r + size, zeros + zero)
-                        counts[key] = counts.get(key, 0) + count
+        if radius <= self.radius:
+            return self.counts
+        big_n, (*head, last) = self.big_n, self.q
+        inverse = pow(last, -1, big_n)
+        states = {(0, 0): {0: 1}}  # (1-norm, zeros) of mu' -> {class: count}
+        for done, qj in enumerate(head):
+            step = {(r, zeros + 1): dict(classes) for (r, zeros), classes in states.items()}
+            for move in (qj * inverse, -qj * inverse):
+                for zeros in range(done + 1):
+                    run = {}  # the prefixes that end in a run of moves, each moved back by r moves
+                    for r in range(radius):
+                        for c, count in states.get((r, zeros), {}).items():
+                            c = (c - r * move) % big_n
+                            run[c] = run.get(c, 0) + count
+                        if run:
+                            into, ahead = step.setdefault((r + 1, zeros), {}), (r + 1) * move
+                            for c, count in run.items():
+                                c = (c + ahead) % big_n
+                                into[c] = into.get(c, 0) + count
+            states = step
+        counts = self.counts = {}
+        for (r, zeros), classes in states.items():
+            for c in range(r - radius, radius - r + 1):
+                count = classes.get(c % big_n)
+                if count:
+                    key = (r + abs(c), zeros + (c == 0))
+                    counts[key] = counts.get(key, 0) + count
         self.radius = radius
         return counts
-
-
-def _shell(q: tuple[int, ...], r: int):
-    """(<mu, q>, number of zero coordinates) of every mu in Z^len(q) with
-    1-norm r."""
-    *head, last = q
-    if not head:
-        if r == 0:
-            yield 0, 1
-        else:
-            yield r * last, 0
-            yield -r * last, 0
-        return
-    for a in range(-r, r + 1):
-        for s, zeros in _shell(head, r - abs(a)):
-            yield s + a * last, zeros + (a == 0)
 
 
 @dataclass(frozen=True)
@@ -381,8 +393,10 @@ def half_spectrum(group: SphericalGroup, p: int, closed: bool, lam_max: int) -> 
         raise ValueError("form degree out of range")
     j = p if closed else p + 1
     # eigenvalues are integers: lam <= lam_max exactly when lam <= floor(lam_max)
-    family = eigenvalue_family(n, j, floor(lam_max))
-    counts = _family_counts(group, min(j, n + 1 - j), family[-1][0]) if family else []
+    top = floor(lam_max)
+    family = eigenvalue_family(n, j, top)
+    q = min(j, n + 1 - j)
+    counts = _family_counts(group, q, family[-1][0], _radius(n, top)) if family else []
     return {lam: counts[k] for k, lam in family if k and counts[k]}
 
 

@@ -1,7 +1,8 @@
 """Code that only the tests use: exact linear algebra over `Fraction`, as
 oracles for the integer code paths of `curvspec.flat` and `curvspec.liealg`
-and helpers for building test data, and the per-weight count of the
-spherical multiplicities n_Gamma."""
+and helpers for building test data, the per-weight count of the spherical
+multiplicities n_Gamma, the prefix-shell count of the lens lattice and the
+element-by-element check of a spherical element list."""
 
 import math
 from fractions import Fraction
@@ -9,6 +10,8 @@ from operator import mul
 from typing import Sequence
 
 from curvspec import liealg
+from curvspec.errors import InvariantViolation
+from curvspec.liealg import RotationElement
 from curvspec.ratlinalg import Mat, Vec, _hnf_rows, as_vec, identity
 
 
@@ -104,3 +107,79 @@ def n_gamma_by_weights(group, label) -> int:
         for mu, mult in liealg.weight_multiplicities(rs, w).items()
         if sum(map(mul, mu, q)) % big_n == 0
     )
+
+
+def lattice_counts_by_prefix_shells(big_n: int, q: Sequence[int], radius: int) -> dict:
+    """N_L(r, l) for r <= radius, L = {mu : <mu, q> = 0 mod N}: the first m-1
+    coordinates mu' are enumerated shell by shell and filed under the class
+    c = -<mu', q'> q_m^-1 mod N of the last coordinate and their 1-norm; every
+    c in the class with |c| <= radius - |mu'| completes them."""
+    *head, last = q
+    inverse = pow(last, -1, big_n)
+    prefixes: dict = {}
+    for r in range(radius + 1):
+        for s, zeros in _shell(tuple(head), r):
+            key = (-s * inverse % big_n, r, zeros)
+            prefixes[key] = prefixes.get(key, 0) + 1
+    counts: dict = {}
+    for c in range(-radius, radius + 1):
+        for r in range(radius - abs(c) + 1):
+            for zeros in range(len(q)):
+                count = prefixes.get((c % big_n, r, zeros))
+                if count:
+                    key = (r + abs(c), zeros + (c == 0))
+                    counts[key] = counts.get(key, 0) + count
+    return counts
+
+
+def _shell(q: tuple, r: int):
+    """(<mu, q>, number of zero coordinates) of every mu in Z^len(q) with
+    1-norm r."""
+    *head, last = q
+    if not head:
+        if r == 0:
+            yield 0, 1
+        else:
+            yield r * last, 0
+            yield -r * last, 0
+        return
+    for a in range(-r, r + 1):
+        for s, zeros in _shell(tuple(head), r - abs(a)):
+            yield s + a * last, zeros + (a == 0)
+
+
+def lens_data_by_elements(m: int, elements) -> tuple:
+    """(N, q) of the lens group given by its elements (`RotationElement`s or
+    rows of (numerator, denominator) pairs), checked one element at a time:
+    each angle is read as a residue mod N (a fraction in [0, 1) when it is
+    not one), and the keys are tested for repeats, the identity, a unit
+    eigenvalue and closure, in that order, with the library's messages."""
+    elems = tuple(elements)
+    big_n = len(elems)
+    if not elems:
+        raise InvariantViolation("group is empty")
+    seen = set()
+    for g in elems:
+        if isinstance(g, RotationElement):
+            g = [(a.numerator, a.denominator) for a in g.angles]
+        if len(g) != m:
+            raise InvariantViolation("element rank does not match the group")
+        key = tuple(
+            a * big_n // b % big_n if a * big_n % b == 0 else Fraction(a, b) % 1 for a, b in g
+        )
+        if key in seen:
+            raise InvariantViolation("duplicate element")
+        seen.add(key)
+    identity = (0,) * m
+    if identity not in seen:
+        raise InvariantViolation("identity element missing")
+    if any(0 in key for key in seen if key != identity):
+        raise InvariantViolation(
+            "fixed point on the sphere: non-identity element has a unit eigenvalue"
+        )
+    gen = next((key for key in seen if key[0] == 1 % big_n), None)
+    if gen is None or any(type(r) is Fraction for key in seen for r in key) or seen != {
+        tuple(t * qj % big_n for qj in gen) for t in range(big_n)
+    }:
+        raise InvariantViolation("element list is not closed under composition")
+    return big_n, gen

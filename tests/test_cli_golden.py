@@ -31,7 +31,7 @@ from pathlib import Path
 
 import pytest
 
-from curvspec import cli, flat
+from curvspec import cli, flat, spherical
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
@@ -217,6 +217,27 @@ def _run(argv, files, workdir):
 def test_cli_output_matches_the_recording(case, tmp_path):
     got = _run(case["argv"], case["files"], tmp_path)
     assert got == (case["code"], case["stdout"], case["stderr"])
+
+
+def test_deep_lens_rows_replay_on_one_lattice_count_each(monkeypatch, tmp_path):
+    # the spectra in every degree read one count of the lens lattice, sized
+    # for every family at the cutoff
+    runs = []
+    real = spherical._LatticeCounts.up_to
+
+    def counted(self, radius):
+        runs.append(radius > self.radius)
+        return real(self, radius)
+
+    monkeypatch.setattr(spherical._LatticeCounts, "up_to", counted)
+    deep = [case for case in json.loads(GOLDEN.read_text()) if set(case["files"]) <= set(_DEEP)]
+    deep = [case for case in deep if case["argv"][0] == "spectrum" and "csv" in case["argv"]]
+    assert len(deep) == len(_DEEP)
+    for case in deep:
+        runs.clear()
+        got = _run(case["argv"], case["files"], tmp_path)
+        assert got == (case["code"], case["stdout"], case["stderr"])
+        assert runs.count(True) == 1
 
 
 if __name__ == "__main__":

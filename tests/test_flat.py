@@ -805,6 +805,32 @@ def test_pipeline_builds_no_ambient_vector_and_keys_no_fraction():
         assert shells(g1.lattice, 2)[Fraction(1)] is first
 
 
+def test_comparisons_read_each_group_s_rows_once_per_scale_and_cutoff(monkeypatch):
+    from curvspec import flat
+
+    rng = random.Random(15)
+    cases = (("klein_a", "klein_b", 4), ("flat4_a", "flat4_b", 3), ("flat4_m24", "flat4_m25", 2.5))
+    for name_a, name_b, cutoff in cases:
+        def fresh():
+            return [_re_present(fixtures()[name], rng) for name in (name_a, name_b)]
+
+        def verdicts(g1, g2):
+            return [(compare(g1, g2, p, cutoff), tau_equivalent(g1, g2, p, cutoff)) for p in ps]
+
+        ps = range(fixtures()[name_a].n + 1)
+        # each verdict on groups that have answered nothing else
+        expected = [(compare(*fresh(), p, cutoff), tau_equivalent(*fresh(), p, cutoff)) for p in ps]
+        rows = []
+        real = flat._row
+        monkeypatch.setattr(flat, "_row", lambda group, t: rows.append(t) or real(group, t))
+        g1, g2 = fresh()
+        assert verdicts(g1, g2) == verdicts(g1, g2) == expected
+        # one read per positive shell of each group, in the first sweep only
+        shells = [t for g in (g1, g2) for t in flat._group_shells(g, cutoff)._numerators() if t]
+        assert sorted(rows) == sorted(shells)
+        monkeypatch.setattr(flat, "_row", real)
+
+
 def test_shells_is_a_read_only_view_with_dict_semantics():
     lat = Lattice(((1, 0), (Fraction(1, 2), Fraction(3, 2))))
     sh = shells(lat, 2)

@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import json
 import math
 import operator
 import random
@@ -30,7 +31,11 @@ from curvspec.spherical import (
     tau_equivalent,
     trivial_group,
 )
-from oracles import n_gamma_by_weights
+from oracles import (
+    lattice_counts_by_prefix_shells,
+    lens_data_by_elements,
+    n_gamma_by_weights,
+)
 
 
 # ---------------------------------------------------------------- groups
@@ -220,6 +225,157 @@ def test_lattice_counts_extend_to_the_brute_force_count():
             grown.up_to(r)
         assert grown.up_to(radius) == dict(expected)
         assert spherical._LatticeCounts(big_n, q).up_to(radius) == dict(expected)
+
+
+def _brute_force_counts(big_n, q, radius):
+    ball = (
+        mu for mu in itertools.product(range(-radius, radius + 1), repeat=len(q))
+        if sum(map(abs, mu)) <= radius and sum(map(operator.mul, mu, q)) % big_n == 0
+    )
+    return dict(collections.Counter((sum(map(abs, mu)), mu.count(0)) for mu in ball))
+
+
+@st.composite
+def _lattice_cases(draw):
+    # each q_j is a unit mod N moved by a multiple of N, so it may be negative or >= N
+    m = draw(st.sampled_from((2, 3, 4)))
+    big_n = draw(st.integers(1, 40))
+    units = [u for u in range(big_n) if math.gcd(u, big_n) == 1]
+    q = tuple(draw(st.sampled_from(units)) + big_n * draw(st.integers(-3, 3)) for _ in range(m))
+    # the oracle walks the ball of the first m-1 coordinates: at m = 4 the
+    # radius stops at 30 (about 36 000 prefixes)
+    top = 3 * big_n if m < 4 else min(3 * big_n, 30)
+    return big_n, q, draw(st.lists(st.integers(0, top), min_size=1, max_size=4))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_lattice_cases())
+@example((1, (0, 0), [0, 1, 4, 4, 2, 7]))
+@example((1, (5, -3, 8), [0, 1, 4, 4, 2, 7]))
+@example((7, (1, 2, 3, 1), [0, 1, 4, 4, 2, 7]))
+@example((40, (-1, 43, 79, 121), [30, 12]))
+def test_lattice_dp_equals_the_prefix_shell_count(case):
+    # asked in any order, the counts are the oracle's to the largest radius
+    # asked so far, and the brute-force ball's up to radius 6
+    big_n, q, radii = case
+    oracle = lattice_counts_by_prefix_shells(big_n, q, max(radii))
+    grown = spherical._LatticeCounts(big_n, q)
+    for i, radius in enumerate(radii):
+        reached = max(radii[: i + 1])
+        assert grown.up_to(radius) == {rl: c for rl, c in oracle.items() if rl[0] <= reached}
+        assert grown.radius == reached
+    small = min(max(radii), 6)
+    assert spherical._LatticeCounts(big_n, q).up_to(small) == _brute_force_counts(big_n, q, small)
+
+
+def _lattice_runs(monkeypatch) -> list:
+    """The (N, radius) of every lattice count that runs from now on."""
+    runs = []
+    real = spherical._LatticeCounts.up_to
+
+    def counted(self, radius):
+        if radius > self.radius:
+            runs.append((self.big_n, radius))
+        return real(self, radius)
+
+    monkeypatch.setattr(spherical._LatticeCounts, "up_to", counted)
+    return runs
+
+
+def test_cli_spectra_count_the_lattice_once_per_group(monkeypatch, tmp_path, capsys):
+    runs = _lattice_runs(monkeypatch)
+    files = []
+    for big_n, q in ((89, (1, 2, 3)), (89, (1, 2, 4))):
+        rows = [{"angles": [f"{t * x % big_n}/{big_n}" for x in q]} for t in range(big_n)]
+        files.append(tmp_path / f"lens{q[-1]}.json")
+        files[-1].write_text(json.dumps({"space": "spherical", "elements": rows}))
+    assert cli.main(["spectrum", str(files[0]), "--p", "all", "--cutoff", "40"]) == 0
+    # radius 6: k = 4 at q = 3 in the middle family, k^2 + 4k + 4 <= 40
+    assert runs == [(89, 6)]
+    for mode in ("spec", "half-closed", "half-coclosed"):
+        runs.clear()
+        argv = ["compare", *map(str, files), "--cutoff", "40", "--mode", mode]
+        assert cli.main(argv) in (0, 1)
+        assert runs == [(89, 6), (89, 6)]
+    capsys.readouterr()
+
+
+def test_rising_n_gamma_counts_the_lattice_log_times(monkeypatch):
+    runs = _lattice_runs(monkeypatch)
+    for top in (1, 2, 3, 5, 16, 17, 40):
+        for j in (1, 2, 3):
+            runs.clear()
+            group = lens_space(13, (1, 5, 6))
+            expected = [n_gamma_by_weights(group, family_label(3, j, k)) for k in range(1, 9)]
+            got = [n_gamma(group, family_label(3, j, k)) for k in range(1, top + 1)]
+            assert got[:8] == expected[:top]
+            assert len(runs) <= math.ceil(math.log2(top)) + 1, (top, j, runs)
+
+
+def _spell(pair, rng):
+    """Another spelling of the angle a/b: plus an integer, or both terms scaled."""
+    a, b = pair
+    if rng.random() < 0.5:
+        return a + b * rng.randrange(-2, 3), b
+    k = rng.randrange(2, 4)
+    return a * k, b * k
+
+
+@st.composite
+def _element_lists(draw):
+    m = draw(st.sampled_from((2, 3)))
+    big_n = draw(st.integers(1, 24))
+    units = [u for u in range(1, big_n + 1) if math.gcd(u, big_n) == 1]
+    q = draw(st.lists(st.sampled_from(units), min_size=m, max_size=m))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows = [[(t * x % big_n, big_n) for x in q] for t in range(big_n)]
+    rng.shuffle(rows)
+    kinds = ("drop", "duplicate", "rank", "duplicate-then-rank", "rank-then-duplicate", "zero")
+    faults = draw(st.lists(st.sampled_from((*kinds, "denominator", "swap")), max_size=3))
+    for fault in faults:
+        at = rng.randrange(len(rows) + 1)
+        row = rows[rng.randrange(len(rows))] if rows else [(0, 1)] * m
+        if fault == "drop" and rows:
+            del rows[rng.randrange(len(rows))]
+        if fault in ("duplicate", "duplicate-then-rank", "rank-then-duplicate"):
+            copy = [_spell(pair, rng) for pair in row]
+            wrong = [(0, 1)] * rng.choice((m - 1, m + 1))
+            rows[at:at] = {"duplicate": [copy], "duplicate-then-rank": [copy, wrong]}.get(
+                fault, [wrong, copy]
+            )
+        if fault == "rank":
+            rows.insert(at, [(1, big_n)] * rng.choice((m - 1, m + 1)))
+        if fault in ("zero", "denominator") and rows:
+            row = rows[rng.randrange(len(rows))]
+            bad = (0, 1) if fault == "zero" else (1, next(d for d in range(2, 99) if big_n % d))
+            row[rng.randrange(m)] = bad
+        if fault == "swap" and rows:
+            # two rows exchange their angle in one plane
+            one, two = (rows[rng.randrange(len(rows))] for _ in range(2))
+            j = rng.randrange(m)
+            if len(one) == len(two) == m:
+                one[j], two[j] = two[j], one[j]
+    as_elements = draw(st.booleans())
+    if as_elements:
+        rows = [RotationElement(tuple(Fraction(a, b) for a, b in row)) for row in rows]
+    return m, [tuple(row) if not as_elements else row for row in rows]
+
+
+def _lens_data_or_message(fn, *args):
+    try:
+        return fn(*args)
+    except InvariantViolation as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_element_lists())
+def test_element_lists_are_read_as_the_element_by_element_check_reads_them(case):
+    m, rows = case
+    group = _lens_data_or_message(SphericalGroup, m, tuple(rows))
+    if isinstance(group, SphericalGroup):
+        group = group.order, group.elements.q
+    assert group == _lens_data_or_message(lens_data_by_elements, m, rows)
 
 
 def test_spectra_build_no_full_weight_table(monkeypatch):
