@@ -51,8 +51,8 @@ def _angle(x) -> tuple[int, int]:
     what is accepted and with which message."""
     if type(x) is str:
         num, slash, den = x.partition("/")
-        if num.isdecimal() and (den.isdecimal() or not slash) and int(den or 1):
-            return int(num), int(den or 1)
+        if num.isdecimal() and (den.isdecimal() or not slash) and (d := int(den or 1)):
+            return int(num), d
     x = _fraction(x)
     return x.numerator, x.denominator
 

@@ -268,11 +268,12 @@ def _family_counts(group: SphericalGroup, q: int, k_max: int, radius: int = 0) -
 
 
 @lru_cache(maxsize=256)
-def _radius(n: int, lam_max: int) -> int:
-    """The 1-norm that the family tables of every degree need at eigenvalues
-    <= lam_max: the largest k + q - 1 over the families j = 1..n."""
-    tops = ((j, k) for j in range(1, n + 1) for k, _ in eigenvalue_family(n, j, lam_max)[-1:])
-    return max((k + min(j, n + 1 - j) - 1 for j, k in tops), default=0)
+def _families(n: int, lam_max: int) -> tuple[tuple, int]:
+    """The eigenvalue families j = 0..n+1 at eigenvalues <= lam_max, and the
+    1-norm that their tables need: the largest k + q - 1 over them."""
+    families = tuple(tuple(eigenvalue_family(n, j, lam_max)) for j in range(n + 2))
+    tops = (f[-1][0] + min(j, n + 1 - j) - 1 for j, f in enumerate(families) if f)
+    return families, max(tops, default=0)
 
 
 @lru_cache(maxsize=4096)
@@ -393,10 +394,9 @@ def half_spectrum(group: SphericalGroup, p: int, closed: bool, lam_max: int) -> 
         raise ValueError("form degree out of range")
     j = p if closed else p + 1
     # eigenvalues are integers: lam <= lam_max exactly when lam <= floor(lam_max)
-    top = floor(lam_max)
-    family = eigenvalue_family(n, j, top)
-    q = min(j, n + 1 - j)
-    counts = _family_counts(group, q, family[-1][0], _radius(n, top)) if family else []
+    families, radius = _families(n, floor(lam_max))
+    family, q = families[j], min(j, n + 1 - j)
+    counts = _family_counts(group, q, family[-1][0], radius) if family else []
     return {lam: counts[k] for k, lam in family if k and counts[k]}
 
 
