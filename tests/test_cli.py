@@ -363,6 +363,12 @@ def test_every_spelling_of_an_angle_reads_the_same(capsys, tmp_path):
     assert (code, out) == (3, "") and "duplicate element" in err
 
 
+def test_angle_strings_read_as_their_rational_value():
+    for text in ("0", "1", "7", "3/2", "2/4", "10/5", "89/89", " 1/2", "0.5", "-1/7"):
+        a, b = cli._angle(text)
+        assert Fraction(a, b) == Fraction(text), text
+
+
 @pytest.mark.parametrize(
     "bad, message",
     [
