@@ -5,21 +5,26 @@ cosets (B, b) representing the isometries x -> B(x + b) modulo the lattice
 translations.
 
 The kernel runs on integers.  Int and Fraction input entries are kept as
-given (any other number goes through Fraction once), each matrix is scaled
-to integers over its common denominator, and a basis S / d is refused as
-singular when its Gram matrix S S^T has a leading minor that is not positive.
+given (any other number goes through Fraction once), each matrix that enters
+integer arithmetic is scaled to integers over its common denominator, and a
+basis S / d is refused as singular when its Gram matrix S S^T has a leading
+minor that is not positive.
 
 When the dual lattice is a scaled Z^n, with a cubic frame f_1, ..., f_n of
-squared norm c, `Lattice._frame` finds the frame on the basis alone, and no
-walk or inverse is needed.  On the basis f_i / c of the lattice every
+squared norm c, `Lattice._frame` finds the frame on the basis alone, by a
+walk over half of the basis ball (one of each +-x) to its minimum, and no
+dual walk or inverse is needed.  On the basis f_i / c of the lattice every
 rotation is a signed permutation: one test, that B maps each f_i to some
 +-f_j, replaces the orthogonality and lattice tests, and products and
-shifts take O(n).  A dual vector fixed by B is 0 on each cycle whose signs
-multiply to -1 and +-x along each other cycle C, adding c |C| x^2 to the
-norm and x beta_C to D <v, b>, so a coset's residue counts by norm are the
-coefficients of a product of one-dimensional theta series
-(Miatello-Rossetti), keyed by t = den(c) mu, and the coset holds no
-fixed-point isometry exactly when some beta_C is not 0 mod D.
+shifts take O(n).  One walk over the cycles gives everything else.  A dual
+vector fixed by B is 0 on each cycle whose signs multiply to -1 and +-x
+along each other cycle C, adding c |C| x^2 to the norm and x beta_C to
+D <v, b>, so a coset's residue counts by norm are the coefficients of a
+product of one-dimensional theta series (Miatello-Rossetti), keyed by
+t = den(c) mu, with the cycles of beta_C = 0 multiplied as a plain integer
+series; the coset holds no fixed-point isometry exactly when some beta_C is
+not 0 mod D; and a cycle C of sign s_C adds |C| s_C^(k / |C|) to tr R^k
+when |C| divides k, so no matrix is built.
 
 Other lattices are walked.  Their dual basis, a fraction-free (Bareiss)
 inverse built on first use, gives dual vectors integer coordinates x; an
@@ -27,18 +32,23 @@ integer Fincke-Pohst walk enumerates the dual ball once per lattice, keyed
 by t = K |v|^2 with K fixed by the lattice; a rotation B is the integer
 matrix R = dual B basis^T, the fixed-vector test is R^T x = x, and the
 torsion test asks whether N s / D lies in N Z^n for N = sum_k R^k (an
-integer Hermite reduction).
+integer Hermite reduction); the closure check's product table gives the
+powers of R, hence the power traces.
 
-On both, translations are residue vectors modulo their common denominator
-D, so each phase <v, b> is a residue r mod D.  The closure check's product
-table gives the powers of R, hence the exterior traces (Newton's identities
-on the power traces).  A group caches one row (d_0, ..., d_n) per shell t, each
-entry |F|^-1 sum_r C_r exp(-2 pi i r / D) for integer counts C_r that
-depend on gcd(r, D) alone (Galois invariance), so Moebius values sum it in
-integers.  Two lattices' shells compare on the scale lcm(K1, K2).
-Fractions are built only for results that leave the module: spectrum
-entries, a first discrepancy, and the values of `shells`, a lazy mapping
-that converts a shell to ambient vectors when it is read.
+On both, the exterior traces come from the power traces by Newton's
+identities, and translations are residue vectors modulo their common
+denominator D, so each phase <v, b> is a residue r mod D.  A group caches
+one row (d_0, ..., d_n) per shell t, each entry |F|^-1 sum_r C_r
+exp(-2 pi i r / D) for integer counts C_r that depend on gcd(r, D) alone
+(Galois invariance), so Moebius values sum it in integers.  All degrees
+share the counts: one pass builds a vector of trace-weighted counts per
+residue, and one phase sum of the vectors gives the row.  Two lattices'
+shells compare on the scale lcm(K1, K2); a comparison keeps one table per
+pair and cutoff, with both rows at every shell and the first discrepancy
+in every degree, which answers each degree.  Fractions are built only for
+results that leave the module: spectrum entries, a first discrepancy, and
+the values of `shells`, a lazy mapping that converts a shell to ambient
+vectors when it is read.
 """
 
 from __future__ import annotations
@@ -58,7 +68,7 @@ from typing import NamedTuple
 from . import ratlinalg as rl
 from .errors import IntegralityError, InvariantViolation
 from .liealg import exterior_trace  # noqa: F401 (perfbench/tracer.py wraps flat.exterior_trace)
-from .spectra import ComparisonResult, first_difference
+from .spectra import ComparisonResult
 
 IntMat = tuple[tuple[int, ...], ...]
 
@@ -136,7 +146,7 @@ class Lattice:
         scaled, den = _integral(basis)
         object.__setattr__(self, "_integer", (scaled, den, _gram_form(scaled)))
 
-    @property
+    @cached_property
     def n(self) -> int:
         return len(self.basis)
 
@@ -165,18 +175,19 @@ class Lattice:
         is below c' = k / d^2, two vectors of norm c' are orthogonal or
         opposite (|<u, v>| <= c', with equality only for u = +-v), and n
         orthogonal ones span a sublattice of the full determinant.  So a walk
-        to c' that finds 2n vectors g_i = x_i S / d recognises the frame,
-        whose dual frame is f_i = g_i / c', the integer rows x_i S d over k;
-        a lattice that fails the determinant test is refused unwalked."""
+        to c' over half the ball (one of each +-x) that finds n vectors
+        g_i = x_i S / d recognises the frame, whose dual frame is f_i = g_i / c',
+        the integer rows x_i S d over k; a lattice that fails the determinant
+        test is refused unwalked."""
         scaled, den, form = self._integer
         k = form.content
         if form.det != k ** len(scaled):
             return None
-        found = list(_walk(form, den, Fraction(k, den * den))[1].values())  # [[0], norm c']
-        if len(found) != 2 or len(found[1]) != 2 * len(scaled):
+        # [[0], norm c'] over half the ball
+        found = list(_walk(form, den, Fraction(k, den * den), half=True)[1].values())
+        if len(found) != 2 or len(found[1]) != len(scaled):
             return None
-        half = [x for x in found[1] if x > tuple(-a for a in x)]  # one of each +-x
-        rows = rl.mat_mul(half, scaled)
+        rows = rl.mat_mul(found[1], scaled)
         g = math.gcd(k, *(den * v for row in rows for v in row))
         return tuple(tuple(den * v // g for v in row) for row in rows), Fraction(den * den, k), k // g
 
@@ -245,8 +256,12 @@ def _gram_form(rows: IntMat) -> _GramForm:
     integers a_ij; the last minor is det G.  A Gram matrix is positive
     semidefinite, so a minor that is not positive means its rows are
     dependent: that raises ValueError("basis is singular")."""
-    gram = [[sum(map(mul, r, s)) for s in rows] for r in rows]
-    n, content = len(gram), math.gcd(*(x for row in gram for x in row))
+    n = len(rows)
+    gram = [[0] * n for _ in rows]
+    for i, r in enumerate(rows):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = sum(map(mul, r, rows[j]))
+    content = math.gcd(*(x for row in gram for x in row))
     steps, coeffs, weights = [], [], []
     prev = 1
     for i in range(n):
@@ -269,13 +284,14 @@ def _gram_form(rows: IntMat) -> _GramForm:
 
 
 def _walk(
-    form: _GramForm, den: int, mu_max: Fraction
+    form: _GramForm, den: int, mu_max: Fraction, half: bool = False
 ) -> tuple[int, dict[int, list[tuple[int, ...]]]]:
     """(K, {t: integer vectors x}) for the x with x^T G x / den^2 = t / K <=
     mu_max, in increasing t, G the Gram matrix of the form.  The walk over
     x_{n-1}, ..., x_0 bounds each y_i of the form by an integer square root
     and never leaves the integers.  K = scale den^2 comes from G alone, not
-    from the cutoff."""
+    from the cutoff.  With half, only the x whose last nonzero entry is
+    positive (and 0) are walked: one of each +-x."""
     steps, coeffs, weights = form.steps, form.coeffs, form.weights
     n = len(steps)
     bound = form.scale * math.floor(mu_max * den * den)
@@ -283,20 +299,21 @@ def _walk(
     found: dict[int, list[tuple[int, ...]]] = {}
     x = [0] * n
 
-    def descend(level: int, budget: int):
+    def descend(level: int, budget: int, lead: bool):
+        # lead: half is set and every entry above level is 0, so s = 0
         if level < 0:
             found.setdefault(budget, []).append(tuple(x))
             return
         m, w = steps[level], weights[level]
         s = sum(map(mul, coeffs[level], x[level + 1:]))
         y_max = math.isqrt(budget // w)
-        for xi in range(-((y_max + s) // m), (y_max - s) // m + 1):
+        for xi in range(0 if lead else -((y_max + s) // m), (y_max - s) // m + 1):
             y = m * xi + s
             x[level] = xi
-            descend(level - 1, budget - w * y * y)
+            descend(level - 1, budget - w * y * y, lead and not xi)
         x[level] = 0
 
-    descend(n - 1, bound)
+    descend(n - 1, bound, half)
     by_key = {bound - left: found[left] for left in sorted(found, reverse=True)}
     return form.scale * den * den, by_key
 
@@ -427,24 +444,31 @@ class _OnBasis:
 
     mul = staticmethod(rl.mat_mul)
     act = staticmethod(rl.mat_vec)
-    matrix = staticmethod(tuple)  # R is its own matrix
 
     @staticmethod
-    def fixes(rot: IntMat, shift, d: int) -> IntMat:
-        # a dual vector x is fixed by B exactly when (R^T - 1) x = 0
+    def coset(rots: list[IntMat], products: list[list[int]], i: int, s, d: int) -> tuple:
+        """(fixes, power traces, torsion) of the coset i, read off the product
+        table: fixes are the nonzero rows of R^T - 1, since a dual vector x is
+        fixed by B exactly when (R^T - 1) x = 0, and the power traces are
+        tr R^k for k = 1..n.  torsion is None when R fixes no vector, else
+        whether some element of the coset fixes a point: N = 1 + R + ... +
+        R^(m-1) over the m powers of R is m times the projector onto the fixed
+        space of R, so that is when N = 0, else when N s / D lies in N Z^n."""
+        rot, n = rots[i], len(rots[i])
         fixed = ([x - (a == b) for b, x in enumerate(col)] for a, col in enumerate(zip(*rot)))
-        return tuple(tuple(row) for row in fixed if any(row))
-
-    @staticmethod
-    def torsion(fixes, powers: list[IntMat], s, d: int) -> bool | None:
-        """None when R fixes no vector, else whether some element of the
-        coset fixes a point.  N = 1 + R + ... + R^(m-1) over the m powers of
-        R is m times the projector onto the fixed space of R, so that is
-        when N = 0, else when N s / D lies in N Z^n."""
-        total = [list(map(sum, zip(*rows))) for rows in zip(*powers)]
-        if not any(map(any, total)):
-            return None
-        return _in_scaled_span(rl.mat_vec(total, s), list(zip(*total)), d)
+        # the indices of R, R^2, ..., R^m = 1, m the order of R
+        powers, k = [i], products[i][i]
+        while k != i:
+            powers.append(k)
+            k = products[k][i]
+        mats = [rots[k] for k in powers]
+        traces = [sum(r[a][a] for a in range(n)) for r in mats]
+        total = [list(map(sum, zip(*rows))) for rows in zip(*mats)]
+        torsion = None  # and not asked for when R = 1
+        if len(powers) > 1 and any(map(any, total)):
+            torsion = _in_scaled_span(rl.mat_vec(total, s), list(zip(*total)), d)
+        power_traces = [traces[k % len(powers)] for k in range(n)]
+        return tuple(tuple(row) for row in fixed if any(row)), power_traces, torsion
 
 
 class _OnFrame:
@@ -467,21 +491,18 @@ class _OnFrame:
     def rotation(self, b: rl.Mat) -> tuple[int, ...] | None:
         """B as a signed permutation of the frame, or None when B does not
         map every f_i to some +-f_j (B is then not orthogonal or does not
-        preserve the lattice)."""
+        preserve the lattice).  B f is computed in the exact entries of B: an
+        integral Fraction entry finds its int in the frame index, and a vector
+        with any other finds nothing."""
         n = len(b)
-        b_int, b_den = _integral(b)
-        if len(b_int[0]) != n:
+        if len(b[0]) != n:
             return None
-        cols = list(zip(*b_int))
+        cols = list(zip(*b))
         image = []
         for support in self._supports:
-            w = [0] * n  # b_den B f, summed over the columns of B that f meets
+            w = [0] * n  # B f, summed over the columns of B that f meets
             for l, a in support:
                 w = [x + a * y for x, y in zip(w, cols[l])]
-            if b_den != 1:
-                if any(x % b_den for x in w):
-                    return None
-                w = [x // b_den for x in w]
             j = self._index.get(tuple(w))
             if j is None:
                 return None
@@ -501,38 +522,34 @@ class _OnFrame:
         return out
 
     @staticmethod
-    def matrix(p: tuple[int, ...]) -> list[list[int]]:
-        out = [[0] * len(p) for _ in p]
-        for j, a in enumerate(p):
-            out[max(a, ~a)][j] = 1 if a >= 0 else -1
-        return out
-
-    @staticmethod
-    def fixes(p: tuple[int, ...], shift, d: int) -> tuple[tuple[int, int], ...]:
-        """The +cycles of p, as (|C|, beta_C mod D).  A fixed dual vector has
-        frame coordinates with y_pi(j) = +-y_j, so it is 0 on a cycle whose
-        signs multiply to -1 and +-x along a +cycle C, where it adds
-        c |C| x^2 to the norm and x beta_C to D <v, b>, beta_C being the sum
-        of the shift entries on C with the signs of the y_j."""
-        cycles, seen = [], set()
-        for start in range(len(p)):
+    def coset(rots, products, i: int, shift, d: int) -> tuple:
+        """As `_OnBasis.coset`, from one walk over the cycles of p = rots[i].
+        A fixed dual vector has frame coordinates with y_pi(j) = +-y_j, so it
+        is 0 on a cycle whose signs multiply to -1 and +-x along a +cycle C,
+        where it adds c |C| x^2 to the norm and x beta_C to D <v, b>, beta_C
+        being the sum of the shift entries on C with the signs of the y_j:
+        fixes are the +cycles as (|C|, beta_C mod D).  A cycle C of sign s_C
+        adds |C| s_C^(k / |C|) to tr R^k when |C| divides k.  N is m / |C|
+        times the signed sum along each +cycle C and 0 elsewhere, so N s / D
+        lies in N Z^n exactly when every beta_C is 0 mod D."""
+        p = rots[i]
+        n = len(p)
+        cycles, power_traces, seen = [], [0] * n, [False] * n
+        for start in range(n):
             sign, beta, length, j = 1, 0, 0, start
-            while j not in seen:
-                seen.add(j)
+            while not seen[j]:
+                seen[j] = True
                 beta, length = beta + sign * shift[j], length + 1
                 j = p[j]
                 if j < 0:
                     sign, j = -sign, ~j
-            if length and sign == 1:
-                cycles.append((length, beta % d))
-        return tuple(cycles)
-
-    @staticmethod
-    def torsion(cycles, powers, s, d: int) -> bool | None:
-        """As `_OnBasis.torsion`: N is m / |C| times the signed sum along each
-        +cycle C and 0 elsewhere, so N s / D lies in N Z^n exactly when every
-        beta_C is 0 mod D."""
-        return not any(beta for _, beta in cycles) if cycles else None
+            if length:
+                for k in range(length, n + 1, length):
+                    power_traces[k - 1] += length * sign ** (k // length)
+                if sign == 1:
+                    cycles.append((length, beta % d))
+        torsion = not any(beta for _, beta in cycles) if cycles else None
+        return tuple(cycles), power_traces, torsion
 
 
 @dataclass(frozen=True)
@@ -589,7 +606,6 @@ class BieberbachGroup:
         if any(shifts[id_index]):
             raise InvariantViolation("identity coset carries a non-lattice translation")
         index = {r: i for i, r in enumerate(rots)}
-        mats = [coords.matrix(r) for r in rots]
         # products[i][j] is the index of R_i R_j
         products = []
         for r1, s1 in zip(rots, shifts):
@@ -605,24 +621,16 @@ class BieberbachGroup:
                     raise InvariantViolation("coset system is not closed under composition")
                 row.append(match)
             products.append(row)
-        traces = [sum(r[i][i] for i in range(n)) for r in mats]
         holonomy = []
         for i, s in enumerate(shifts):
-            # the indices of R^0, R^1, ..., R^(m-1), m the order of R
-            powers, k = [id_index], i
-            while k != id_index:
-                powers.append(k)
-                k = products[k][i]
-            fixes = coords.fixes(rots[i], s, d)
+            fixes, power_traces, torsion = coords.coset(rots, products, i, s, d)
             if i != id_index:
-                torsion = coords.torsion(fixes, [mats[k] for k in powers], s, d)
                 if torsion is None:
                     raise InvariantViolation("holonomy element acts with a fixed point")
                 if torsion:
                     raise InvariantViolation(
                         "group has torsion: a holonomy coset contains a fixed-point isometry"
                     )
-            power_traces = [traces[powers[k % len(powers)]] for k in range(1, n + 1)]
             holonomy.append(_Coset(fixes, s, _traces_from_powers(power_traces)))
         betti = []
         for p in range(n + 1):
@@ -635,7 +643,7 @@ class BieberbachGroup:
         object.__setattr__(self, "_theta", coords.theta)
         return True
 
-    @property
+    @cached_property
     def n(self) -> int:
         return self.lattice.n
 
@@ -666,21 +674,29 @@ def _theta_table(cycles, d: int, m: int) -> list[dict[int, int]]:
     """[{r: C_r} for e = 0..m]: the counts of the residues r = D <v, b> mod D
     over the dual vectors v of squared norm c e fixed by one rotation, as the
     q^e coefficients of the product over its +cycles C of the one-dimensional
-    theta series sum_x q^(|C| x^2) z^(x beta_C), with z^D = 1."""
-    table = [{0: 1}] + [{} for _ in range(m)]
+    theta series sum_x q^(|C| x^2) z^(x beta_C), with z^D = 1.  A cycle with
+    beta_C = 0 moves no residue, so those multiply as a plain integer series;
+    only the others go through the counts {(e, r): C}."""
+    plain, moved = [1] + [0] * m, {(0, 0): 1}
     for length, beta in cycles:
-        k = math.isqrt(m // length)
-        terms = sorted((length * x * x, x * beta % d) for x in range(-k, k + 1))
-        out = [{} for _ in range(m + 1)]
-        for e, counts in enumerate(table):
-            for step, shift in terms:
-                if e + step > m:
-                    break
-                target = out[e + step]
-                for r, c in counts.items():
-                    r = (r + shift) % d
-                    target[r] = target.get(r, 0) + c
-        table = out
+        if not beta:  # times 1 + 2 sum_{x > 0} q^(|C| x^2), from the top down
+            for e in range(m, length - 1, -1):
+                xs = range(1, math.isqrt(e // length) + 1)
+                plain[e] += 2 * sum(plain[e - length * x * x] for x in xs)
+            continue
+        k, out = math.isqrt(m // length), {}
+        for (e, r), c in moved.items():
+            for x in range(-k, k + 1):
+                if e + length * x * x <= m:
+                    key = (e + length * x * x, (r + x * beta) % d)
+                    out[key] = out.get(key, 0) + c
+        moved = out
+    table = [{} for _ in range(m + 1)]
+    for (e, r), x in moved.items():
+        for a in range(m - e + 1):
+            if plain[a]:
+                target = table[a + e]
+                target[r] = target.get(r, 0) + plain[a] * x
     return table
 
 
@@ -695,7 +711,8 @@ def _thetas(group: BieberbachGroup, mu_max: Fraction) -> dict:
         raise ValueError("cutoff must be nonnegative")
     if ball.get("mu", -1) < mu_max:
         c, d = ball["c"], group._denom
-        tables = [_theta_table(coset.fixes, d, math.floor(mu_max / c)) for coset in group._holonomy]
+        m = math.floor(mu_max / c)
+        tables = [_theta_table(coset.fixes, d, m) for coset in group._holonomy]
         found = {
             c.numerator * e: per_coset for e, per_coset in enumerate(zip(*tables)) if any(per_coset)
         }
@@ -790,31 +807,49 @@ def betti(group: BieberbachGroup, p: int) -> int:
     return val
 
 
+def _phase_vector(vectors: dict[int, list[int]], d: int, size: int) -> list[int] | None:
+    """sum_r V_r exp(2 pi i r / d), entry by entry, for integer vectors V_r
+    of the given size: as `_phase_sum`, mu(d/g) V_g summed over the classes
+    g | d, or None when the vectors are not constant on each class gcd(r, d)
+    (as a function supported on multiples of g0 is constant on the classes
+    mod d exactly when it is mod d / g0, no entry needs its own reduction)."""
+    total = [0] * size
+    for r, g, m in _gcd_classes(d):
+        v = vectors.get(r % d)
+        if v != vectors.get(g % d):
+            return None
+        if m and v:
+            total = [x + m * y for x, y in zip(total, v)]
+    return total
+
+
 def _row(group: BieberbachGroup, t: int) -> tuple[int, ...]:
     """(d_0, ..., d_n) at the shell t > 0 of the group's ball, cached per
-    group: each degree p weights the cosets' residue counts by
-    tr Lambda^p(B) and takes one exact phase sum."""
+    group: one pass over the cosets' residue counts builds a vector
+    V_r = sum_cosets C_r (tr Lambda^0(B), ..., tr Lambda^n(B)) per residue r,
+    and one exact phase sum of the vectors gives every degree.  Anomalies are
+    named degree by degree, in increasing p, as one phase sum per degree
+    would meet them."""
     row = group._cache.get(t)
     if row is None:
-        d, order = group._denom, group.holonomy_order
-        per_coset = [(c.traces, res) for c, res in zip(group._holonomy, _residues(group, t))]
-        row = []
-        for p in range(group.n + 1):
-            counts: dict[int, int] = {}
-            for traces, residues in per_coset:
-                for r, c in residues.items():
-                    counts[r] = counts.get(r, 0) + traces[p] * c
-            total = _phase_sum(counts, d)
-            val, rest = divmod(total, order)
-            if rest or val < 0:
-                ball = group.lattice._ball if group._theta is None else group._theta
-                mu = Fraction(t, ball["scale"])
-                raise IntegralityError(
-                    f"multiplicity {Fraction(total, order)} at mu={mu}, p={p} "
-                    "is not a nonnegative integer"
-                )
-            row.append(val)
-        row = group._cache[t] = tuple(row)
+        d, order, size = group._denom, group.holonomy_order, group.n + 1
+        vectors: dict[int, list[int]] = {}
+        zeros = [0] * size
+        for coset, residues in zip(group._holonomy, _residues(group, t)):
+            for r, c in residues.items():
+                vectors[r] = [y + c * x for x, y in zip(coset.traces, vectors.get(r, zeros))]
+        total = _phase_vector(vectors, d, size)
+        if total is None or any(x % order or x < 0 for x in total):
+            for p in range(size):
+                # _phase_sum raises on counts that are not Galois invariant
+                x = total[p] if total else _phase_sum({r: v[p] for r, v in vectors.items()}, d)
+                if x % order or x < 0:
+                    ball = group.lattice._ball if group._theta is None else group._theta
+                    raise IntegralityError(
+                        f"multiplicity {Fraction(x, order)} at mu={Fraction(t, ball['scale'])}, "
+                        f"p={p} is not a nonnegative integer"
+                    )
+        row = group._cache[t] = tuple(x // order for x in total)
     return row
 
 
@@ -859,37 +894,46 @@ def spectrum(group: BieberbachGroup, p: int, mu_max) -> FlatSpectrum:
     return FlatSpectrum(group.n, p, mu_max, entries)
 
 
-def _common_tables(
-    g1: BieberbachGroup, g2: BieberbachGroup, mu_max
-) -> tuple[int, dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
-    """(L, rows1, rows2): each group's (d_0, ..., d_n) at its positive shells
-    up to mu_max, keyed by T = L mu on the common scale L = lcm(K1, K2) of the
-    two balls; kept per group under (L, mu_max) in `_cache[0]` (t = 0 is no shell)."""
-    sh1, sh2 = _group_shells(g1, mu_max), _group_shells(g2, mu_max)
-    scale = math.lcm(sh1._scale, sh2._scale)
-
-    def rows(group, sh):
-        tables, key = group._cache.setdefault(0, {}), (scale, mu_max)
-        if key not in tables:
-            tables[key] = {t * (scale // sh._scale): _row(group, t) for t in sh._numerators() if t}
-        return tables[key]
-
-    return scale, rows(g1, sh1), rows(g2, sh2)
+def _pair_table(g1: BieberbachGroup, g2: BieberbachGroup, mu_max) -> tuple[list, list]:
+    """(rows, firsts): rows are (T, row of g1, row of g2) with the rows
+    (d_0, ..., d_n) at the union of the two groups' positive shells up to
+    mu_max, in increasing norm (a shell absent from a group reads zeros),
+    keyed by T = L mu on the common scale L = lcm(K1, K2) of the two balls;
+    firsts holds per degree p the first (mu, d1, d2) where they differ, or
+    None.  Built once per g2 and cutoff and kept in g1's `_cache[0]` (t = 0
+    is no shell) under the id of g2, with g2 itself, which keeps that id
+    from naming another group."""
+    # the cutoffs already asked for, found by identity or equality, so that a
+    # Fraction cutoff is not hashed on every call
+    entries = g1._cache.setdefault(0, {}).setdefault(id(g2), [])
+    entry = next((e for e in entries if e[0] is mu_max or e[0] == mu_max), None)
+    if entry is None:
+        sh1, sh2 = _group_shells(g1, mu_max), _group_shells(g2, mu_max)
+        scale = math.lcm(sh1._scale, sh2._scale)
+        absent = (0,) * (g1.n + 1)
+        pairs: dict[int, list] = {}
+        for side, group, sh in ((0, g1, sh1), (1, g2, sh2)):
+            step = scale // sh._scale
+            for t in sh._numerators():
+                if t:
+                    pairs.setdefault(t * step, [absent, absent])[side] = _row(group, t)
+        rows = [(key, *pairs[key]) for key in sorted(pairs)]
+        firsts = [
+            next(((Fraction(k, scale), r1[p], r2[p]) for k, r1, r2 in rows if r1[p] != r2[p]), None)
+            for p in range(g1.n + 1)
+        ]
+        entry = (mu_max, g2, rows, firsts)
+        entries.append(entry)
+    return entry[2], entry[3]
 
 
 def compare(g1: BieberbachGroup, g2: BieberbachGroup, p: int, mu_max) -> ComparisonResult:
     if g1.n != g2.n:
         raise ValueError("groups act on spaces of different dimensions")
     b1, b2 = betti(g1, p), betti(g2, p)
-    scale, rows1, rows2 = _common_tables(g1, g2, mu_max)
-    res = first_difference(
-        {0: b1, **{t: row[p] for t, row in rows1.items()}},
-        {0: b2, **{t: row[p] for t, row in rows2.items()}},
-    )
-    if res.first_discrepancy is None:
-        return res
-    t, d1, d2 = res.first_discrepancy
-    return ComparisonResult(False, (Fraction(t, scale), d1, d2))
+    firsts = _pair_table(g1, g2, mu_max)[1]
+    first = firsts[p] if b1 == b2 else (Fraction(0), b1, b2)
+    return ComparisonResult(first is None, first)
 
 
 def _telescoped(row: tuple[int, ...], p: int) -> tuple[int, int]:
@@ -925,12 +969,8 @@ def tau_equivalent(g1: BieberbachGroup, g2: BieberbachGroup, p: int, mu_max) -> 
         raise ValueError("form degree out of range")
     if betti(g1, p) != betti(g2, p):
         return False
-    _, rows1, rows2 = _common_tables(g1, g2, mu_max)
-    absent = (0,) * (g1.n + 1)
-    return all(
-        _telescoped(rows1.get(t, absent), p) == _telescoped(rows2.get(t, absent), p)
-        for t in sorted(rows1.keys() | rows2.keys())
-    )
+    rows = _pair_table(g1, g2, mu_max)[0]
+    return all(_telescoped(r1, p) == _telescoped(r2, p) for _, r1, r2 in rows)
 
 
 def _block_diag(*blocks) -> list[list[Fraction]]:

@@ -1,16 +1,17 @@
 """Code that only the tests use: exact linear algebra over `Fraction`, as
 oracles for the integer code paths of `curvspec.flat` and `curvspec.liealg`
-and helpers for building test data, the per-weight count of the spherical
-multiplicities n_Gamma, the prefix-shell count of the lens lattice and the
-element-by-element check of a spherical element list."""
+and helpers for building test data, the one-degree-at-a-time row of a flat
+group, the per-weight count of the spherical multiplicities n_Gamma, the
+prefix-shell count of the lens lattice and the element-by-element check of a
+spherical element list."""
 
 import math
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from curvspec import liealg
-from curvspec.errors import InvariantViolation
+from curvspec import flat, liealg
+from curvspec.errors import IntegralityError, InvariantViolation
 from curvspec.liealg import RotationElement
 from curvspec.ratlinalg import Mat, Vec, _hnf_rows, as_vec, identity
 
@@ -88,6 +89,32 @@ def in_integer_span(vec: Sequence, generators: Sequence[Sequence]) -> bool:
             target = [x - q * y for x, y in zip(target, row)]
         # if not divisible the final all-zero check fails anyway
     return all(x == 0 for x in target)
+
+
+def row_by_degree(group, t: int) -> tuple:
+    """(d_0, ..., d_n) of a flat group at its shell t > 0, one degree at a
+    time: each degree p weights the cosets' residue counts by
+    tr Lambda^p(B) and takes one exact phase sum, raising the library's
+    IntegralityError at the first degree that is not a nonnegative integer."""
+    d, order = group._denom, group.holonomy_order
+    per_coset = [(c.traces, res) for c, res in zip(group._holonomy, flat._residues(group, t))]
+    row = []
+    for p in range(group.n + 1):
+        counts: dict = {}
+        for traces, residues in per_coset:
+            for r, c in residues.items():
+                counts[r] = counts.get(r, 0) + traces[p] * c
+        total = flat._phase_sum(counts, d)
+        val, rest = divmod(total, order)
+        if rest or val < 0:
+            ball = group.lattice._ball if group._theta is None else group._theta
+            mu = Fraction(t, ball["scale"])
+            raise IntegralityError(
+                f"multiplicity {Fraction(total, order)} at mu={mu}, p={p} "
+                "is not a nonnegative integer"
+            )
+        row.append(val)
+    return tuple(row)
 
 
 def n_gamma_by_weights(group, label) -> int:

@@ -901,19 +901,19 @@ def test_d_lambda_beyond_the_walk_extends_it_once(monkeypatch):
 def test_damaged_phase_sum_names_mu_and_degree(monkeypatch):
     from curvspec import flat
 
-    real = flat._phase_sum
-    calls = []
+    # one phase sum of the degree vectors gives every degree of a row
+    real = flat._phase_vector
 
-    def damaged(counts, d):
-        calls.append(d)
-        return real(counts, d) + (len(calls) == 2)  # wrong in degree 1 only
+    def damaged(vectors, d, size):
+        total = real(vectors, d, size)
+        return [x + (p == 1) for p, x in enumerate(total)]  # wrong in degree 1 only
 
-    monkeypatch.setattr(flat, "_phase_sum", damaged)
+    monkeypatch.setattr(flat, "_phase_vector", damaged)
     ka, _ = klein_pair()
     with pytest.raises(IntegralityError, match=r"at mu=1/4, p=1 is not"):
         d_lambda(ka, 0, Fraction(1, 4))
     assert ka._cache == {}
-    monkeypatch.setattr(flat, "_phase_sum", lambda counts, d: -2 * real(counts, d))
+    monkeypatch.setattr(flat, "_phase_vector", lambda *args: [-2 * x for x in real(*args)])
     with pytest.raises(IntegralityError, match=r"at mu=1/4, p=0 is not a nonnegative integer"):
         spectrum(klein_pair()[0], 2, 1)
 
@@ -937,9 +937,15 @@ def _on_basis(lattice: Lattice, cosets) -> BieberbachGroup:
 def _rows_on_both_paths(group: BieberbachGroup, mu_max) -> tuple[dict, dict]:
     """The group's rows {t: (d_0, ..., d_n)} from theta products and from
     the walk, on a common scale."""
-    from curvspec.flat import _common_tables
+    from curvspec import flat
 
-    return _common_tables(group, _on_basis(group.lattice, group.cosets), mu_max)[1:]
+    groups = (group, _on_basis(group.lattice, group.cosets))
+    views = [flat._group_shells(g, mu_max) for g in groups]
+    scale = math.lcm(*(v._scale for v in views))
+    return tuple(
+        {t * (scale // v._scale): flat._row(g, t) for t in v._numerators() if t}
+        for g, v in zip(groups, views)
+    )
 
 
 _NOT_KLEIN = sorted(name for name in fixtures() if not name.startswith("klein"))
@@ -1021,6 +1027,15 @@ def test_groups_on_cubic_lattices_take_the_frame_path(monkeypatch):
     assert walks == []
 
 
+def _frame_matrix(p: tuple[int, ...]) -> list[list[int]]:
+    """The matrix of a signed permutation in the encoding of `_OnFrame`
+    (entry j is pi(j) for + and ~pi(j) for -): +-1 at (pi(j), j)."""
+    out = [[0] * len(p) for _ in p]
+    for j, a in enumerate(p):
+        out[max(a, ~a)][j] = 1 if a >= 0 else -1
+    return out
+
+
 def test_signed_permutations_compose_as_their_matrices():
     from curvspec.flat import _OnFrame
 
@@ -1032,11 +1047,11 @@ def test_signed_permutations_compose_as_their_matrices():
         b = _signed_permutation(5, rng)
         p = frame.rotation(rl.as_mat(b))
         # the matrix on the frame's own basis, so B up to a signed reordering
-        assert sum(_OnFrame.matrix(p)[i][i] for i in range(5)) == sum(b[i][i] for i in range(5))
+        assert sum(_frame_matrix(p)[i][i] for i in range(5)) == sum(b[i][i] for i in range(5))
         perms.append(p)
     for p, q in zip(perms, perms[1:]):
-        assert _OnFrame.matrix(_OnFrame.mul(p, q)) == [
-            list(row) for row in rl.mat_mul(_OnFrame.matrix(p), _OnFrame.matrix(q))
+        assert _frame_matrix(_OnFrame.mul(p, q)) == [
+            list(row) for row in rl.mat_mul(_frame_matrix(p), _frame_matrix(q))
         ]
     assert any(_OnFrame.mul(p, q) != _OnFrame.mul(q, p) for p, q in zip(perms, perms[1:]))
 
@@ -1177,7 +1192,9 @@ def test_klein_pair_still_walks_and_reads_shells(monkeypatch):
     spectrum(ka, 1, 4)
     compare(ka, kb, 1, 4)
     tau_equivalent(ka, kb, 1, 4)
-    assert len(calls) == 5
+    # one read for the spectrum and one per group for the pair's comparison
+    # table, which tau_equivalent then reads without reading shells again
+    assert len(calls) == 3
 
 
 # the Klein bottle on 2Z x 4Z with the glide (x1 + 1, -x2): all entries integers
@@ -1303,3 +1320,210 @@ def test_frame_torsion_test_agrees_with_the_hermite_test():
         outcomes.add(on_frame if isinstance(on_frame, str) else "free")
     assert {"free", "holonomy element acts with a fixed point"} <= outcomes
     assert any("torsion" in x for x in outcomes) and any("not closed" in x for x in outcomes)
+
+
+# ---------------------------------------------------------------- every degree at once
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_cycle_type_traces_match_the_matrix(data):
+    from curvspec.flat import _OnFrame, _traces_from_powers
+    from curvspec.liealg import exterior_trace
+
+    n = data.draw(st.integers(1, 8))
+    perm = data.draw(st.permutations(range(n)))
+    signs = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    p = tuple(a if plus else ~a for a, plus in zip(perm, signs))
+    _, power_traces, _ = _OnFrame.coset([p], None, 0, (0,) * n, 1)
+    mat = _frame_matrix(p)
+    power, by_matrix = mat, []
+    for _ in range(n):
+        by_matrix.append(sum(power[i][i] for i in range(n)))
+        power = rl.mat_mul(power, mat)
+    assert power_traces == by_matrix
+    traces = _traces_from_powers(power_traces)
+    assert traces == _traces_from_powers(by_matrix)
+    assert traces == tuple(exterior_trace(mat, q) for q in range(n + 1))
+
+
+@pytest.mark.parametrize("name", sorted(fixtures()))
+def test_degree_vector_rows_equal_the_per_degree_rows(name):
+    from curvspec import flat
+
+    rng = random.Random(name)
+    base = fixtures()[name]
+    for seed in range(2):
+        moved = _re_present(base, rng) if seed else base
+        fresh = BieberbachGroup(Lattice(moved.lattice.basis), moved.cosets)
+        walked = _on_basis(Lattice(moved.lattice.basis), moved.cosets)
+        assert walked._theta is None and (fresh._theta is None) == name.startswith("klein")
+        for g in (fresh, walked):
+            for cutoff in (6, 1):
+                shells_up_to = [t for t in flat._group_shells(g, cutoff)._numerators() if t]
+                assert shells_up_to
+                for t in shells_up_to:
+                    assert flat._row(g, t) == oracles.row_by_degree(g, t)
+
+
+def _outcome(row, group, t):
+    try:
+        return row(group, t)
+    except IntegralityError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_anomalous_counts_are_refused_as_the_per_degree_rows_refuse_them(data):
+    # residue counts drawn at random, most of them not Galois invariant or
+    # with totals that are not multiples of |F|: the row, or the first
+    # refusal with its degree and message, is the one of a phase sum per degree
+    from curvspec import flat
+
+    name = data.draw(st.sampled_from(("klein_a", "flat4_m24", "flat8_a", "flat8_c")))
+    group = fixtures()[name]
+    if data.draw(st.booleans()):  # a moved origin makes D larger
+        group = _re_present(group, random.Random(data.draw(st.integers(0, 2**32))))
+    d = group._denom
+    counts = []
+    for _ in group._holonomy:
+        if data.draw(st.booleans()):
+            per_class = {g: data.draw(st.integers(0, 3)) for g in range(1, d + 1) if d % g == 0}
+            per_coset = {r: per_class[math.gcd(r, d)] for r in range(d)}
+            counts.append({r: c for r, c in per_coset.items() if c})
+        else:
+            keys = st.integers(0, d - 1)
+            counts.append(data.draw(st.dictionaries(keys, st.integers(1, 4), max_size=6)))
+    if not any(counts):
+        counts[0] = {0: 1}
+    fresh = BieberbachGroup(group.lattice, group.cosets)
+    flat._group_shells(fresh, 1)  # the ball that names mu in a message
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(flat, "_residues", lambda g, t: counts)
+        expected = _outcome(oracles.row_by_degree, fresh, 1)
+        assert _outcome(flat._row, fresh, 1) == expected
+    assert (1 in fresh._cache) == (type(expected) is tuple)
+
+
+def _tau_from_spectra(g1, g2, p, cutoff) -> bool:
+    """tau_p-equivalence read off the spectra: equal Betti numbers and equal
+    telescoped halves (n_sigma(p), n_sigma(p - 1)) at every norm."""
+    spectra = [[spectrum(g, q, cutoff).entries for q in range(p + 1)] for g in (g1, g2)]
+    norms = {mu for per in spectra for entries in per for mu in entries if mu}
+
+    def halves(per, mu):
+        now = below = 0
+        for entries in per:
+            now, below = entries.get(mu, 0) - now, now
+        return now, below
+
+    return spectra[0][p][0] == spectra[1][p][0] and all(
+        halves(spectra[0], mu) == halves(spectra[1], mu) for mu in norms
+    )
+
+
+def test_one_comparison_table_answers_every_degree_order_and_cutoff(monkeypatch):
+    from curvspec import flat
+    from curvspec.spectra import first_difference
+
+    rng = random.Random(16)
+    table = fixtures()
+    pairs = [
+        tuple(_re_present(table[name], rng) for name in names)
+        for names in (("klein_a", "klein_b"), ("flat4_m24", "flat4_m25"), ("flat8_a", "flat8_b"))
+    ]
+    # a frame group against a walked one, and a pair whose Betti numbers differ
+    pairs += [(BieberbachGroup(Lattice(rl.identity(2)), _KLEIN_Z2), klein_pair()[0])]
+    pairs += [(_torus(2), klein_pair()[1])]
+    for g1, g2 in pairs:
+        big, small = (2, 1) if g1.n == 8 else (4, 2)
+        for cutoff in (big, small, Fraction(small)):
+            calls = [(f, p, order) for f in "ct" for p in range(g1.n + 1) for order in (1, -1)]
+            rng.shuffle(calls)
+            for f, p, order in calls:
+                first, second = (g1, g2)[::order]
+                fresh = [BieberbachGroup(Lattice(g.lattice.basis), g.cosets) for g in (first, second)]
+                if f == "c":
+                    entries = [spectrum(g, p, cutoff).entries for g in fresh]
+                    assert compare(first, second, p, cutoff) == first_difference(*entries)
+                else:
+                    expected = _tau_from_spectra(*fresh, p, cutoff)
+                    assert tau_equivalent(first, second, p, cutoff) == expected
+        # one table per partner and cutoff value: the int and its equal Fraction share one
+        for g, partner in ((g1, g2), (g2, g1)):
+            assert list(g._cache[0]) == [id(partner)] and len(g._cache[0][id(partner)]) == 2
+    # a damaged row still raises from compare when the Betti numbers differ,
+    # and tau_equivalent answers such a pair without reading a row
+    real = flat._phase_vector
+    monkeypatch.setattr(flat, "_phase_vector", lambda *args: [-1 - x for x in real(*args)])
+    torus, kb = _torus(2), klein_pair()[1]
+    assert betti(torus, 1) != betti(kb, 1)
+    assert tau_equivalent(torus, kb, 1, 4) is False and 0 not in torus._cache
+    with pytest.raises(IntegralityError, match="is not a nonnegative integer"):
+        compare(torus, kb, 1, 4)
+
+
+def _frame_by_the_full_walk(lattice: Lattice):
+    """`Lattice._frame` read off the walk of the whole ball to c': 2n vectors
+    of norm c', one of each +-x kept."""
+    from curvspec import flat
+
+    scaled, den, form = lattice._integer
+    k = form.content
+    if form.det != k ** len(scaled):
+        return None
+    found = list(flat._walk(form, den, Fraction(k, den * den))[1].values())
+    if len(found) != 2 or len(found[1]) != 2 * len(scaled):
+        return None
+    rows = rl.mat_mul([x for x in found[1] if x > tuple(-a for a in x)], scaled)
+    g = math.gcd(k, *(den * v for row in rows for v in row))
+    return tuple(tuple(den * v // g for v in row) for row in rows), Fraction(den * den, k), k // g
+
+
+def _up_to_sign(rows) -> list:
+    return sorted(max(row, tuple(-x for x in row)) for row in rows)
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(
+    n=st.integers(1, 8),
+    scale=st.sampled_from((1, 2, Fraction(3, 2), Fraction(-3, 7))),
+    turned=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+def test_half_ball_walk_finds_the_frame_of_the_full_walk(n, scale, turned, seed):
+    from curvspec.flat import _block_diag
+
+    rng = random.Random(seed)
+    u = _unimodular(n, rng) if n > 1 else [[rng.choice((1, -1))]]
+    # Z^n, or for even n the frame with the axes of each plane turned to
+    # (1, 1) and (1, -1), a rotated sqrt(2) Z^n
+    turn = ((1, 1), (1, -1))
+    base = _block_diag(*[turn] * (n // 2)) if turned and n % 2 == 0 else rl.identity(n)
+    basis = [[scale * x for x in row] for row in rl.mat_mul(rl.as_mat(u), base)]
+    frame, expected = Lattice(basis)._frame, _frame_by_the_full_walk(Lattice(basis))
+    assert frame is not None and expected is not None
+    assert _up_to_sign(frame[0]) == _up_to_sign(expected[0]) and frame[1:] == expected[1:]
+
+
+def test_half_ball_walk_keeps_one_of_each_pair():
+    from curvspec import flat
+
+    e8 = Lattice(
+        [[2] + [0] * 7]
+        + [[0] * i + [-1, 1] + [0] * (6 - i) for i in range(6)]
+        + [[Fraction(1, 2)] * 8]
+    )
+    hexagonal = Lattice(((1, 0), (Fraction(1, 2), Fraction(3, 4))))
+    for lattice, mu_max in ((e8, 2), (Lattice(((1, 0), (0, 2))), 5), (hexagonal, 7)):
+        assert lattice._frame is None and _frame_by_the_full_walk(lattice) is None
+        scaled, den, form = lattice._integer
+        full = flat._walk(form, den, Fraction(mu_max))
+        half = flat._walk(form, den, Fraction(mu_max), half=True)
+
+        def positive(x):
+            return not any(x) or [a for a in x if a][-1] > 0
+
+        assert half == (full[0], {t: [x for x in xs if positive(x)] for t, xs in full[1].items()})
+        assert sum(map(len, full[1].values())) == 2 * sum(map(len, half[1].values())) - 1
