@@ -7,24 +7,25 @@ translations.
 The kernel runs on integers.  Int and Fraction input entries are kept as
 given (any other number goes through Fraction once), each matrix that enters
 integer arithmetic is scaled to integers over its common denominator, and a
-basis S / d is refused as singular when its Gram matrix S S^T has a leading
-minor that is not positive.
+basis S / d is refused as singular when det S = 0.  Closure under
+composition is checked on generators, |F| products each.
 
 When the dual lattice is a scaled Z^n, with a cubic frame f_1, ..., f_n of
-squared norm c, `Lattice._frame` finds the frame on the basis alone, by a
-walk over half of the basis ball (one of each +-x) to its minimum, and no
-dual walk or inverse is needed.  On the basis f_i / c of the lattice every
-rotation is a signed permutation: one test, that B maps each f_i to some
-+-f_j, replaces the orthogonality and lattice tests, and products and
-shifts take O(n).  One walk over the cycles gives everything else.  A dual
-vector fixed by B is 0 on each cycle whose signs multiply to -1 and +-x
-along each other cycle C, adding c |C| x^2 to the norm and x beta_C to
-D <v, b>, so a coset's residue counts by norm are the coefficients of a
-product of one-dimensional theta series (Miatello-Rossetti), keyed by
-t = den(c) mu, with the cycles of beta_C = 0 multiplied as a plain integer
-series; the coset holds no fixed-point isometry exactly when some beta_C is
-not 0 mod D; and a cycle C of sign s_C adds |C| s_C^(k / |C|) to tr R^k
-when |C| divides k, so no matrix is built.
+squared norm c, `Lattice._frame` finds the frame on the basis alone: on the
+standard axes from det S, else by a walk over half of the basis ball (one
+of each +-x) to its minimum; no dual walk or inverse is needed.  On the
+basis f_i / c of the lattice every rotation is a signed permutation: one
+test, that B maps each f_i to some +-f_j, replaces the orthogonality and
+lattice tests, and products and shifts take O(n).  One walk over the
+cycles gives everything else.  A dual vector fixed by B is 0 on each cycle
+whose signs multiply to -1 and +-x along each other cycle C, adding
+c |C| x^2 to the norm and x beta_C to D <v, b>, so a coset's residue
+counts by norm are the coefficients of a product of one-dimensional theta
+series (Miatello-Rossetti), keyed by t = den(c) mu, with the cycles of
+beta_C = 0 multiplied as a plain integer series; the coset holds no
+fixed-point isometry exactly when some beta_C is not 0 mod D; and a cycle
+C of sign s_C multiplies det(1 + t R) = sum_p tr Lambda^p(R) t^p by
+1 - s_C (-t)^|C|, so no matrix is built.
 
 Other lattices are walked.  Their dual basis, a fraction-free (Bareiss)
 inverse built on first use, gives dual vectors integer coordinates x; an
@@ -32,13 +33,12 @@ integer Fincke-Pohst walk enumerates the dual ball once per lattice, keyed
 by t = K |v|^2 with K fixed by the lattice; a rotation B is the integer
 matrix R = dual B basis^T, the fixed-vector test is R^T x = x, and the
 torsion test asks whether N s / D lies in N Z^n for N = sum_k R^k (an
-integer Hermite reduction); the closure check's product table gives the
-powers of R, hence the power traces.
+integer Hermite reduction); the closure check's products give the powers
+of R, hence the power traces, and Newton's identities the exterior traces.
 
-On both, the exterior traces come from the power traces by Newton's
-identities, and translations are residue vectors modulo their common
-denominator D, so each phase <v, b> is a residue r mod D.  A group caches
-one row (d_0, ..., d_n) per shell t, each entry |F|^-1 sum_r C_r
+On both, translations are residue vectors modulo their common denominator
+D, so each phase <v, b> is a residue r mod D.  A group caches one row
+(d_0, ..., d_n) per shell t, each entry |F|^-1 sum_r C_r
 exp(-2 pi i r / D) for integer counts C_r that depend on gcd(r, D) alone
 (Galois invariance), so Moebius values sum it in integers.  All degrees
 share the counts: one pass builds a vector of trace-weighted counts per
@@ -57,10 +57,10 @@ import cmath
 import math
 import numbers
 from bisect import bisect_right
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import islice
 from operator import mul, sub
 from typing import NamedTuple
@@ -123,16 +123,33 @@ def _inverse(m: IntMat) -> tuple[IntMat, int]:
     return tuple(tuple(row[n:]) for row in rows), prev
 
 
+def _det(m: IntMat) -> int:
+    """det m by fraction-free elimination (Bareiss) with row pivoting: each
+    pivot is a minor of the row-permuted m, so every division is exact."""
+    rows, n, sign, prev = [list(row) for row in m], len(m), 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if rows[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            rows[k], rows[piv], sign = rows[piv], rows[k], -sign
+        pivot_row, p = rows[k], rows[k][k]
+        for i in range(k + 1, n):
+            f = rows[i][k]
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], pivot_row)]
+        prev = p
+    return sign * prev
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Full-rank lattice given by basis vectors as the rows of `basis`."""
 
     basis: rl.Mat
     # the basis as an integer matrix S and a denominator d, basis = S / d,
-    # with the Gram form of S S^T (see _gram_form, which refuses a singular S)
-    _integer: tuple[IntMat, int, _GramForm] = field(init=False, repr=False, compare=False)
-    # dual ball: {"mu": cutoff walked, "scale": K, "shells": {t: [dual coordinates]},
-    # "keys": [t, ...] and "norms": [t / K, ...] in increasing order}
+    # with det S (see _det; a singular S is refused when it is 0)
+    _integer: tuple[IntMat, int, int] = field(init=False, repr=False, compare=False)
+    # dual ball: {"mu": cutoff walked, "scale": K, "shells": {t: [dual coordinates]}, "keys": [t]}
     _ball: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # shells as ambient vectors: {t: vectors}, filled when a value of shells() is read
     _ambient: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -144,7 +161,9 @@ class Lattice:
         if n == 0 or any(len(r) != n for r in basis):
             raise ValueError("basis must be square")
         scaled, den = _integral(basis)
-        object.__setattr__(self, "_integer", (scaled, den, _gram_form(scaled)))
+        if not (det := _det(scaled)):
+            raise ValueError("basis is singular")
+        object.__setattr__(self, "_integer", (scaled, den, det))
 
     @cached_property
     def n(self) -> int:
@@ -169,19 +188,27 @@ class Lattice:
         orthogonal basis of it.  None otherwise.
 
         The lattice is then a scaled Z^n too, so the proof runs on the basis
-        S / d.  Its Gram matrix G = S S^T of a scaled Z^n is k U U^T with U
-        unimodular, so k is the gcd of the entries and det G = k^n.
-        Conversely, when G / k is integral of determinant 1, no nonzero norm
-        is below c' = k / d^2, two vectors of norm c' are orthogonal or
-        opposite (|<u, v>| <= c', with equality only for u = +-v), and n
-        orthogonal ones span a sublattice of the full determinant.  So a walk
-        to c' over half the ball (one of each +-x) that finds n vectors
-        g_i = x_i S / d recognises the frame, whose dual frame is f_i = g_i / c',
-        the integer rows x_i S d over k; a lattice that fails the determinant
-        test is refused unwalked."""
-        scaled, den, form = self._integer
+        S / d.  For s the gcd of the entries of S, S / s is unimodular exactly
+        when |det S| = s^n, and the lattice is then (s / d) Z^n: f_i = d e_i / s
+        and c = d^2 / s^2.  Every a Z^n passes, as a basis a U has U unimodular
+        with entries of gcd 1, so S = d a U has s = |d a|.  Otherwise the Gram
+        matrix G = S S^T of a scaled Z^n is k U U^T with U unimodular, so k is
+        the gcd of the entries and det G = k^n.  Conversely, when G / k is
+        integral of determinant 1, no nonzero norm is below c' = k / d^2, two
+        vectors of norm c' are orthogonal or opposite (|<u, v>| <= c', with
+        equality only for u = +-v), and n orthogonal ones span a sublattice of
+        the full determinant.  So a walk to c' over half the ball (one of each
+        +-x) that finds n vectors g_i = x_i S / d recognises the frame, whose
+        dual frame is f_i = g_i / c', the integer rows x_i S d over k; a
+        lattice that fails the determinant test is refused unwalked."""
+        scaled, den, det = self._integer
+        n, s = len(scaled), math.gcd(*(x for row in scaled for x in row))
+        if abs(det) == s**n:
+            g = math.gcd(s, den)
+            return _eye(n, den // g), Fraction(den * den, s * s), s // g
+        form = _gram_form(scaled)
         k = form.content
-        if form.det != k ** len(scaled):
+        if form.det != k**n:
             return None
         # [[0], norm c'] over half the ball
         found = list(_walk(form, den, Fraction(k, den * den), half=True)[1].values())
@@ -225,7 +252,6 @@ class Lattice:
         if ball.get("mu", -1) < mu_max:
             scale, found = _fincke_pohst(*self._scaled[1], mu_max)
             ball.update(mu=mu_max, scale=scale, shells=found, keys=list(found))
-            ball["norms"] = [Fraction(t, scale) for t in found]
         return ball["scale"], ball["shells"]
 
 
@@ -320,13 +346,13 @@ def _walk(
 
 class _ShellKeys:
     """The shells of a ball up to a cutoff, in increasing norm.  A ball is a
-    dict {"scale": K, "shells": {t: ...}, "keys": [t, ...], "norms": [t / K,
-    ...]} keyed by the integer norm numerator t = K mu: a lattice's walk, or
-    a group's theta products in a cubic frame.  Iterating gives the norms."""
+    dict {"scale": K, "shells": {t: ...}, "keys": [t, ...]} keyed by the
+    integer norm numerator t = K mu: a lattice's walk, or a group's theta
+    products in a cubic frame.  Iterating gives the norms t / K, each built
+    as a Fraction when it is reached."""
 
     def __init__(self, ball: dict, mu_max: Fraction):
-        self._scale, self._found = ball["scale"], ball["shells"]
-        self._keys, self._norms = ball["keys"], ball["norms"]
+        self._scale, self._found, self._keys = ball["scale"], ball["shells"], ball["keys"]
         self._bound = mu_max.numerator * self._scale // mu_max.denominator
         self._len = bisect_right(self._keys, self._bound)
 
@@ -345,7 +371,7 @@ class _ShellKeys:
         return self._len
 
     def __iter__(self) -> Iterator[Fraction]:
-        return islice(self._norms, self._len)
+        return (Fraction(t, self._scale) for t in self._numerators())
 
     def __contains__(self, mu) -> bool:
         return self._key(mu) is not None
@@ -446,29 +472,30 @@ class _OnBasis:
     act = staticmethod(rl.mat_vec)
 
     @staticmethod
-    def coset(rots: list[IntMat], products: list[list[int]], i: int, s, d: int) -> tuple:
-        """(fixes, power traces, torsion) of the coset i, read off the product
-        table: fixes are the nonzero rows of R^T - 1, since a dual vector x is
-        fixed by B exactly when (R^T - 1) x = 0, and the power traces are
-        tr R^k for k = 1..n.  torsion is None when R fixes no vector, else
-        whether some element of the coset fixes a point: N = 1 + R + ... +
-        R^(m-1) over the m powers of R is m times the projector onto the fixed
-        space of R, so that is when N = 0, else when N s / D lies in N Z^n."""
+    def coset(rots: list[IntMat], product, i: int, s, d: int) -> tuple:
+        """(fixes, traces, torsion) of the coset i, the powers of R read via
+        product (see _closure): fixes are the nonzero rows of R^T - 1, since a
+        dual vector x is fixed by B exactly when (R^T - 1) x = 0, and traces
+        are tr Lambda^p(R), p = 0..n, from tr R^k by Newton's identities.
+        torsion is None when R fixes no vector, else whether some element of
+        the coset fixes a point: N = 1 + R + ... + R^(m-1) over the m powers
+        of R is m times the projector onto the fixed space of R, so that is
+        when N = 0, else when N s / D lies in N Z^n."""
         rot, n = rots[i], len(rots[i])
         fixed = ([x - (a == b) for b, x in enumerate(col)] for a, col in enumerate(zip(*rot)))
         # the indices of R, R^2, ..., R^m = 1, m the order of R
-        powers, k = [i], products[i][i]
+        powers, k = [i], product(i, i)
         while k != i:
             powers.append(k)
-            k = products[k][i]
+            k = product(k, i)
         mats = [rots[k] for k in powers]
-        traces = [sum(r[a][a] for a in range(n)) for r in mats]
+        diagonals = [sum(r[a][a] for a in range(n)) for r in mats]
         total = [list(map(sum, zip(*rows))) for rows in zip(*mats)]
         torsion = None  # and not asked for when R = 1
         if len(powers) > 1 and any(map(any, total)):
             torsion = _in_scaled_span(rl.mat_vec(total, s), list(zip(*total)), d)
-        power_traces = [traces[k % len(powers)] for k in range(n)]
-        return tuple(tuple(row) for row in fixed if any(row)), power_traces, torsion
+        traces = _traces_from_powers([diagonals[k % len(powers)] for k in range(n)])
+        return tuple(tuple(row) for row in fixed if any(row)), traces, torsion
 
 
 class _OnFrame:
@@ -522,19 +549,19 @@ class _OnFrame:
         return out
 
     @staticmethod
-    def coset(rots, products, i: int, shift, d: int) -> tuple:
+    def coset(rots, product, i: int, shift, d: int) -> tuple:
         """As `_OnBasis.coset`, from one walk over the cycles of p = rots[i].
         A fixed dual vector has frame coordinates with y_pi(j) = +-y_j, so it
         is 0 on a cycle whose signs multiply to -1 and +-x along a +cycle C,
         where it adds c |C| x^2 to the norm and x beta_C to D <v, b>, beta_C
         being the sum of the shift entries on C with the signs of the y_j:
-        fixes are the +cycles as (|C|, beta_C mod D).  A cycle C of sign s_C
-        adds |C| s_C^(k / |C|) to tr R^k when |C| divides k.  N is m / |C|
-        times the signed sum along each +cycle C and 0 elsewhere, so N s / D
-        lies in N Z^n exactly when every beta_C is 0 mod D."""
-        p = rots[i]
-        n = len(p)
-        cycles, power_traces, seen = [], [0] * n, [False] * n
+        fixes are the +cycles as (|C|, beta_C mod D).  On a cycle C of sign
+        s_C, R has the characteristic polynomial x^|C| - s_C, so det(1 + t R)
+        = sum_p tr Lambda^p(R) t^p is the product of the 1 - s_C (-t)^|C|.  N
+        is m / |C| times the signed sum along each +cycle C and 0 elsewhere,
+        so N s / D lies in N Z^n exactly when every beta_C is 0 mod D."""
+        p, n = rots[i], len(rots[i])
+        cycles, traces, seen, top = [], [1] + [0] * n, [False] * n, 0
         for start in range(n):
             sign, beta, length, j = 1, 0, 0, start
             while not seen[j]:
@@ -544,12 +571,41 @@ class _OnFrame:
                 if j < 0:
                     sign, j = -sign, ~j
             if length:
-                for k in range(length, n + 1, length):
-                    power_traces[k - 1] += length * sign ** (k // length)
+                e = sign if length % 2 else -sign  # times 1 + e t^|C|, from the top degree down
+                for k in range(top := top + length, length - 1, -1):
+                    traces[k] += e * traces[k - length]
                 if sign == 1:
                     cycles.append((length, beta % d))
         torsion = not any(beta for _, beta in cycles) if cycles else None
-        return tuple(cycles), power_traces, torsion
+        return tuple(cycles), tuple(traces), torsion
+
+
+def _closure(coords, rots: list, shifts: list, d: int, start: int) -> Callable[[int, int], int]:
+    """product(i, j), the memoised index of the coset of R_i R_j, after a
+    breadth-first search from the identity coset `start` closes the cosets
+    under right products with generators, each the first coset left
+    unreached: a finite set with the identity, closed under generators
+    (which then permute it) and reached by them is the group they generate."""
+    index = {r: i for i, r in enumerate(rots)}
+
+    @cache
+    def product(i: int, j: int) -> int:
+        k = index.get(coords.mul(rots[i], rots[j]))
+        # (B1, b1)(B2, b2) = (B1 B2, b2 + B2^-1 b1); on lattice
+        # coordinates, times R2: R2 (s2 - s_k) + s1 = 0 mod D
+        if k is None or any(
+            (x + y) % d
+            for x, y in zip(shifts[i], coords.act(rots[j], list(map(sub, shifts[j], shifts[k]))))
+        ):
+            raise InvariantViolation("coset system is not closed under composition")
+        return k
+
+    reached, gens = [start], []
+    while len(reached) < len(rots):
+        gens.append(next(i for i in range(len(rots)) if i not in reached))
+        for i in reached:  # grows as it goes; i g differs for each generator g
+            reached += [k for g in gens if (k := product(i, g)) not in reached]
+    return product
 
 
 @dataclass(frozen=True)
@@ -605,25 +661,10 @@ class BieberbachGroup:
             raise InvariantViolation("identity coset missing") from None
         if any(shifts[id_index]):
             raise InvariantViolation("identity coset carries a non-lattice translation")
-        index = {r: i for i, r in enumerate(rots)}
-        # products[i][j] is the index of R_i R_j
-        products = []
-        for r1, s1 in zip(rots, shifts):
-            row = []
-            for r2, s2 in zip(rots, shifts):
-                match = index.get(coords.mul(r1, r2))
-                # (B1, b1)(B2, b2) = (B1 B2, b2 + B2^-1 b1); on lattice
-                # coordinates, times R2: R2 (s2 - s_match) + s1 = 0 mod D
-                if match is None or any(
-                    (x + y) % d
-                    for x, y in zip(s1, coords.act(r2, list(map(sub, s2, shifts[match]))))
-                ):
-                    raise InvariantViolation("coset system is not closed under composition")
-                row.append(match)
-            products.append(row)
+        product = _closure(coords, rots, shifts, d, id_index)
         holonomy = []
         for i, s in enumerate(shifts):
-            fixes, power_traces, torsion = coords.coset(rots, products, i, s, d)
+            fixes, traces, torsion = coords.coset(rots, product, i, s, d)
             if i != id_index:
                 if torsion is None:
                     raise InvariantViolation("holonomy element acts with a fixed point")
@@ -631,7 +672,7 @@ class BieberbachGroup:
                     raise InvariantViolation(
                         "group has torsion: a holonomy coset contains a fixed-point isometry"
                     )
-            holonomy.append(_Coset(fixes, s, _traces_from_powers(power_traces)))
+            holonomy.append(_Coset(fixes, s, traces))
         betti = []
         for p in range(n + 1):
             trace_sum = sum(c.traces[p] for c in holonomy)
@@ -717,7 +758,6 @@ def _thetas(group: BieberbachGroup, mu_max: Fraction) -> dict:
             c.numerator * e: per_coset for e, per_coset in enumerate(zip(*tables)) if any(per_coset)
         }
         ball.update(mu=mu_max, shells=found, keys=list(found))
-        ball["norms"] = [Fraction(t, c.denominator) for t in found]
     return ball
 
 

@@ -1,9 +1,9 @@
 """Code that only the tests use: exact linear algebra over `Fraction`, as
 oracles for the integer code paths of `curvspec.flat` and `curvspec.liealg`
-and helpers for building test data, the one-degree-at-a-time row of a flat
-group, the per-weight count of the spherical multiplicities n_Gamma, the
-prefix-shell count of the lens lattice and the element-by-element check of a
-spherical element list."""
+and helpers for building test data, the full-table closure check and the
+one-degree-at-a-time row of a flat group, the per-weight count of the
+spherical multiplicities n_Gamma, the prefix-shell count of the lens lattice
+and the element-by-element check of a spherical element list."""
 
 import math
 from fractions import Fraction
@@ -89,6 +89,29 @@ def in_integer_span(vec: Sequence, generators: Sequence[Sequence]) -> bool:
             target = [x - q * y for x, y in zip(target, row)]
         # if not divisible the final all-zero check fails anyway
     return all(x == 0 for x in target)
+
+
+def closure_by_table(coords, rots, shifts, d: int, start: int):
+    """The closure check of a flat group's cosets by the whole |F|^2 product
+    table: every product R_i R_j must be the rotation of some coset, with the
+    translation of that coset mod the lattice.  A drop-in for
+    `flat._closure`: returns product(i, j) read off the table."""
+    index = {r: i for i, r in enumerate(rots)}
+    table = []
+    for r1, s1 in zip(rots, shifts):
+        row = []
+        for r2, s2 in zip(rots, shifts):
+            match = index.get(coords.mul(r1, r2))
+            # (B1, b1)(B2, b2) = (B1 B2, b2 + B2^-1 b1); on lattice
+            # coordinates, times R2: R2 (s2 - s_match) + s1 = 0 mod D
+            if match is None or any(
+                (x + y) % d
+                for x, y in zip(s1, coords.act(r2, [a - b for a, b in zip(s2, shifts[match])]))
+            ):
+                raise InvariantViolation("coset system is not closed under composition")
+            row.append(match)
+        table.append(row)
+    return lambda i, j: table[i][j]
 
 
 def row_by_degree(group, t: int) -> tuple:

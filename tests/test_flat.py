@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -29,6 +29,11 @@ from curvspec.flat import (
     spectrum,
     tau_equivalent,
 )
+
+
+# the phases of the expensive flat property tests: no shrinking, so a helper
+# that fails on every example fails the test within seconds
+_NO_SHRINK = (Phase.explicit, Phase.generate)
 
 
 def _torus(n: int) -> BieberbachGroup:
@@ -952,7 +957,7 @@ _NOT_KLEIN = sorted(name for name in fixtures() if not name.startswith("klein"))
 
 
 @pytest.mark.parametrize("name", _NOT_KLEIN)
-@settings(derandomize=True, max_examples=3, deadline=None, database=None)
+@settings(derandomize=True, max_examples=3, deadline=None, database=None, phases=_NO_SHRINK)
 @given(c=st.sampled_from(_DILATIONS), seed=st.integers(0, 2**32))
 def test_theta_rows_equal_the_walk_rows(name, c, seed):
     group = fixtures()[name]
@@ -1099,14 +1104,15 @@ def test_betti_numbers_are_computed_once_and_refused_when_fractional(monkeypatch
     group = BieberbachGroup(Lattice(rl.identity(2)), _KLEIN_Z2)
     assert group._betti == (1, 1, 0)
     # one more in tr Lambda^1 of the first coset makes b_1 = (3 + 0) / 2
-    real, calls = flat._traces_from_powers, []
+    real, calls = flat._Coset, []
 
-    def damaged(power_traces):
-        calls.append(power_traces)
-        traces = real(power_traces)
-        return (traces[0], traces[1] + 1, *traces[2:]) if len(calls) == 1 else traces
+    def damaged(fixes, shift, traces):
+        calls.append(traces)
+        if len(calls) == 1:
+            traces = (traces[0], traces[1] + 1, *traces[2:])
+        return real(fixes, shift, traces)
 
-    monkeypatch.setattr(flat, "_traces_from_powers", damaged)
+    monkeypatch.setattr(flat, "_Coset", damaged)
     group = BieberbachGroup(Lattice(rl.identity(2)), _KLEIN_Z2)
     assert len(calls) == 2 and group._betti == (1, Fraction(3, 2), 0)
     assert betti(group, 0) == 1 and betti(group, 2) == 0
@@ -1250,7 +1256,20 @@ def test_every_input_number_type_builds_the_same_group(data, numbers):
 
 
 def test_malformed_bases_fail_as_before():
-    for basis in (((1, 0), (2, 0)), ((1, 2, 3), (4, 5, 6), (7, 8, 9)), ((0,),)):
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    # rank 7 in dimension 8: the last row is a combination of three others
+    rank7 = _unimodular(8, random.Random(7))
+    rank7[7] = [a + 2 * b - c for a, b, c in zip(rank7[0], rank7[3], rank7[5])]
+    for basis in (
+        ((1, 0), (2, 0)),
+        ((1, 2, 3), (4, 5, 6), (7, 8, 9)),
+        ((0,),),
+        ((1, 2, 3), (4, 5, 6), (1, 2, 3)),  # a repeated row
+        ((1, 0, 0), (0, 0, 0), (0, 0, 1)),  # a zero row
+        ((half, third), (3 * half, 1)),
+        rank7,
+        [[Fraction(3, 7) * x for x in row] for row in rank7],
+    ):
         with pytest.raises(ValueError, match="basis is singular"):
             Lattice(basis)
     with pytest.raises(ValueError, match="ragged matrix"):
@@ -1335,14 +1354,12 @@ def test_cycle_type_traces_match_the_matrix(data):
     perm = data.draw(st.permutations(range(n)))
     signs = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     p = tuple(a if plus else ~a for a, plus in zip(perm, signs))
-    _, power_traces, _ = _OnFrame.coset([p], None, 0, (0,) * n, 1)
+    _, traces, _ = _OnFrame.coset([p], None, 0, (0,) * n, 1)
     mat = _frame_matrix(p)
     power, by_matrix = mat, []
     for _ in range(n):
         by_matrix.append(sum(power[i][i] for i in range(n)))
         power = rl.mat_mul(power, mat)
-    assert power_traces == by_matrix
-    traces = _traces_from_powers(power_traces)
     assert traces == _traces_from_powers(by_matrix)
     assert traces == tuple(exterior_trace(mat, q) for q in range(n + 1))
 
@@ -1469,7 +1486,8 @@ def _frame_by_the_full_walk(lattice: Lattice):
     of norm c', one of each +-x kept."""
     from curvspec import flat
 
-    scaled, den, form = lattice._integer
+    scaled, den, _ = lattice._integer
+    form = flat._gram_form(scaled)
     k = form.content
     if form.det != k ** len(scaled):
         return None
@@ -1485,26 +1503,82 @@ def _up_to_sign(rows) -> list:
     return sorted(max(row, tuple(-x for x in row)) for row in rows)
 
 
-@settings(max_examples=80, deadline=None, database=None, derandomize=True)
-@given(
-    n=st.integers(1, 8),
-    scale=st.sampled_from((1, 2, Fraction(3, 2), Fraction(-3, 7))),
-    turned=st.booleans(),
-    seed=st.integers(0, 2**32),
-)
-def test_half_ball_walk_finds_the_frame_of_the_full_walk(n, scale, turned, seed):
-    from curvspec.flat import _block_diag
+_SCALES = (1, 2, Fraction(3, 2), Fraction(-3, 7))
 
+
+def _frame_and_walks(basis) -> tuple:
+    """(Lattice(basis)._frame, the `half` flag of each _walk it ran)."""
+    from curvspec import flat
+
+    walks, real = [], flat._walk
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(flat, "_walk", lambda *args, **kw: walks.append(kw.get("half")) or real(*args, **kw))
+        return Lattice(basis)._frame, walks
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True, phases=_NO_SHRINK)
+@given(n=st.integers(1, 8), scale=st.sampled_from(_SCALES), seed=st.integers(0, 2**32))
+def test_determinant_certificate_finds_cubic_frames_without_a_walk(n, scale, seed):
+    # c Z^n on a random basis c U, U in GL(n, Z): |det S| = s^n for s the
+    # gcd of the entries of S, so the frame is read off without a walk
     rng = random.Random(seed)
     u = _unimodular(n, rng) if n > 1 else [[rng.choice((1, -1))]]
-    # Z^n, or for even n the frame with the axes of each plane turned to
-    # (1, 1) and (1, -1), a rotated sqrt(2) Z^n
-    turn = ((1, 1), (1, -1))
-    base = _block_diag(*[turn] * (n // 2)) if turned and n % 2 == 0 else rl.identity(n)
-    basis = [[scale * x for x in row] for row in rl.mat_mul(rl.as_mat(u), base)]
-    frame, expected = Lattice(basis)._frame, _frame_by_the_full_walk(Lattice(basis))
-    assert frame is not None and expected is not None
+    basis = [[scale * x for x in row] for row in u]
+    (frame, walks), expected = _frame_and_walks(basis), _frame_by_the_full_walk(Lattice(basis))
+    assert walks == [] and frame is not None and expected is not None
     assert _up_to_sign(frame[0]) == _up_to_sign(expected[0]) and frame[1:] == expected[1:]
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True, phases=_NO_SHRINK)
+@given(n=st.sampled_from((2, 4, 6, 8)), scale=st.sampled_from(_SCALES), seed=st.integers(0, 2**32))
+def test_half_ball_walk_finds_the_frame_of_the_full_walk(n, scale, seed):
+    from curvspec.flat import _block_diag
+
+    # the frame with the axes of each plane turned to (1, 1) and (1, -1), a
+    # rotated sqrt(2) Z^n, fails the determinant certificate and is found by
+    # one walk over half the ball
+    turn = ((1, 1), (1, -1))
+    u = _unimodular(n, random.Random(seed))
+    basis = [[scale * x for x in row] for row in rl.mat_mul(rl.as_mat(u), _block_diag(*[turn] * (n // 2)))]
+    (frame, walks), expected = _frame_and_walks(basis), _frame_by_the_full_walk(Lattice(basis))
+    assert walks == [True] and frame is not None and expected is not None
+    assert _up_to_sign(frame[0]) == _up_to_sign(expected[0]) and frame[1:] == expected[1:]
+
+
+def test_lattices_that_are_not_cubic_have_no_frame():
+    # E8 is unimodular, so only its walk to norm 1 (which finds 0 alone)
+    # tells it from Z^8; Z x 2Z and the hexagonal lattice fail the
+    # determinant tests unwalked
+    e8 = [[2] + [0] * 7] + [[0] * i + [-1, 1] + [0] * (6 - i) for i in range(6)]
+    e8.append([Fraction(1, 2)] * 8)
+    hexagonal = ((1, 0), (Fraction(1, 2), Fraction(3, 4)))
+    for basis, walked in ((e8, [True]), (((1, 0), (0, 2)), []), (hexagonal, [])):
+        frame, walks = _frame_and_walks(basis)
+        assert frame is None and walks == walked
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True, phases=_NO_SHRINK)
+@given(data=st.data())
+def test_det_matches_the_rational_determinant(data):
+    from curvspec.flat import _det
+
+    n = data.draw(st.integers(1, 8))
+    # mostly zeros, so that pivots vanish and rows are swapped
+    entries = st.sampled_from((0, 0, 0, 1, -1, 2, -3, 5))
+    m = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    assert _det(m) == oracles.det(m)
+
+
+def test_det_swaps_rows_where_a_pivot_vanishes():
+    from curvspec.flat import _det
+
+    # a zero pivot at the first and at the second step, and a zero column
+    for m, det in (
+        (((0, 1), (1, 0)), -1),
+        (((1, 1, 0), (1, 1, 1), (0, 1, 1)), -1),
+        (((0, 1), (0, 1)), 0),
+    ):
+        assert _det(m) == oracles.det(m) == det
 
 
 def test_half_ball_walk_keeps_one_of_each_pair():
@@ -1518,7 +1592,8 @@ def test_half_ball_walk_keeps_one_of_each_pair():
     hexagonal = Lattice(((1, 0), (Fraction(1, 2), Fraction(3, 4))))
     for lattice, mu_max in ((e8, 2), (Lattice(((1, 0), (0, 2))), 5), (hexagonal, 7)):
         assert lattice._frame is None and _frame_by_the_full_walk(lattice) is None
-        scaled, den, form = lattice._integer
+        scaled, den, _ = lattice._integer
+        form = flat._gram_form(scaled)
         full = flat._walk(form, den, Fraction(mu_max))
         half = flat._walk(form, den, Fraction(mu_max), half=True)
 
@@ -1527,3 +1602,100 @@ def test_half_ball_walk_keeps_one_of_each_pair():
 
         assert half == (full[0], {t: [x for x in xs if positive(x)] for t, xs in full[1].items()})
         assert sum(map(len, full[1].values())) == 2 * sum(map(len, half[1].values())) - 1
+
+
+# ---------------------------------------------------------------- closure on generators
+
+
+def _group_data(lattice: Lattice, cosets, on_basis: bool, closure=None):
+    """The validated group's data, or the text of the InvariantViolation that
+    refuses it, on the frame (when the lattice has one) or on the basis
+    coordinates, with the closure check replaced by `closure` if given."""
+    from curvspec import flat
+
+    with pytest.MonkeyPatch.context() as m:
+        if closure is not None:
+            m.setattr(flat, "_closure", closure)
+        try:
+            g = _on_basis(lattice, cosets) if on_basis else BieberbachGroup(lattice, cosets)
+        except InvariantViolation as exc:
+            return str(exc)
+    return g._holonomy, g._denom, g._betti, g._theta
+
+
+def _mutated(cosets: list, kind: str, lattice: Lattice, rng) -> list:
+    """The coset list with one change of the given kind."""
+    n, i = lattice.n, rng.randrange(len(cosets))
+    rots = [b for b, _ in cosets]
+
+    def outside() -> rl.Mat:
+        while (b := rl.as_mat(_signed_permutation(n, rng))) in rots:
+            pass
+        return b
+
+    if kind == "drop":
+        del cosets[i]
+    elif kind == "move":
+        # by sum_j a_j basis_j with some a_j not an integer
+        a = [Fraction(rng.randrange(4), rng.choice((1, 2, 3, 4))) for _ in range(n)]
+        a[rng.randrange(n)] = Fraction(1, rng.choice((2, 3, 4)))
+        step = rl.mat_vec(rl.transpose(lattice.basis), a)
+        cosets[i] = (cosets[i][0], oracles.vec_add(cosets[i][1], step))
+    elif kind == "swap":
+        j = rng.choice([j for j in range(len(cosets)) if j != i])
+        (b, t), (c, u) = cosets[i], cosets[j]
+        cosets[i], cosets[j] = (b, u), (c, t)
+    elif kind == "rotation":
+        cosets[i] = (outside(), cosets[i][1])
+    elif kind == "add":
+        t = tuple(Fraction(rng.randrange(4), rng.choice((1, 2, 4))) for _ in range(n))
+        cosets.insert(rng.randrange(len(cosets) + 1), (outside(), t))
+    return cosets
+
+
+def test_closure_on_generators_refuses_what_the_full_table_refuses():
+    outcomes = set()
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True, phases=_NO_SHRINK)
+    @given(
+        name=st.sampled_from(sorted(fixtures())),
+        moved=st.booleans(),
+        on_basis=st.booleans(),
+        kind=st.sampled_from(("none", "drop", "move", "swap", "rotation", "add")),
+        seed=st.integers(0, 2**32),
+    )
+    def case(name, moved, on_basis, kind, seed):
+        rng = random.Random(seed)
+        group = fixtures()[name]
+        if moved:
+            group = _re_present(group, rng)
+        cosets = _mutated(list(group.cosets), kind, group.lattice, rng)
+        expected = _group_data(group.lattice, cosets, on_basis, oracles.closure_by_table)
+        assert _group_data(group.lattice, cosets, on_basis) == expected
+        outcomes.add(expected if isinstance(expected, str) else "valid")
+
+    case()
+    assert {"valid", "coset system is not closed under composition"} <= outcomes
+    assert len(outcomes) >= 5
+
+
+# |F| compositions per generator, where the full table takes |F|^2: the
+# flat8 groups and flat4_a/b are cyclic and flat4_m24/m25 need two generators
+_COMPOSITIONS = {"flat8": 4, "flat4_m": 8, "flat4_": 2, "klein": 4}
+
+
+@pytest.mark.parametrize("name", sorted(fixtures()))
+def test_closure_composes_each_coset_once_per_generator(name, monkeypatch):
+    from curvspec import flat
+
+    calls = []
+    for coords in (flat._OnFrame, flat._OnBasis):
+        real = coords.mul
+        counted = staticmethod(lambda a, b, real=real: calls.append(1) or real(a, b))
+        monkeypatch.setattr(coords, "mul", counted)
+    group = fixtures()[name]
+    fresh = BieberbachGroup(Lattice(group.lattice.basis), group.cosets)
+    assert fresh._betti == group._betti
+    expected = next(v for k, v in _COMPOSITIONS.items() if name.startswith(k))
+    # the Klein group's power chains may compose beyond the closure's products
+    assert len(calls) == expected if name.startswith("flat") else 0 < len(calls) <= expected
