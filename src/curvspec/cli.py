@@ -12,14 +12,16 @@ exact data (rationals written as strings such as "1/2"):
     {"space": "spherical", "elements": [{"angles": ["0","0"]},
                                         {"angles": ["1/2","1/2"]}]}
 
-Exit codes: 0 success/equal, 1 spectra differ, 2 parse error, 3 violated
-structural invariant, 4 dimension or space-type mismatch.
+Exit codes: 0 success/equal, 1 spectra differ, 2 parse error or input too
+large to compute, 3 violated structural invariant, 4 dimension or space-type
+mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import sys
@@ -347,18 +349,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InvariantViolation as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 3
     except CurvspecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (_ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (OverflowError, MemoryError):
+        pass  # reported below, once the traceback and the frames it holds are released
+    gc.collect()  # a walk cut short leaves its memory in the reference cycle of its recursion
+    print("error: input too large to compute", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -10,31 +10,31 @@ integer arithmetic is scaled to integers over its common denominator, and a
 basis S / d is refused as singular when det S = 0.  Closure under
 composition is checked on generators, |F| products each.
 
-When the dual lattice is a scaled Z^n, with a cubic frame f_1, ..., f_n of
-squared norm c, `Lattice._frame` finds the frame on the basis alone: on the
-standard axes from det S, else by a walk over half of the basis ball (one
-of each +-x) to its minimum; no dual walk or inverse is needed.  On the
-basis f_i / c of the lattice every rotation is a signed permutation: one
-test, that B maps each f_i to some +-f_j, replaces the orthogonality and
-lattice tests, and products and shifts take O(n).  One walk over the
-cycles gives everything else.  A dual vector fixed by B is 0 on each cycle
-whose signs multiply to -1 and +-x along each other cycle C, adding
-c |C| x^2 to the norm and x beta_C to D <v, b>, so a coset's residue
+When the lattice is a scaled Z^n on the standard axes, `Lattice._frame`
+reads its cubic frame f_i = (d / s) e_i, of squared norm c, off det S and
+the gcd s of the entries of the basis S / d; no dual walk or inverse is
+needed.  On the lattice basis f_i / c every rotation is a signed
+permutation: one test, that each column of B is some +-e_j, replaces the
+orthogonality and lattice tests, and products and shifts take O(n).  One
+walk over the cycles gives everything else.  A dual vector fixed by B is 0
+on each cycle whose signs multiply to -1 and +-x along each other cycle C,
+adding c |C| x^2 to the norm and x beta_C to D <v, b>, so a coset's residue
 counts by norm are the coefficients of a product of one-dimensional theta
 series (Miatello-Rossetti), keyed by t = den(c) mu, with the cycles of
 beta_C = 0 multiplied as a plain integer series; the coset holds no
-fixed-point isometry exactly when some beta_C is not 0 mod D; and a cycle
-C of sign s_C multiplies det(1 + t R) = sum_p tr Lambda^p(R) t^p by
+fixed-point isometry exactly when some beta_C is not 0 mod D; and a cycle C
+of sign s_C multiplies det(1 + t R) = sum_p tr Lambda^p(R) t^p by
 1 - s_C (-t)^|C|, so no matrix is built.
 
-Other lattices are walked.  Their dual basis, a fraction-free (Bareiss)
-inverse built on first use, gives dual vectors integer coordinates x; an
-integer Fincke-Pohst walk enumerates the dual ball once per lattice, keyed
-by t = K |v|^2 with K fixed by the lattice; a rotation B is the integer
-matrix R = dual B basis^T, the fixed-vector test is R^T x = x, and the
-torsion test asks whether N s / D lies in N Z^n for N = sum_k R^k (an
-integer Hermite reduction); the closure check's products give the powers
-of R, hence the power traces, and Newton's identities the exterior traces.
+Other lattices, cubic ones off the standard axes among them, are walked.
+Their dual basis, a fraction-free (Bareiss) inverse built on first use,
+gives dual vectors integer coordinates x; an integer Fincke-Pohst walk
+enumerates the dual ball once per lattice, keyed by t = K |v|^2 with K fixed
+by the lattice; a rotation B is the integer matrix R = dual B basis^T, the
+fixed-vector test is R^T x = x, and the torsion test asks whether N s / D
+lies in N Z^n for N = sum_k R^k (an integer Hermite reduction); the closure
+check's products give the powers of R, hence the power traces, and Newton's
+identities the exterior traces.
 
 On both, translations are residue vectors modulo their common denominator
 D, so each phase <v, b> is a residue r mod D.  A group caches one row
@@ -183,40 +183,21 @@ class Lattice:
 
     @cached_property
     def _frame(self) -> tuple[IntMat, Fraction, int] | None:
-        """(F, c, e) when the dual lattice is a scaled Z^n: the rows of F / e
-        are ambient vectors f_1, ..., f_n of squared norm c that form an
-        orthogonal basis of it.  None otherwise.
+        """(F, c, e) when the lattice is a scaled Z^n on the standard axes: the
+        rows of F / e are the ambient vectors f_i = (d / s) e_i of squared norm
+        c, an orthogonal basis of the dual lattice.  None otherwise: a cubic
+        lattice off the standard axes is walked.
 
-        The lattice is then a scaled Z^n too, so the proof runs on the basis
-        S / d.  For s the gcd of the entries of S, S / s is unimodular exactly
-        when |det S| = s^n, and the lattice is then (s / d) Z^n: f_i = d e_i / s
-        and c = d^2 / s^2.  Every a Z^n passes, as a basis a U has U unimodular
-        with entries of gcd 1, so S = d a U has s = |d a|.  Otherwise the Gram
-        matrix G = S S^T of a scaled Z^n is k U U^T with U unimodular, so k is
-        the gcd of the entries and det G = k^n.  Conversely, when G / k is
-        integral of determinant 1, no nonzero norm is below c' = k / d^2, two
-        vectors of norm c' are orthogonal or opposite (|<u, v>| <= c', with
-        equality only for u = +-v), and n orthogonal ones span a sublattice of
-        the full determinant.  So a walk to c' over half the ball (one of each
-        +-x) that finds n vectors g_i = x_i S / d recognises the frame, whose
-        dual frame is f_i = g_i / c', the integer rows x_i S d over k; a
-        lattice that fails the determinant test is refused unwalked."""
+        For s the gcd of the entries of the basis S / d, S / s is unimodular
+        exactly when |det S| = s^n, and the lattice is then (s / d) Z^n:
+        f_i = d e_i / s and c = d^2 / s^2.  Every a Z^n passes, as a basis a U
+        has U unimodular with entries of gcd 1, so S = d a U has s = |d a|."""
         scaled, den, det = self._integer
         n, s = len(scaled), math.gcd(*(x for row in scaled for x in row))
-        if abs(det) == s**n:
-            g = math.gcd(s, den)
-            return _eye(n, den // g), Fraction(den * den, s * s), s // g
-        form = _gram_form(scaled)
-        k = form.content
-        if form.det != k**n:
+        if abs(det) != s**n:
             return None
-        # [[0], norm c'] over half the ball
-        found = list(_walk(form, den, Fraction(k, den * den), half=True)[1].values())
-        if len(found) != 2 or len(found[1]) != len(scaled):
-            return None
-        rows = rl.mat_mul(found[1], scaled)
-        g = math.gcd(k, *(den * v for row in rows for v in row))
-        return tuple(tuple(den * v // g for v in row) for row in rows), Fraction(den * den, k), k // g
+        g = math.gcd(s, den)
+        return _eye(n, den // g), Fraction(den * den, s * s), s // g
 
     def dual_basis(self) -> rl.Mat:
         """Rows d_j with <b_i, d_j> = delta_ij."""
@@ -268,8 +249,6 @@ class _GramForm(NamedTuple):
     coeffs: list[list[int]]  # a_ij, j > i
     weights: list[int]  # w_i
     scale: int
-    det: int  # det G
-    content: int  # the gcd of the entries of G
 
 
 def _gram_form(rows: IntMat) -> _GramForm:
@@ -279,15 +258,14 @@ def _gram_form(rows: IntMat) -> _GramForm:
     and Delta_{-1} = 1.  Dividing each row by its gcd and scaling the weights
     to integers turns scale x^T G x into sum_i w_i y_i^2 with
     y_i = m_i x_i + sum_{j>i} a_ij x_j and positive integers w_i, m_i and
-    integers a_ij; the last minor is det G.  A Gram matrix is positive
-    semidefinite, so a minor that is not positive means its rows are
-    dependent: that raises ValueError("basis is singular")."""
+    integers a_ij.  A Gram matrix is positive semidefinite, so a minor that
+    is not positive means its rows are dependent: that raises
+    ValueError("basis is singular")."""
     n = len(rows)
     gram = [[0] * n for _ in rows]
     for i, r in enumerate(rows):
         for j in range(i, n):
             gram[i][j] = gram[j][i] = sum(map(mul, r, rows[j]))
-    content = math.gcd(*(x for row in gram for x in row))
     steps, coeffs, weights = [], [], []
     prev = 1
     for i in range(n):
@@ -306,18 +284,15 @@ def _gram_form(rows: IntMat) -> _GramForm:
             gram[k] = [(pivot * x - f * y) // prev for x, y in zip(gram[k], row)]
         prev = pivot
     scale = math.lcm(*(v for _, v in weights))
-    return _GramForm(steps, coeffs, [w * (scale // v) for w, v in weights], scale, prev, content)
+    return _GramForm(steps, coeffs, [w * (scale // v) for w, v in weights], scale)
 
 
-def _walk(
-    form: _GramForm, den: int, mu_max: Fraction, half: bool = False
-) -> tuple[int, dict[int, list[tuple[int, ...]]]]:
+def _walk(form: _GramForm, den: int, mu_max: Fraction) -> tuple[int, dict[int, list[tuple[int, ...]]]]:
     """(K, {t: integer vectors x}) for the x with x^T G x / den^2 = t / K <=
     mu_max, in increasing t, G the Gram matrix of the form.  The walk over
     x_{n-1}, ..., x_0 bounds each y_i of the form by an integer square root
     and never leaves the integers.  K = scale den^2 comes from G alone, not
-    from the cutoff.  With half, only the x whose last nonzero entry is
-    positive (and 0) are walked: one of each +-x."""
+    from the cutoff."""
     steps, coeffs, weights = form.steps, form.coeffs, form.weights
     n = len(steps)
     bound = form.scale * math.floor(mu_max * den * den)
@@ -325,21 +300,19 @@ def _walk(
     found: dict[int, list[tuple[int, ...]]] = {}
     x = [0] * n
 
-    def descend(level: int, budget: int, lead: bool):
-        # lead: half is set and every entry above level is 0, so s = 0
+    def descend(level: int, budget: int):
         if level < 0:
             found.setdefault(budget, []).append(tuple(x))
             return
         m, w = steps[level], weights[level]
         s = sum(map(mul, coeffs[level], x[level + 1:]))
         y_max = math.isqrt(budget // w)
-        for xi in range(0 if lead else -((y_max + s) // m), (y_max - s) // m + 1):
+        for xi in range(-((y_max + s) // m), (y_max - s) // m + 1):
             y = m * xi + s
             x[level] = xi
-            descend(level - 1, budget - w * y * y, lead and not xi)
-        x[level] = 0
+            descend(level - 1, budget - w * y * y)
 
-    descend(n - 1, bound, half)
+    descend(n - 1, bound)
     by_key = {bound - left: found[left] for left in sorted(found, reverse=True)}
     return form.scale * den * den, by_key
 
@@ -499,42 +472,29 @@ class _OnBasis:
 
 
 class _OnFrame:
-    """Coordinates on the basis f_i / c of the lattice, dual to a cubic frame
-    f_1, ..., f_n of the dual lattice (see `Lattice._frame`).  A rotation B
-    is the signed permutation with B f_j = +-f_pi(j), stored as the tuple
-    whose entry j is pi(j) for + and ~pi(j) for -, so it composes in O(n);
-    as a matrix on coordinates it has the entry +-1 at (pi(j), j)."""
+    """Coordinates on the basis f_i / c of the lattice, dual to its cubic
+    frame f_i = (d / s) e_i (see `Lattice._frame`).  A rotation B maps f_j to
+    +-f_pi(j) exactly when column j of B is +-e_pi(j); it is stored as the
+    tuple whose entry j is pi(j) for + and ~pi(j) for -, so it composes in
+    O(n); as a matrix on coordinates it has the entry +-1 at (pi(j), j)."""
 
     def __init__(self, lattice: Lattice):
         self.rows, c, self.den = lattice._frame
         self.theta = {"c": c, "scale": c.denominator}
-        self._index = {row: i for i, row in enumerate(self.rows)}
-        self._index.update({tuple(-x for x in row): ~i for i, row in enumerate(self.rows)})
-        # the nonzero entries (l, f_il) of each frame vector: one each when the
-        # frame is the standard one up to order, sign and scale
-        self._supports = [[(l, a) for l, a in enumerate(row) if a] for row in self.rows]
         self.identity = tuple(range(lattice.n))
 
-    def rotation(self, b: rl.Mat) -> tuple[int, ...] | None:
-        """B as a signed permutation of the frame, or None when B does not
-        map every f_i to some +-f_j (B is then not orthogonal or does not
-        preserve the lattice).  B f is computed in the exact entries of B: an
-        integral Fraction entry finds its int in the frame index, and a vector
-        with any other finds nothing."""
-        n = len(b)
-        if len(b[0]) != n:
-            return None
-        cols = list(zip(*b))
+    @staticmethod
+    def rotation(b: rl.Mat) -> tuple[int, ...] | None:
+        """B as a signed permutation, or None when the columns of B are not
+        +-e_i for n distinct i (B is then not orthogonal or does not preserve
+        the lattice); an integral Fraction entry counts as its int."""
         image = []
-        for support in self._supports:
-            w = [0] * n  # B f, summed over the columns of B that f meets
-            for l, a in support:
-                w = [x + a * y for x, y in zip(w, cols[l])]
-            j = self._index.get(tuple(w))
-            if j is None:
+        for col in zip(*b):
+            support = [i for i, x in enumerate(col) if x]
+            if len(support) != 1 or abs(x := col[support[0]]) != 1:
                 return None
-            image.append(j)
-        return tuple(image) if len({j if j >= 0 else ~j for j in image}) == n else None
+            image.append(support[0] if x > 0 else ~support[0])
+        return tuple(image) if len(image) == len(b) == len({max(j, ~j) for j in image}) else None
 
     @staticmethod
     def mul(p1: tuple[int, ...], p2: tuple[int, ...]) -> tuple[int, ...]:

@@ -256,6 +256,18 @@ def test_negative_cutoff_exits_2_in_every_mode(capsys, tmp_path, argv):
     assert (code, out, err) == (2, "", "error: cutoff must be nonnegative\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum", "fixture:flat4_a"], ["compare", "fixture:flat4_a", "fixture:flat4_b"]],
+    ids=" ".join,
+)
+def test_a_cutoff_too_large_to_compute_exits_2(capsys, argv):
+    # 1e400 is exact, but no list of that length can be built
+    code, out, err = run(capsys, *argv, "--cutoff", "1e400")
+    assert (code, out, err) == (2, "", "error: input too large to compute\n")
+    assert "Traceback" not in err
+
+
 def test_compare_dimension_mismatch_exits_4(capsys):
     code, _, err = run(
         capsys, "compare", "fixture:klein_a", "fixture:flat4_a",

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -535,6 +535,40 @@ def _dilate(group: BieberbachGroup, c: Fraction) -> BieberbachGroup:
     return BieberbachGroup(Lattice(basis), cosets)
 
 
+def _turn(n: int, rng) -> rl.Mat:
+    """A rational orthogonal matrix that is not a signed permutation: the
+    Cayley transform (1 - A)(1 + A)^-1 of a small skew A."""
+    while True:
+        a = [[0] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            a[i][j] = rng.randrange(-2, 3)
+            a[j][i] = -a[i][j]
+        plus, minus = (
+            [[int(i == j) + s * x for j, x in enumerate(row)] for i, row in enumerate(a)] for s in (1, -1)
+        )
+        q = rl.mat_mul(rl.as_mat(minus), oracles.mat_inv(plus))
+        if any(sum(1 for x in row if x) > 1 for row in q):
+            return q
+
+
+def _conjugate(group: BieberbachGroup, q: rl.Mat) -> BieberbachGroup:
+    """The group conjugated by the orthogonal q: the basis S q^T, with
+    cosets (q B q^T, q b), the matrix products taken in integers."""
+    from curvspec.flat import _integral
+
+    (m, e), (s, d) = _integral(q), _integral(group.lattice.basis)
+    mt = rl.transpose(m)
+
+    def over(rows, den):
+        return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+
+    cosets = []
+    for b, t in group.cosets:
+        b, d_b = _integral(b)
+        cosets.append((over(rl.mat_mul(rl.mat_mul(m, b), mt), e * e * d_b), rl.mat_vec(q, t)))
+    return BieberbachGroup(Lattice(over(rl.mat_mul(s, mt), e * d)), tuple(cosets))
+
+
 _SKEW = ((2, 1), (1, 1))  # unimodular, so U B spans the same lattice as B
 _REFL = ((1, 0), (0, -1))
 
@@ -733,11 +767,16 @@ _DILATIONS = (Fraction(2), Fraction(3, 2), Fraction(-3, 7))
 
 @pytest.mark.parametrize("name", sorted(fixtures()))
 @settings(derandomize=True, max_examples=4, deadline=None, database=None)
-@given(c=st.sampled_from(_DILATIONS), partner=st.integers(0, 9), seed=st.integers(0, 2**32))
-def test_re_presentation_and_dilation_rescale_every_flat_result(name, c, partner, seed):
+@given(
+    c=st.sampled_from(_DILATIONS), partner=st.integers(0, 9), turned=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+@example(c=Fraction(3, 2), partner=1, turned=True, seed=0)  # a turned case for every fixture
+def test_re_presentation_and_dilation_rescale_every_flat_result(name, c, partner, turned, seed):
     # a GL(n, Z) re-presentation of cL with translations c b maps mu -> mu / c^2
     # and keeps every verdict; two presentations of one group, whose walks
-    # mostly have different K, stay isospectral and tau-equivalent
+    # mostly have different K, stay isospectral and tau-equivalent; turned off
+    # the standard axes, the groups are walked and map the same way
     table = fixtures()
     group = table[name]
     same_dim = sorted(k for k, g in table.items() if g.n == group.n)
@@ -746,6 +785,10 @@ def test_re_presentation_and_dilation_rescale_every_flat_result(name, c, partner
     moved, moved_other, moved_again = (
         _dilate(_re_present(g, rng), c) for g in (group, other, group)
     )
+    if turned:
+        q = _turn(group.n, rng)
+        moved, moved_other, moved_again = (_conjugate(g, q) for g in (moved, moved_other, moved_again))
+        assert moved._theta is None and moved_other._theta is None and moved_again._theta is None
     cutoff = Fraction(2 if group.n == 8 else 3)
     scaled, c2 = cutoff / (c * c), c * c
     for p in range(group.n + 1):
@@ -942,9 +985,13 @@ def _on_basis(lattice: Lattice, cosets) -> BieberbachGroup:
 def _rows_on_both_paths(group: BieberbachGroup, mu_max) -> tuple[dict, dict]:
     """The group's rows {t: (d_0, ..., d_n)} from theta products and from
     the walk, on a common scale."""
+    return _rows_on_a_common_scale((group, _on_basis(group.lattice, group.cosets)), mu_max)
+
+
+def _rows_on_a_common_scale(groups, mu_max) -> tuple[dict, ...]:
+    """Each group's rows {t: (d_0, ..., d_n)}, keyed on a common scale."""
     from curvspec import flat
 
-    groups = (group, _on_basis(group.lattice, group.cosets))
     views = [flat._group_shells(g, mu_max) for g in groups]
     scale = math.lcm(*(v._scale for v in views))
     return tuple(
@@ -1002,19 +1049,20 @@ def test_groups_on_cubic_lattices_take_the_frame_path(monkeypatch):
         on_frame = not name.startswith("klein")
         assert (group._theta is not None) == on_frame
         assert (_re_present(group, rng)._theta is not None) == on_frame
-    # a rotated Z^2 (the 3-4-5 rotation) has a frame with no zero entry
+    # Z^2 turned by the 3-4-5 rotation has no frame on the standard axes, so
+    # its Klein bottle is walked, to the rows of the Klein bottle on Z^2
     turn = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(3, 5)))
     lat = Lattice(turn)
     cosets = ((rl.identity(2), (0, 0)), (rl.mat_mul(rl.transpose(turn), rl.mat_mul(_REFL, turn)),
                                          tuple(Fraction(1, 2) * x for x in turn[0])))
     tilted = BieberbachGroup(lat, cosets)
-    assert tilted._theta is not None and lat._frame[1] == 1
-    assert all(x for row in lat._frame[0] for x in row)
-    theta, walk = _rows_on_both_paths(tilted, 9)
+    assert tilted._theta is None and lat._frame is None
+    square = BieberbachGroup(Lattice(rl.identity(2)), _KLEIN_Z2)
+    assert square._theta is not None
+    theta, walk = _rows_on_a_common_scale((square, tilted), 9)
     assert theta == walk and len(theta) == 6  # the norms 1, 2, 4, 5, 8, 9
     # the walk takes the rest, and frame recognition walks none of them by
-    # _fincke_pohst; E8 is unimodular, so only its walk to norm 1 (which
-    # finds 0 alone) tells it from Z^8
+    # _fincke_pohst
     walks = []
     real = flat._fincke_pohst
     monkeypatch.setattr(flat, "_fincke_pohst", lambda *args: walks.append(args) or real(*args))
@@ -1072,6 +1120,9 @@ _TURN = ((Fraction(3, 5), Fraction(-4, 5)), (Fraction(4, 5), Fraction(3, 5)))
         (((rl.identity(2), (0, 0)), (((1, 0, 0), (0, 1, 0)), (0, 0))), "not orthogonal"),
         # f_1 and f_2 both go to f_1
         (((rl.identity(2), (0, 0)), (((1, 1), (0, 0)), (0, 0))), "not orthogonal"),
+        # a column with two entries, and one entry that is not +-1
+        (((rl.identity(2), (0, 0)), (((1, 0), (1, -1)), (0, 0))), "not orthogonal"),
+        (((rl.identity(2), (0, 0)), (((0, 2), (Fraction(1, 2), 0)), (0, 0))), "not orthogonal"),
         (((rl.identity(2), (0, 0)), (_TURN, (0, 0))), "does not preserve"),
         (
             ((rl.identity(2), (0, 0)), (_REFL, (Fraction(1, 2), 0)), (_REFL, (Fraction(1, 2), 1))),
@@ -1086,16 +1137,15 @@ _TURN = ((Fraction(3, 5), Fraction(-4, 5)), (Fraction(4, 5), Fraction(3, 5)))
     ],
 )
 def test_rejections_on_a_cubic_frame_match_the_basis_coordinates(cosets, message):
-    # Z^2 on two bases, and Z^2 turned so that the rotations here leave it
-    for lattice in (Lattice(rl.identity(2)), _skew(rl.identity(2)), Lattice(_TURN)):
+    # Z^2 on two bases
+    for lattice in (Lattice(rl.identity(2)), _skew(rl.identity(2))):
         assert lattice._frame is not None
         with pytest.raises(InvariantViolation) as on_frame:
             BieberbachGroup(lattice, cosets)
         with pytest.raises(InvariantViolation) as on_basis:
             _on_basis(lattice, cosets)
         assert str(on_frame.value) == str(on_basis.value)
-        if lattice.basis != _TURN:
-            assert message in str(on_frame.value)
+        assert message in str(on_frame.value)
 
 
 def test_betti_numbers_are_computed_once_and_refused_when_fractional(monkeypatch):
@@ -1487,11 +1537,11 @@ def _frame_by_the_full_walk(lattice: Lattice):
     from curvspec import flat
 
     scaled, den, _ = lattice._integer
-    form = flat._gram_form(scaled)
-    k = form.content
-    if form.det != k ** len(scaled):
+    gram = rl.mat_mul(scaled, rl.transpose(scaled))
+    k = math.gcd(*(x for row in gram for x in row))
+    if oracles.det(gram) != k ** len(scaled):
         return None
-    found = list(flat._walk(form, den, Fraction(k, den * den))[1].values())
+    found = list(flat._walk(flat._gram_form(scaled), den, Fraction(k, den * den))[1].values())
     if len(found) != 2 or len(found[1]) != 2 * len(scaled):
         return None
     rows = rl.mat_mul([x for x in found[1] if x > tuple(-a for a in x)], scaled)
@@ -1507,12 +1557,15 @@ _SCALES = (1, 2, Fraction(3, 2), Fraction(-3, 7))
 
 
 def _frame_and_walks(basis) -> tuple:
-    """(Lattice(basis)._frame, the `half` flag of each _walk it ran)."""
+    """(Lattice(basis)._frame, the names of the `_gram_form` and `_walk`
+    calls made while the lattice and its frame are built)."""
     from curvspec import flat
 
-    walks, real = [], flat._walk
+    walks = []
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(flat, "_walk", lambda *args, **kw: walks.append(kw.get("half")) or real(*args, **kw))
+        for name in ("_gram_form", "_walk"):
+            real = getattr(flat, name)
+            m.setattr(flat, name, lambda *args, real=real, name=name: walks.append(name) or real(*args))
         return Lattice(basis)._frame, walks
 
 
@@ -1531,30 +1584,29 @@ def test_determinant_certificate_finds_cubic_frames_without_a_walk(n, scale, see
 
 @settings(max_examples=80, deadline=None, database=None, derandomize=True, phases=_NO_SHRINK)
 @given(n=st.sampled_from((2, 4, 6, 8)), scale=st.sampled_from(_SCALES), seed=st.integers(0, 2**32))
-def test_half_ball_walk_finds_the_frame_of_the_full_walk(n, scale, seed):
+def test_turned_cubic_lattices_are_left_to_the_walk(n, scale, seed):
     from curvspec.flat import _block_diag
 
     # the frame with the axes of each plane turned to (1, 1) and (1, -1), a
-    # rotated sqrt(2) Z^n, fails the determinant certificate and is found by
-    # one walk over half the ball
+    # rotated sqrt(2) Z^n, which the full walk finds, is off the standard
+    # axes: it fails the determinant certificate, with no walk
     turn = ((1, 1), (1, -1))
     u = _unimodular(n, random.Random(seed))
     basis = [[scale * x for x in row] for row in rl.mat_mul(rl.as_mat(u), _block_diag(*[turn] * (n // 2)))]
     (frame, walks), expected = _frame_and_walks(basis), _frame_by_the_full_walk(Lattice(basis))
-    assert walks == [True] and frame is not None and expected is not None
-    assert _up_to_sign(frame[0]) == _up_to_sign(expected[0]) and frame[1:] == expected[1:]
+    assert walks == [] and frame is None and expected is not None
 
 
 def test_lattices_that_are_not_cubic_have_no_frame():
-    # E8 is unimodular, so only its walk to norm 1 (which finds 0 alone)
-    # tells it from Z^8; Z x 2Z and the hexagonal lattice fail the
-    # determinant tests unwalked
+    # E8 is unimodular like Z^8, and Z^2 turned by the 3-4-5 rotation is
+    # cubic off the standard axes; they, Z x 2Z and the hexagonal lattice
+    # fail the determinant certificate, and none is walked for its frame
     e8 = [[2] + [0] * 7] + [[0] * i + [-1, 1] + [0] * (6 - i) for i in range(6)]
     e8.append([Fraction(1, 2)] * 8)
     hexagonal = ((1, 0), (Fraction(1, 2), Fraction(3, 4)))
-    for basis, walked in ((e8, [True]), (((1, 0), (0, 2)), []), (hexagonal, [])):
+    for basis in (e8, ((1, 0), (0, 2)), hexagonal, _TURN):
         frame, walks = _frame_and_walks(basis)
-        assert frame is None and walks == walked
+        assert frame is None and walks == []
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True, phases=_NO_SHRINK)
@@ -1579,29 +1631,6 @@ def test_det_swaps_rows_where_a_pivot_vanishes():
         (((0, 1), (0, 1)), 0),
     ):
         assert _det(m) == oracles.det(m) == det
-
-
-def test_half_ball_walk_keeps_one_of_each_pair():
-    from curvspec import flat
-
-    e8 = Lattice(
-        [[2] + [0] * 7]
-        + [[0] * i + [-1, 1] + [0] * (6 - i) for i in range(6)]
-        + [[Fraction(1, 2)] * 8]
-    )
-    hexagonal = Lattice(((1, 0), (Fraction(1, 2), Fraction(3, 4))))
-    for lattice, mu_max in ((e8, 2), (Lattice(((1, 0), (0, 2))), 5), (hexagonal, 7)):
-        assert lattice._frame is None and _frame_by_the_full_walk(lattice) is None
-        scaled, den, _ = lattice._integer
-        form = flat._gram_form(scaled)
-        full = flat._walk(form, den, Fraction(mu_max))
-        half = flat._walk(form, den, Fraction(mu_max), half=True)
-
-        def positive(x):
-            return not any(x) or [a for a in x if a][-1] > 0
-
-        assert half == (full[0], {t: [x for x in xs if positive(x)] for t, xs in full[1].items()})
-        assert sum(map(len, full[1].values())) == 2 * sum(map(len, half[1].values())) - 1
 
 
 # ---------------------------------------------------------------- closure on generators
