@@ -28,7 +28,7 @@ import sys
 from fractions import Fraction
 from math import isqrt
 
-from . import flat, hyperbolic, spectra, spherical
+from . import flat, hyperbolic, ratlinalg, spectra, spherical
 from .errors import CurvspecError, InvariantViolation
 
 
@@ -37,37 +37,7 @@ class _ParseError(Exception):
 
 
 def _fraction(x) -> Fraction:
-    try:
-        if isinstance(x, bool):
-            raise ValueError
-        if isinstance(x, (int, str)):
-            return Fraction(x)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _ParseError(f"bad rational {x!r}") from exc
-    raise _ParseError(f"bad rational {x!r} (use integers or strings like '1/2')")
-
-
-def _angle(x) -> tuple[int, int]:
-    """An angle as a pair (numerator, denominator): plain digit strings "a/b"
-    and "a" directly, every other spelling through `_fraction`, which decides
-    what is accepted and with which message."""
-    if type(x) is str:
-        num, slash, den = x.partition("/")
-        if num.isdecimal() and (den.isdecimal() or not slash) and (d := int(den or 1)):
-            return int(num), d
-    x = _fraction(x)
-    return x.numerator, x.denominator
-
-
-class _Angles(dict):
-    """Angle -> (numerator, denominator) pair: each distinct string is parsed
-    once and stored, any other entry goes through `_angle` unstored."""
-
-    def __missing__(self, x):
-        if type(x) is not str:
-            return _angle(x)
-        pair = self[x] = _angle(x)
-        return pair
+    return Fraction(*ratlinalg._rational_pair(x))
 
 
 def _integer(x) -> int:
@@ -136,22 +106,13 @@ def _group_from_description(data):
                 raise _ParseError(f"malformed lens description: {exc}") from exc
             return "spherical", group
         if "elements" in data:
-            pairs = _Angles()
-
-            def angles(e):
-                row = _items(e["angles"])
-                try:
-                    return tuple(map(pairs.__getitem__, row))
-                except TypeError:  # an unhashable entry, which `_angle` refuses by name
-                    return tuple(map(_angle, row))
-
             try:
-                elems = tuple(map(angles, _items(data["elements"])))
+                rows = [_items(e["angles"]) for e in _items(data["elements"])]
             except (KeyError, TypeError) as exc:
                 raise _ParseError(f"malformed element list: {exc}") from exc
-            if not elems:
+            if not rows:
                 raise _ParseError("element list is empty")
-            return "spherical", spherical.SphericalGroup(len(elems[0]), elems)
+            return "spherical", spherical.SphericalGroup(len(rows[0]), rows)
         raise _ParseError("spherical group needs 'lens' or 'elements'")
     raise _ParseError("group description needs space: 'flat' or 'spherical'")
 

@@ -973,28 +973,16 @@ def tau_equivalent(g1: BieberbachGroup, g2: BieberbachGroup, p: int, mu_max) -> 
     return all(_telescoped(r1, p) == _telescoped(r2, p) for _, r1, r2 in rows)
 
 
-def _block_diag(*blocks) -> list[list[Fraction]]:
-    n = sum(len(b) for b in blocks)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    at = 0
-    for blk in blocks:
-        for i, row in enumerate(blk):
-            for j, x in enumerate(row):
-                out[at + i][at + j] = Fraction(x)
-        at += len(blk)
-    return out
+def _signed_matrix(p: tuple[int, ...]) -> IntMat:
+    """The matrix of the signed permutation p in `_OnFrame`'s encoding."""
+    return tuple(tuple((a == i) - (a == ~i) for a in p) for i in range(len(p)))
 
 
-def _e(n: int, *entries) -> list[Fraction]:
-    """Vector with given (index, value) entries, zero elsewhere."""
-    v = [Fraction(0)] * n
-    for idx, val in entries:
-        v[idx] = Fraction(val)
-    return v
-
-
-_ROT90 = ((0, 1), (-1, 0))  # quarter turn
-_SWAP = ((0, 1), (1, 0))  # reflection swapping two axes
+def _signed_group(name: str, lat: Lattice, rots, *shifts) -> BieberbachGroup:
+    """The group of the signed permutations rots, the first the identity and
+    rots[k] translating by shifts[k - 1], given as {axis: value}."""
+    shifts = ([s.get(i, 0) for i in range(lat.n)] for s in ({}, *shifts))
+    return BieberbachGroup(lat, tuple(zip(map(_signed_matrix, rots), shifts)), name=name)
 
 
 def klein_pair(c: int = 2) -> tuple[BieberbachGroup, BieberbachGroup]:
@@ -1003,24 +991,10 @@ def klein_pair(c: int = 2) -> tuple[BieberbachGroup, BieberbachGroup]:
     if c <= 1:
         raise ValueError("need c > 1")
     lat = Lattice(((1, 0), (0, c)))
-    ident = rl.identity(2)
-    ka = BieberbachGroup(
-        lat,
-        (
-            (ident, (0, 0)),
-            (((1, 0), (0, -1)), (Fraction(1, 2), 0)),
-        ),
-        name="klein_a",
+    return (
+        _signed_group("klein_a", lat, ((0, 1), (0, ~1)), {0: Fraction(1, 2)}),
+        _signed_group("klein_b", lat, ((0, 1), (~0, 1)), {1: Fraction(c, 2)}),
     )
-    kb = BieberbachGroup(
-        lat,
-        (
-            (ident, (0, 0)),
-            (((-1, 0), (0, 1)), (0, Fraction(c, 2))),
-        ),
-        name="klein_b",
-    )
-    return ka, kb
 
 
 @lru_cache(maxsize=1)
@@ -1031,37 +1005,29 @@ def _fixture_table() -> dict[str, BieberbachGroup]:
 
     def cyclic(name: str, lat: Lattice, rot, *shifts) -> None:
         """The group with holonomy generated by rot, R^k carrying shifts[k - 1]."""
-        powers = [rl.identity(lat.n)]
+        powers = [tuple(range(lat.n))]
         for _ in shifts:
-            powers.append(rl.mat_mul(powers[-1], rot))
-        out[name] = BieberbachGroup(lat, tuple(zip(powers, (_e(lat.n), *shifts))), name=name)
+            powers.append(_OnFrame.mul(powers[-1], rot))
+        out[name] = _signed_group(name, lat, powers, *shifts)
 
-    lat4 = Lattice(rl.identity(4))
-    cyclic("flat4_a", lat4, _block_diag(((1,),), ((1,),), ((-1,),), ((-1,),)), _e(4, (0, half)))
-    cyclic("flat4_b", lat4, _block_diag(((1,),), _SWAP, ((-1,),)), _e(4, (0, half)))
-    g1_rot = _block_diag(((-1,),), ((-1,),), ((1,),), ((1,),))
-    g2_rot = _block_diag(((1,),), ((-1,),), ((-1,),), ((1,),))
-    g12_rot = _block_diag(((-1,),), ((1,),), ((-1,),), ((1,),))
-    rots = (rl.identity(4), g1_rot, g2_rot, g12_rot)
+    lat4 = Lattice(_eye(4))
+    cyclic("flat4_a", lat4, (0, 1, ~2, ~3), {0: half})
+    cyclic("flat4_b", lat4, (0, 2, 1, ~3), {0: half})  # axes 1 and 2 swapped
+    rots = ((0, 1, 2, 3), (~0, ~1, 2, 3), (0, ~1, ~2, 3), (~0, 1, ~2, 3))
     # the non-identity cosets translate by 1/2 along the listed axes
     for name, axes in (("flat4_m24", ((3,), (1, 3), (1,))), ("flat4_m25", ((3,), (0, 1), (0, 1, 3)))):
-        cosets = tuple((b, _e(4, *((i, half) for i in ix))) for b, ix in zip(rots, ((), *axes)))
-        out[name] = BieberbachGroup(lat4, cosets, name=name)
+        out[name] = _signed_group(name, lat4, rots, *(dict.fromkeys(ix, half) for ix in axes))
 
-    lat8 = Lattice(rl.identity(8))
-    rot = _block_diag(_ROT90, _ROT90, ((1,),), ((1,),), ((-1,),), ((-1,),))
-    cyclic("flat8_a", lat8, rot, _e(8, (4, quarter)), _e(8, (4, half)), _e(8, (4, 3 * quarter)))
-    cyclic(
-        "flat8_b", lat8, rot,
-        _e(8, (4, quarter), (5, half)), _e(8, (4, half)), _e(8, (4, 3 * quarter), (5, half)),
-    )
+    lat8 = Lattice(_eye(8))
+    rot = (~1, 0, ~3, 2, 4, 5, ~6, ~7)  # quarter turns of the planes 01 and 23
+    cyclic("flat8_a", lat8, rot, {4: quarter}, {4: half}, {4: 3 * quarter})
+    cyclic("flat8_b", lat8, rot, {4: quarter, 5: half}, {4: half}, {4: 3 * quarter, 5: half})
     cyclic(
         "flat8_c", lat8, rot,
-        _e(8, (4, quarter), (5, quarter)), _e(8, (4, half), (5, half)),
-        _e(8, (4, 3 * quarter), (5, 3 * quarter)),
+        {4: quarter, 5: quarter}, {4: half, 5: half}, {4: 3 * quarter, 5: 3 * quarter},
     )
-    rot_d = _block_diag(_ROT90, _ROT90, _SWAP, ((1,),), ((-1,),))
-    cyclic("flat8_d", lat8, rot_d, _e(8, (4, half)), _e(8, (4, half), (5, half)), _e(8, (5, half)))
+    rot_d = (~1, 0, ~3, 2, 5, 4, 6, ~7)  # the same turns, axes 4 and 5 swapped
+    cyclic("flat8_d", lat8, rot_d, {4: half}, {4: half, 5: half}, {5: half})
     return out
 
 

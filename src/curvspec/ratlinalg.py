@@ -14,6 +14,26 @@ Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
 
+def _rational_pair(x) -> tuple[int, int]:
+    """An int or a string such as "1/2", " 2/4", "0.25" as a pair (a, b) of
+    ints with b > 0; digit strings "a/b" and "a" are split as written, not
+    reduced and with no Fraction.  Any other entry, a bool or a float among
+    them, is refused with a ValueError that names it."""
+    if type(x) is str:
+        num, slash, den = x.partition("/")
+        if num.isdecimal() and (den.isdecimal() or not slash) and (d := int(den or 1)):
+            return int(num), d
+    try:
+        if isinstance(x, bool):
+            raise ValueError
+        if isinstance(x, (int, str)):
+            q = Fraction(x)
+            return q.numerator, q.denominator
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rational {x!r}") from exc
+    raise ValueError(f"bad rational {x!r} (use integers or strings like '1/2')")
+
+
 def as_vec(entries: Sequence) -> Vec:
     return tuple(Fraction(x) for x in entries)
 

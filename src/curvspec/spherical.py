@@ -21,13 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb, floor, gcd, isqrt
 from operator import index
 
 from . import liealg
 from .errors import InvariantViolation
 from .liealg import IrrepLabelO, RootSystem, RotationElement
+from .ratlinalg import _rational_pair
 from .spectra import ComparisonResult, first_difference
 
 
@@ -69,29 +70,35 @@ class LensElements:
 
 
 class _Residues(dict):
-    """(a, b) -> the angle a/b as the residue a N/b mod N when that is an
-    integer and as a fraction in [0, 1) otherwise, reduced once per pair;
-    equal values are equal angles."""
+    """Angle -> its value a/b as the residue a N/b mod N when that is an
+    integer, else as a/b mod 1; equal values are equal angles.  A pair (a, b)
+    or a string (read by `_rational_pair`) is read once and stored; an int is
+    not stored, since True would find it."""
 
     def __init__(self, big_n: int):
         self.big_n = big_n
 
-    def __missing__(self, pair):
-        (a, b), big_n = pair, self.big_n
-        r = self[pair] = a * big_n // b % big_n if a * big_n % b == 0 else Fraction(a, b) % 1
+    def __missing__(self, x):
+        a, b = x if type(x) is tuple else _rational_pair(x)
+        big_n = self.big_n
+        r = a * big_n // b % big_n if a * big_n % b == 0 else Fraction(a, b) % 1
+        if type(x) in (str, tuple):
+            self[x] = r
         return r
 
 
 @dataclass(frozen=True)
 class SphericalGroup:
     """Finite fixed-point-free rotation group acting on the sphere S^{2m-1},
-    given by its `RotationElement`s, by their angles as (numerator,
-    denominator) pairs of integers, or as the `LensElements` of L(N; q).
+    given by its `RotationElement`s, by rows of angles, or as the
+    `LensElements` of L(N; q).  An angle, in turns, is an (a, b) pair of
+    ints for a/b, an int, or a string such as "1/7", " 2/14", "0.25" or
+    "-1/7"; a bool, a float or any other entry is refused by name.
 
     Such a group is abelian and acts freely, hence cyclic: the lens group
     L(N; q) generated by the rotation with angles q_j / N, N the order.
-    Validation reads each angle as a residue mod N, finds that generator and
-    keeps only `LensElements(N, q)`."""
+    Validation reads each angle once, as a residue mod N, before any check,
+    finds that generator and keeps only `LensElements(N, q)`."""
 
     m: int
     elements: tuple | LensElements
@@ -99,24 +106,32 @@ class SphericalGroup:
     _cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
 
     def __post_init__(self):
+        lens = isinstance(self.elements, LensElements)
+        if not lens:
+            rows = [
+                [(a.numerator, a.denominator) for a in g.angles] if isinstance(g, RotationElement) else g
+                for g in self.elements
+            ]
+            big_n, residues = len(rows), _Residues(len(rows))
+            try:
+                values = [tuple(map(residues.__getitem__, g)) for g in rows]
+            except TypeError:  # an unhashable entry, which the reader refuses by name
+                for x in chain(*rows):
+                    if x.__hash__ is None:
+                        _rational_pair(x)
+                raise
         if self.m < 2:
             raise ValueError("need m >= 2 (sphere dimension n = 2m-1 >= 3)")
-        if isinstance(self.elements, LensElements):
+        if lens:
             if len(self.elements.q) != self.m:
                 raise InvariantViolation("element rank does not match the group")
             return
-        rows = [
-            [(a.numerator, a.denominator) for a in g.angles] if isinstance(g, RotationElement) else g
-            for g in self.elements
-        ]
-        big_n = len(rows)
         if not rows:
             raise InvariantViolation("group is empty")
-        # the planes (columns), as residues, of the rows before the first of the wrong rank
-        bad = next((i for i, g in enumerate(rows) if len(g) != self.m), big_n)
-        residues = _Residues(big_n)
-        planes = [list(map(residues.__getitem__, plane)) for plane in zip(*rows[:bad])]
-        keys = set(zip(*planes))
+        # the elements, and their planes, before the first of the wrong rank
+        bad = next((i for i, g in enumerate(values) if len(g) != self.m), big_n)
+        keys = set(values[:bad])
+        planes = list(zip(*values[:bad]))
         if len(keys) < bad:
             raise InvariantViolation("duplicate element")
         if bad < big_n:
@@ -132,7 +147,7 @@ class SphericalGroup:
         # order N, and the element with first angle t/N is t times it
         at = planes[0].index(1 % big_n) if 1 % big_n in planes[0] else None
         if at is None or any(type(r) is Fraction for r in residues.values()) or any(
-            plane != [t * plane[at] % big_n for t in planes[0]] for plane in planes[1:]
+            plane != tuple(t * plane[at] % big_n for t in planes[0]) for plane in planes[1:]
         ):
             raise InvariantViolation("element list is not closed under composition")
         object.__setattr__(self, "elements", LensElements(big_n, tuple(p[at] for p in planes)))

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from curvspec import cli, flat
+from curvspec import cli, flat, ratlinalg
 
 
 def run(capsys, *argv):
@@ -377,7 +377,7 @@ def test_every_spelling_of_an_angle_reads_the_same(capsys, tmp_path):
 
 def test_angle_strings_read_as_their_rational_value():
     for text in ("0", "1", "7", "3/2", "2/4", "10/5", "89/89", " 1/2", "0.5", "-1/7"):
-        a, b = cli._angle(text)
+        a, b = ratlinalg._rational_pair(text)
         assert Fraction(a, b) == Fraction(text), text
 
 
@@ -397,6 +397,22 @@ def test_a_non_string_among_repeated_angles_keeps_its_message(capsys, tmp_path, 
     payload["elements"] += [{"angles": [0, 1, "1/2"]}, {"angles": ["0", "1/2", bad]}]
     code, out, err = _spectrum_csv(capsys, tmp_path, payload)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [["0"], ["1/2"], ["1/x"]],
+        [["0", "0"], ["1/2"], ["1/2", "1/x"]],
+        [["0", "0"], ["1/2", "0", "1/x"]],
+    ],
+    ids=["rank-1", "after-wrong-rank", "in-wrong-rank"],
+)
+def test_a_malformed_angle_is_reported_before_the_rank(capsys, tmp_path, rows):
+    # every angle is read before any check of the list, the rank checks too
+    payload = {"space": "spherical", "elements": [{"angles": a} for a in rows]}
+    code, out, err = _spectrum_csv(capsys, tmp_path, payload)
+    assert (code, out, err) == (2, "", "error: bad rational '1/x'\n")
 
 
 @pytest.mark.parametrize("angles", [["0"], []], ids=["rank-1", "empty"])

@@ -15,7 +15,8 @@ among them) with a tau comparison of L(7;1,2,3) and L(7;1,2,4) at that cutoff,
 and the csv spectra of three deep rows: L(5;1,2) at lambda <= 2000,
 L(7;1,2,3,1) at lambda <= 300 and L(10007;1,2,3) at lambda <= 2000, and the
 spectra of flat8_a and flat8_b at mu <= 16 (recorded from the dual-ball walk)
-and at mu <= 200.  To record the file again with the library on the path:
+and at mu <= 200, the list of fixtures, and three hyperbolic dictionary
+entries.  To record the file again with the library on the path:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -150,6 +151,9 @@ _DEEP = {
 # deep flat rows: (fixture, cutoff)
 _DEEP_FLAT = (("flat8_a", "16"), ("flat8_b", "16"), ("flat8_a", "200"), ("flat8_b", "200"))
 
+# hyperbolic dictionary entries: (n, p, lambda)
+_DICT = (("4", "2", "0"), ("5", "2", "3"), ("3", "0", "-1"))
+
 
 def cases():
     """(argv, {file name: description}) for every recorded case."""
@@ -192,6 +196,9 @@ def cases():
         out.append((argv, {file: data}))
     for name, cutoff in _DEEP_FLAT:
         out.append((["spectrum", f"fixture:{name}", "--p", "all", "--cutoff", cutoff], {}))
+    out.append((["fixtures"], {}))
+    for n, p, lam in _DICT:
+        out.append((["dict", "--n", n, "--p", p, "--lambda", lam], {}))
     return out
 
 

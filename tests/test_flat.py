@@ -1,9 +1,12 @@
 """Flat quotients: shells, multiplicities, Betti numbers, fixture pairs."""
 
 import itertools
+import json
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +208,49 @@ def test_fixture_names_and_orientability():
     ]
     for name, group in table.items():
         assert is_orientable(group) == (not name.startswith("klein"))
+
+
+def test_fixtures_are_the_recorded_groups():
+    # the benchmark's golden file records eight of the fixtures as strings
+    golden = json.loads((Path(__file__).parents[1] / "perfbench" / "flat_golden.json").read_text())
+    table = fixtures()
+    assert len(golden["fixtures"]) == 8
+    for name, data in golden["fixtures"].items():
+        group = table[name]
+        assert group.lattice.basis == rl.as_mat(data["lattice"])
+        assert group.cosets == tuple(
+            (rl.as_mat(c["rotation"]), rl.as_vec(c["translation"])) for c in data["cosets"]
+        )
+
+
+def _mat_mul_calls(fn) -> int:
+    """Number of `ratlinalg.mat_mul` calls while fn() runs."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call" and frame.f_code is rl.mat_mul.__code__
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_fixtures_are_built_without_a_matrix_product(monkeypatch):
+    # the rotations are signed permutations, their powers composed as such:
+    # with validation left out, building the ten groups multiplies no
+    # matrices, and with it only the Klein pair, which has no cubic frame,
+    # multiplies them on its lattice basis
+    from curvspec import flat
+
+    build = flat._fixture_table.__wrapped__
+    assert _mat_mul_calls(build) == _mat_mul_calls(klein_pair) > 0
+    built = []
+    monkeypatch.setattr(BieberbachGroup, "__post_init__", lambda self: built.append(self))
+    assert _mat_mul_calls(build) == 0 and len(built) == 10
 
 
 # ---------------------------------------------------------------- phase sums
@@ -1582,11 +1628,20 @@ def test_determinant_certificate_finds_cubic_frames_without_a_walk(n, scale, see
     assert _up_to_sign(frame[0]) == _up_to_sign(expected[0]) and frame[1:] == expected[1:]
 
 
+def _block_diag(*blocks) -> list[list[int]]:
+    """The block-diagonal matrix of the given square blocks."""
+    n, at = sum(map(len, blocks)), 0
+    out = [[0] * n for _ in range(n)]
+    for block in blocks:
+        for i, row in enumerate(block):
+            out[at + i][at : at + len(row)] = row
+        at += len(block)
+    return out
+
+
 @settings(max_examples=80, deadline=None, database=None, derandomize=True, phases=_NO_SHRINK)
 @given(n=st.sampled_from((2, 4, 6, 8)), scale=st.sampled_from(_SCALES), seed=st.integers(0, 2**32))
 def test_turned_cubic_lattices_are_left_to_the_walk(n, scale, seed):
-    from curvspec.flat import _block_diag
-
     # the frame with the axes of each plane turned to (1, 1) and (1, -1), a
     # rotated sqrt(2) Z^n, which the full walk finds, is off the standard
     # axes: it fails the determinant certificate, with no walk

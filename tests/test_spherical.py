@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from curvspec import cli, liealg, spherical
+from curvspec import cli, liealg, ratlinalg, spherical
 from curvspec.errors import InvariantViolation
 from curvspec.liealg import IrrepLabelO, RootSystem, RotationElement, character_o
 from curvspec.spherical import (
@@ -355,10 +355,20 @@ def _element_lists(draw):
             j = rng.randrange(m)
             if len(one) == len(two) == m:
                 one[j], two[j] = two[j], one[j]
-    as_elements = draw(st.booleans())
-    if as_elements:
+    pairs = [tuple(row) for row in rows]
+    form = draw(st.sampled_from(("pairs", "elements", "strings")))
+    if form == "elements":
         rows = [RotationElement(tuple(Fraction(a, b) for a, b in row)) for row in rows]
-    return m, [tuple(row) if not as_elements else row for row in rows]
+    if form == "strings":
+        rows = [[_as_string(pair, rng) for pair in row] for row in rows]
+    return m, (pairs if form == "pairs" else rows), pairs
+
+
+def _as_string(pair, rng):
+    """The angle a/b as a string, in one of the spellings of an input file."""
+    a, b = pair
+    forms = [f"{a}/{b}", f"{2 * a}/{2 * b}", f" {a}/{b}", *([str(a)] if b == 1 else [])]
+    return rng.choice(forms)
 
 
 def _lens_data_or_message(fn, *args):
@@ -371,11 +381,12 @@ def _lens_data_or_message(fn, *args):
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(_element_lists())
 def test_element_lists_are_read_as_the_element_by_element_check_reads_them(case):
-    m, rows = case
+    # the oracle reads the angles as pairs, whatever form the rows take
+    m, rows, pairs = case
     group = _lens_data_or_message(SphericalGroup, m, tuple(rows))
     if isinstance(group, SphericalGroup):
         group = group.order, group.elements.q
-    assert group == _lens_data_or_message(lens_data_by_elements, m, rows)
+    assert group == _lens_data_or_message(lens_data_by_elements, m, pairs)
 
 
 def test_spectra_build_no_full_weight_table(monkeypatch):
@@ -777,7 +788,8 @@ def test_cli_element_list_reads_each_distinct_angle_once():
     }
     distinct = {a for e in data["elements"] for a in e["angles"]}
     assert len(distinct) == big_n < 3 * big_n
-    assert _calls_during({cli._angle.__code__}, cli._group_from_description, data) == big_n
+    reads = {ratlinalg._rational_pair.__code__}
+    assert _calls_during(reads, cli._group_from_description, data) == big_n
 
 
 @st.composite
