@@ -180,11 +180,6 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _k_max_from_cutoff(m: int, cutoff: Fraction) -> int:
-    h = m - 1
-    return isqrt(h * h + int(cutoff)) - h
-
-
 def cmd_compare(args) -> int:
     space1, g1 = _load_group(args.group1)
     space2, g2 = _load_group(args.group2)
@@ -196,40 +191,27 @@ def cmd_compare(args) -> int:
         return 4
     cutoff = _cutoff(args.cutoff)
     degrees = _degrees(args.p, g1.n)
-    half = args.mode.startswith("half-")
-    if half and space1 == "flat":
-        raise _ParseError("half modes apply to spherical groups only")
-    unit = "mu" if space1 == "flat" else "lambda"
-    all_equal = True
-    for p in degrees:
-        if args.mode == "tau":
-            if space1 == "flat":
-                eq = flat.tau_equivalent(g1, g2, p, cutoff)
-                scope = f"mu <= {cutoff}"
-            else:
-                k_max = _k_max_from_cutoff(g1.m, cutoff)
-                eq = spherical.tau_equivalent(g1, g2, p, k_max)
-                scope = f"k <= {k_max}"
-            print(f"p={p}: {'tau-equivalent' if eq else 'not tau-equivalent'} ({scope})")
-            all_equal = all_equal and eq
-            continue
-        if half:
-            closed = args.mode == "half-closed"
-            head = f"p={p} ({'closed' if closed else 'coclosed'})"
-            res = spectra.first_difference(
-                spherical.half_spectrum(g1, p, closed, cutoff),
-                spherical.half_spectrum(g2, p, closed, cutoff),
-            )
-        else:
-            head = f"p={p}"
-            res = (flat if space1 == "flat" else spherical).compare(g1, g2, p, cutoff)
-        if res.isospectral:
-            print(f"{head}: spectra agree ({unit} <= {cutoff})")
+    tau = args.mode == "tau"
+    if space1 == "flat":
+        if args.mode.startswith("half-"):
+            raise _ParseError("half modes apply to spherical groups only")
+        unit, scope, pieces, tau_scope = "mu", cutoff, flat._pieces, f"mu <= {cutoff}"
+    else:
+        # tau reads each family to the largest k with k^2 + k(n - 1) <= cutoff
+        k_max = isqrt((g1.m - 1) ** 2 + int(cutoff)) - g1.m + 1
+        scope, pieces = (k_max if tau else cutoff, tau), spherical._pieces
+        unit, tau_scope = "lambda", f"k <= {k_max}"
+    answers = [spectra.answer(g1, g2, p, scope, pieces, args.mode) for p in degrees]
+    head = {"half-closed": " (closed)", "half-coclosed": " (coclosed)"}.get(args.mode, "")
+    for p, res in zip(degrees, answers):
+        if tau:
+            print(f"p={p}: {'tau-equivalent' if res else 'not tau-equivalent'} ({tau_scope})")
+        elif res.isospectral:
+            print(f"p={p}{head}: spectra agree ({unit} <= {cutoff})")
         else:
             lam, d1, d2 = res.first_discrepancy
-            print(f"{head}: spectra differ at {unit}={lam}: {d1} vs {d2}")
-            all_equal = False
-    return 0 if all_equal else 1
+            print(f"p={p}{head}: spectra differ at {unit}={lam}: {d1} vs {d2}")
+    return 0 if all(res if tau else res.isospectral for res in answers) else 1
 
 
 def cmd_betti(args) -> int:

@@ -42,13 +42,10 @@ D, so each phase <v, b> is a residue r mod D.  A group caches one row
 exp(-2 pi i r / D) for integer counts C_r that depend on gcd(r, D) alone
 (Galois invariance), so Moebius values sum it in integers.  All degrees
 share the counts: one pass builds a vector of trace-weighted counts per
-residue, and one phase sum of the vectors gives the row.  Two lattices'
-shells compare on the scale lcm(K1, K2); a comparison keeps one table per
-pair and cutoff, with both rows at every shell and the first discrepancy
-in every degree, which answers each degree.  Fractions are built only for
-results that leave the module: spectrum entries, a first discrepancy, and
-the values of `shells`, a lazy mapping that converts a shell to ambient
-vectors when it is read.
+residue, and one phase sum of the vectors gives the row; `spectra` compares
+the rows telescoped into principal-series pieces.  Fractions are built only
+for results that leave the module: spectrum entries and the values of
+`shells`, a lazy mapping that converts a shell to ambient vectors when read.
 """
 
 from __future__ import annotations
@@ -65,7 +62,7 @@ from itertools import islice
 from operator import mul, sub
 from typing import NamedTuple
 
-from . import ratlinalg as rl
+from . import ratlinalg as rl, spectra
 from .errors import IntegralityError, InvariantViolation
 from .liealg import exterior_trace  # noqa: F401 (perfbench/tracer.py wraps flat.exterior_trace)
 from .spectra import ComparisonResult
@@ -853,12 +850,6 @@ def _row(group: BieberbachGroup, t: int) -> tuple[int, ...]:
     return row
 
 
-def _row_at(group: BieberbachGroup, mu: Fraction) -> tuple[int, ...]:
-    """(d_0, ..., d_n) at the squared norm mu > 0; zeros off the dual lattice."""
-    t = _group_shells(group, mu)._key(mu)
-    return (0,) * (group.n + 1) if t is None else _row(group, t)
-
-
 def d_lambda(group: BieberbachGroup, p: int, mu) -> int:
     """Multiplicity of the eigenvalue 4 pi^2 mu on p-forms:
     |F|^-1 sum over the cosets of tr Lambda^p(B) e_mu_gamma, in integers."""
@@ -869,7 +860,8 @@ def d_lambda(group: BieberbachGroup, p: int, mu) -> int:
         raise ValueError("form degree out of range")
     if mu == 0:
         return betti(group, p)
-    return _row_at(group, mu)[p]
+    t = _group_shells(group, mu)._key(mu)
+    return 0 if t is None else _row(group, t)[p]
 
 
 @dataclass(frozen=True)
@@ -894,57 +886,35 @@ def spectrum(group: BieberbachGroup, p: int, mu_max) -> FlatSpectrum:
     return FlatSpectrum(group.n, p, mu_max, entries)
 
 
-def _pair_table(g1: BieberbachGroup, g2: BieberbachGroup, mu_max) -> tuple[list, list]:
-    """(rows, firsts): rows are (T, row of g1, row of g2) with the rows
-    (d_0, ..., d_n) at the union of the two groups' positive shells up to
-    mu_max, in increasing norm (a shell absent from a group reads zeros),
-    keyed by T = L mu on the common scale L = lcm(K1, K2) of the two balls;
-    firsts holds per degree p the first (mu, d1, d2) where they differ, or
-    None.  Built once per g2 and cutoff and kept in g1's `_cache[0]` (t = 0
-    is no shell) under the id of g2, with g2 itself, which keeps that id
-    from naming another group."""
-    # the cutoffs already asked for, found by identity or equality, so that a
-    # Fraction cutoff is not hashed on every call
-    entries = g1._cache.setdefault(0, {}).setdefault(id(g2), [])
-    entry = next((e for e in entries if e[0] is mu_max or e[0] == mu_max), None)
-    if entry is None:
-        sh1, sh2 = _group_shells(g1, mu_max), _group_shells(g2, mu_max)
-        scale = math.lcm(sh1._scale, sh2._scale)
-        absent = (0,) * (g1.n + 1)
-        pairs: dict[int, list] = {}
-        for side, group, sh in ((0, g1, sh1), (1, g2, sh2)):
-            step = scale // sh._scale
-            for t in sh._numerators():
-                if t:
-                    pairs.setdefault(t * step, [absent, absent])[side] = _row(group, t)
-        rows = [(key, *pairs[key]) for key in sorted(pairs)]
-        firsts = [
-            next(((Fraction(k, scale), r1[p], r2[p]) for k, r1, r2 in rows if r1[p] != r2[p]), None)
-            for p in range(g1.n + 1)
-        ]
-        entry = (mu_max, g2, rows, firsts)
-        entries.append(entry)
-    return entry[2], entry[3]
+def _telescoped(group: BieberbachGroup, t: int) -> tuple[int, ...]:
+    """(P_0, ..., P_{n+1}) at the shell t > 0, telescoped from P_0 = 0 by
+    P_{p+1} = d(p) - P_p = n_sigma(p); every piece must be nonnegative and the
+    top one, sum_p (-1)^(n-p) d(p), zero."""
+    pieces = [0]
+    for x in _row(group, t):
+        now = x - pieces[-1]
+        if now < 0:
+            raise IntegralityError(f"telescoped multiplicity {now} is negative")
+        pieces.append(now)
+    if pieces[-1]:
+        ball = group.lattice._ball if group._theta is None else group._theta
+        raise IntegralityError(
+            f"top telescoped multiplicity {pieces[-1]} at mu={Fraction(t, ball['scale'])} is not 0"
+        )
+    return tuple(pieces)
+
+
+def _pieces(group: BieberbachGroup, mu_max) -> tuple[int, dict, tuple]:
+    """The group's rows for `spectra.answer`: the pieces at every positive
+    shell up to mu_max, keyed by t = K mu, and the Betti numbers."""
+    sh, zero = _group_shells(group, mu_max), group._betti
+    if set(map(type, zero)) != {int}:  # `betti` refuses a fraction by name
+        zero = tuple(betti(group, p) for p in range(group.n + 1))
+    return sh._scale, {t: _telescoped(group, t) for t in sh._numerators() if t}, zero
 
 
 def compare(g1: BieberbachGroup, g2: BieberbachGroup, p: int, mu_max) -> ComparisonResult:
-    if g1.n != g2.n:
-        raise ValueError("groups act on spaces of different dimensions")
-    b1, b2 = betti(g1, p), betti(g2, p)
-    firsts = _pair_table(g1, g2, mu_max)[1]
-    first = firsts[p] if b1 == b2 else (Fraction(0), b1, b2)
-    return ComparisonResult(first is None, first)
-
-
-def _telescoped(row: tuple[int, ...], p: int) -> tuple[int, int]:
-    """(n_sigma(p), n_sigma(p - 1)) of one shell, from its form multiplicities
-    by n_sigma(q) = d(q) - n_sigma(q - 1), with n_sigma(-1) = 0."""
-    now = below = 0
-    for q in range(p + 1):
-        now, below = row[q] - now, now
-        if now < 0:
-            raise IntegralityError(f"telescoped multiplicity {now} is negative")
-    return now, below
+    return spectra.answer(g1, g2, p, mu_max, _pieces, "spec")
 
 
 def n_sigma_multiplicity(group: BieberbachGroup, p: int, mu) -> int:
@@ -956,21 +926,17 @@ def n_sigma_multiplicity(group: BieberbachGroup, p: int, mu) -> int:
         raise ValueError("mu must be positive")
     if not 0 <= p <= group.n:
         raise ValueError("degree out of range")
-    return _telescoped(_row_at(group, mu), p)[0]
+    t = _group_shells(group, mu)._key(mu)
+    return 0 if t is None else _telescoped(group, t)[p + 1]
 
 
 def tau_equivalent(g1: BieberbachGroup, g2: BieberbachGroup, p: int, mu_max) -> bool:
     """Equality of all multiplicities attached to the degree-p exterior
-    representation up to the cutoff: both telescoped halves at every shell
-    plus the p-th Betti numbers."""
-    if g1.n != g2.n:
-        raise ValueError("groups act on spaces of different dimensions")
-    if not 0 <= p <= g1.n:
-        raise ValueError("form degree out of range")
-    if betti(g1, p) != betti(g2, p):
+    representation up to the cutoff: the p-th Betti numbers, read first, and
+    both pieces n_sigma(p - 1), n_sigma(p) at every shell."""
+    if g1.n == g2.n and betti(g1, p) != betti(g2, p):
         return False
-    rows = _pair_table(g1, g2, mu_max)[0]
-    return all(_telescoped(r1, p) == _telescoped(r2, p) for _, r1, r2 in rows)
+    return spectra.answer(g1, g2, p, mu_max, _pieces, "tau")
 
 
 def _signed_matrix(p: tuple[int, ...]) -> IntMat:

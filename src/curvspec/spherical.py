@@ -25,11 +25,11 @@ from itertools import chain, combinations, product
 from math import comb, floor, gcd, isqrt
 from operator import index
 
-from . import liealg
+from . import liealg, spectra
 from .errors import InvariantViolation
 from .liealg import IrrepLabelO, RootSystem, RotationElement
 from .ratlinalg import _rational_pair
-from .spectra import ComparisonResult, first_difference
+from .spectra import ComparisonResult
 
 
 def _integer(x) -> int:
@@ -286,6 +286,8 @@ def _family_counts(group: SphericalGroup, q: int, k_max: int, radius: int = 0) -
 def _families(n: int, lam_max: int) -> tuple[tuple, int]:
     """The eigenvalue families j = 0..n+1 at eigenvalues <= lam_max, and the
     1-norm that their tables need: the largest k + q - 1 over them."""
+    if lam_max < 0:
+        raise ValueError("cutoff must be nonnegative")
     families = tuple(tuple(eigenvalue_family(n, j, lam_max)) for j in range(n + 2))
     tops = (f[-1][0] + min(j, n + 1 - j) - 1 for j, f in enumerate(families) if f)
     return families, max(tops, default=0)
@@ -394,7 +396,7 @@ def p_spectrum(group: SphericalGroup, p: int, lam_max: int) -> Spectrum:
     closed and the coclosed half, which share no eigenvalue, plus the
     eigenvalue 0 of the constant functions and top forms."""
     n, top = group.n, floor(lam_max)
-    entries = {0: 1} if p in (0, n) and top >= 0 else {}
+    entries = {0: 1} if p in (0, n) else {}
     for closed in (True, False):
         entries.update(half_spectrum(group, p, closed, top))
     return Spectrum(n, p, lam_max, dict(sorted(entries.items())))
@@ -415,26 +417,30 @@ def half_spectrum(group: SphericalGroup, p: int, closed: bool, lam_max: int) -> 
     return {lam: counts[k] for k, lam in family if k and counts[k]}
 
 
+def _pieces(group: SphericalGroup, scope: tuple) -> tuple[int, dict, tuple]:
+    """The group's rows for `spectra.answer`: P_j, the closed half of degree
+    j, at each eigenvalue of family j, cut at lambda <= top for the scope
+    (top, False) and at k <= top for (top, True), and 1 at eigenvalue 0."""
+    (top, in_k), n = scope, group.n
+    if top < 0:
+        raise ValueError("cutoff must be nonnegative")
+    rows: dict[int, list[int]] = {}
+    for j in range(1, n + 1):
+        cut = top * top + top * (n - 1) + (j - 1) * (n - j) if in_k else top
+        for lam, d in half_spectrum(group, j, True, cut).items():
+            rows.setdefault(lam, [0] * (n + 2))[j] = d
+    return 1, {lam: tuple(row) for lam, row in rows.items()}, (1,) + (0,) * (n - 1) + (1,)
+
+
 def compare(g1: SphericalGroup, g2: SphericalGroup, p: int, lam_max: int) -> ComparisonResult:
-    if g1.m != g2.m:
-        raise ValueError("groups act on spheres of different dimensions")
-    s1, s2 = p_spectrum(g1, p, lam_max), p_spectrum(g2, p, lam_max)
-    return first_difference(s1.entries, s2.entries)
+    return spectra.answer(g1, g2, p, (lam_max, False), _pieces, "spec")
 
 
 def tau_equivalent(g1: SphericalGroup, g2: SphericalGroup, p: int, k_max: int) -> bool:
     """Equality of every multiplicity attached to the degree-p exterior
     representation, across both weight families, for 1 <= k <= k_max (k = 0
     labels the trivial representation, invariant under every group)."""
-    if g1.m != g2.m:
-        raise ValueError("groups act on spheres of different dimensions")
-    n = g1.n
-    if not 0 <= p <= n:
-        raise ValueError("form degree out of range")
-    labels = [
-        family_label(g1.m, j, k) for j in (p, p + 1) if 1 <= j <= n for k in range(1, k_max + 1)
-    ]
-    return all(n_gamma(g1, label) == n_gamma(g2, label) for label in labels)
+    return spectra.answer(g1, g2, p, (k_max, True), _pieces, "tau")
 
 
 def _interlacing_labels(m: int, mu: tuple[int, ...], k_max: int):

@@ -2,8 +2,9 @@
 oracles for the integer code paths of `curvspec.flat` and `curvspec.liealg`
 and helpers for building test data, the full-table closure check and the
 one-degree-at-a-time row of a flat group, the per-weight count of the
-spherical multiplicities n_Gamma, the prefix-shell count of the lens lattice
-and the element-by-element check of a spherical element list."""
+spherical multiplicities n_Gamma, the prefix-shell count of the lens lattice,
+the element-by-element check of a spherical element list and the
+eigenvalue-by-eigenvalue comparison of two spectra."""
 
 import math
 from fractions import Fraction
@@ -14,6 +15,7 @@ from curvspec import flat, liealg
 from curvspec.errors import IntegralityError, InvariantViolation
 from curvspec.liealg import RotationElement
 from curvspec.ratlinalg import Mat, Vec, _hnf_rows, as_vec, identity
+from curvspec.spectra import ComparisonResult
 
 
 def vec_add(u: Sequence, v: Sequence) -> Vec:
@@ -233,3 +235,14 @@ def lens_data_by_elements(m: int, elements) -> tuple:
     }:
         raise InvariantViolation("element list is not closed under composition")
     return big_n, gen
+
+
+def first_difference(a: dict, b: dict) -> ComparisonResult:
+    """Agreement of two eigenvalue -> multiplicity maps, or the smallest
+    eigenvalue where they differ; an eigenvalue missing from a map has
+    multiplicity 0."""
+    for lam in sorted(a.keys() | b.keys()):
+        d1, d2 = a.get(lam, 0), b.get(lam, 0)
+        if d1 != d2:
+            return ComparisonResult(False, (lam, d1, d2))
+    return ComparisonResult(True, None)

@@ -12,11 +12,12 @@ all four modes between lens spaces of order 7, the two refused comparisons
 (a half mode on flat groups, a flat group against a spherical one), and the
 spectra at lambda <= 200 of lens spaces of small order (the sphere L(1; 0, 0)
 among them) with a tau comparison of L(7;1,2,3) and L(7;1,2,4) at that cutoff,
-and the csv spectra of three deep rows: L(5;1,2) at lambda <= 2000,
-L(7;1,2,3,1) at lambda <= 300 and L(10007;1,2,3) at lambda <= 2000, and the
-spectra of flat8_a and flat8_b at mu <= 16 (recorded from the dual-ball walk)
-and at mu <= 200, the list of fixtures, and three hyperbolic dictionary
-entries.  To record the file again with the library on the path:
+`compare --mode spec|tau` of L(5;1,1,1) and L(5;1,1,2) at lambda <= 5 (tau
+reads each family to k <= K, beyond the cutoff), and the csv spectra of three
+deep rows: L(5;1,2) at lambda <= 2000, L(7;1,2,3,1) at lambda <= 300 and
+L(10007;1,2,3) at lambda <= 2000, and the spectra of flat8_a and flat8_b at
+mu <= 16 (recorded from the dual-ball walk) and at mu <= 200, the list of
+fixtures, and three hyperbolic dictionary entries.  To record the file again with the library on the path:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -130,6 +131,13 @@ _LENSES = {
     "lens7_112.json": {"space": "spherical", "lens": {"N": 7, "q": [1, 1, 2]}},
 }
 
+# a pair whose spectra agree at lambda <= 5 while tau, read to k <= 1 in every
+# family, differs at k = 1 of family 2, which lies at lambda = 8
+_TAU_SCOPE = {
+    "lens5_111.json": {"space": "spherical", "lens": {"N": 5, "q": [1, 1, 1]}},
+    "lens5_112.json": {"space": "spherical", "lens": {"N": 5, "q": [1, 1, 2]}},
+}
+
 # lens forms with N <= 2R at lambda <= 200, R the largest 1-norm of a weight
 # there, so a congruence class mod N holds several values of one coordinate;
 # N = 1 is the sphere itself
@@ -190,6 +198,9 @@ def cases():
         out.append((["spectrum", file, "--p", "all", "--cutoff", "200"], {file: data}))
     argv = ["compare", "lens7.json", "lens7_124.json", "--cutoff", "200", "--mode", "tau"]
     out.append((argv, {**lens7, "lens7_124.json": _LENSES["lens7_124.json"]}))
+    for mode in ("spec", "tau"):
+        argv = ["compare", *_TAU_SCOPE, "--cutoff", "5", "--mode", mode]
+        out.append((argv, _TAU_SCOPE))
     for file, (big_n, q, cutoff) in _DEEP.items():
         data = {"space": "spherical", "lens": {"N": big_n, "q": q}}
         argv = ["spectrum", file, "--p", "all", "--cutoff", cutoff, "--format", "csv"]

@@ -964,6 +964,19 @@ def test_negative_telescoped_multiplicity_is_refused(monkeypatch):
         tau_equivalent(ka, kb, 1, 1)
 
 
+def test_nonzero_top_telescoped_multiplicity_is_refused(monkeypatch):
+    from curvspec import flat
+
+    # P_3 = 1 - 1 + 1: the alternating sum of a row must vanish
+    monkeypatch.setattr(flat, "_row", lambda group, t: (1, 1, 1))
+    ka, kb = klein_pair()
+    with pytest.raises(IntegralityError, match=r"top telescoped multiplicity 1 at mu=1 is not 0"):
+        n_sigma_multiplicity(ka, 0, 1)
+    for call in (compare, tau_equivalent):
+        with pytest.raises(IntegralityError, match=r"at mu=1/4 is not 0"):
+            call(ka, kb, 0, 1)
+
+
 def test_d_lambda_beyond_the_walk_extends_it_once(monkeypatch):
     from curvspec import flat
 
@@ -1538,7 +1551,7 @@ def _tau_from_spectra(g1, g2, p, cutoff) -> bool:
 
 def test_one_comparison_table_answers_every_degree_order_and_cutoff(monkeypatch):
     from curvspec import flat
-    from curvspec.spectra import first_difference
+    from oracles import first_difference
 
     rng = random.Random(16)
     table = fixtures()

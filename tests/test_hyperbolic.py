@@ -167,6 +167,18 @@ def test_decomposition_terms_split_by_branching_degree():
                         assert t.sigma_degree in degrees
 
 
+def test_positive_eigenvalues_read_the_pieces_of_the_comparison_table():
+    # d(p) = P_p + P_{p+1} with P_j the piece of sigma-degree j - 1 and
+    # P_0 = P_{n+1} = 0: exactly the terms of the dictionary
+    grid = {Fraction(a, b) for a in range(1, 15) for b in (1, 2, 3, 7)}
+    for n in range(2, 9):
+        for p in range(n + 1):
+            pieces = [j - 1 for j in (p, p + 1) if 1 <= j <= n]
+            for lam in grid:
+                terms = multiplicity_decomposition(n, p, lam)
+                assert sorted(t.sigma_degree for t in terms) == pieces, (n, p, lam)
+
+
 def test_term_rendering():
     assert str(HyperbolicTerm("langlands", 1, NuValue(False, 1))) == "J(sigma_1, nu=1)"
     assert (

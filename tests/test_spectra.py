@@ -2,8 +2,9 @@
 
 from fractions import Fraction
 
-from curvspec import flat, spherical
-from curvspec.spectra import ComparisonResult, first_difference
+from curvspec import flat, spectra, spherical
+from curvspec.spectra import ComparisonResult
+from oracles import first_difference
 
 
 def test_both_geometries_share_one_comparison_result():
@@ -19,3 +20,31 @@ def test_first_difference_reports_the_smallest_differing_eigenvalue():
     b = {0: 1, 1: 4, 2: 7, Fraction(5, 2): 2}
     assert first_difference(a, b) == ComparisonResult(False, (2, 0, 7))
     assert first_difference(b, a) == ComparisonResult(False, (2, 7, 0))
+
+
+def test_one_table_answers_every_spherical_mode_as_the_spectra_do():
+    # spec and both halves against the maps they summarise, and tau against
+    # the label-by-label count of both families for 1 <= k <= k_max
+    pairs = [
+        (spherical.lens_space(7, [1, 2, 3]), spherical.lens_space(7, [1, 2, 4])),
+        (spherical.lens_space(7, [1, 2, 3]), spherical.lens_space(7, [1, 1, 2])),
+        (spherical.lens_space(5, [1, 1, 1]), spherical.lens_space(5, [1, 1, 2])),
+        (spherical.lens_space(9, [1, 2]), spherical.lens_space(9, [1, 4])),
+    ]
+    for g1, g2 in pairs:
+        n = g1.n
+        for p in range(n + 1):
+            for cutoff in (0, 5, Fraction(81, 2)):
+                spec = [spherical.p_spectrum(g, p, cutoff).entries for g in (g1, g2)]
+                assert spherical.compare(g1, g2, p, cutoff) == first_difference(*spec)
+                for mode, closed in (("half-closed", True), ("half-coclosed", False)):
+                    halves = [spherical.half_spectrum(g, p, closed, cutoff) for g in (g1, g2)]
+                    got = spectra.answer(g1, g2, p, (cutoff, False), spherical._pieces, mode)
+                    assert got == first_difference(*halves)
+            for k_max in (0, 1, 3):
+                labels = [
+                    spherical.family_label(g1.m, j, k)
+                    for j in (p, p + 1) if 1 <= j <= n for k in range(1, k_max + 1)
+                ]
+                expected = all(spherical.n_gamma(g1, x) == spherical.n_gamma(g2, x) for x in labels)
+                assert spherical.tau_equivalent(g1, g2, p, k_max) == expected

@@ -533,12 +533,12 @@ def test_half_spectra_partition_the_positive_spectrum():
     for g in groups:
         n = g.n
         for p in range(n + 1):
-            for lam_max in (-1, 0, 3, 60):
+            for lam_max in (0, 3, 60):
                 closed = half_spectrum(g, p, True, lam_max)
                 coclosed = half_spectrum(g, p, False, lam_max)
                 assert not set(closed) & set(coclosed)
                 assert all(lam > 0 for lam in (*closed, *coclosed))
-                merged = {0: 1} if p in (0, n) and lam_max >= 0 else {}
+                merged = {0: 1} if p in (0, n) else {}
                 merged.update(closed)
                 merged.update(coclosed)
                 entries = p_spectrum(g, p, lam_max).entries
@@ -558,6 +558,21 @@ def test_half_spectrum_example_on_round_sphere():
 
 
 # ---------------------------------------------------------------- compare
+
+
+def test_negative_cutoffs_are_refused_as_on_flat_groups():
+    g1, g2 = lens_space(7, [1, 2]), lens_space(7, [1, 3])
+    for p in range(g1.n + 1):
+        for cutoff in (-1, Fraction(-1, 2), -3):
+            for call in (
+                lambda: compare(g1, g2, p, cutoff),
+                lambda: tau_equivalent(g1, g2, p, cutoff),
+                lambda: p_spectrum(g1, p, cutoff),
+                lambda: half_spectrum(g1, p, True, cutoff),
+                lambda: half_spectrum(g1, p, False, cutoff),
+            ):
+                with pytest.raises(ValueError, match="cutoff must be nonnegative"):
+                    call()
 
 
 def test_compare_group_with_itself():
@@ -798,13 +813,13 @@ def _lens_and_cutoffs(draw):
     big_n = draw(st.integers(1, 60))
     units = [u for u in range(1, big_n + 1) if math.gcd(u, big_n) == 1]
     q = draw(st.lists(st.sampled_from(units), min_size=m, max_size=m))
-    cutoff = st.one_of(st.integers(-1, 50), st.fractions(-1, 50, max_denominator=6))
+    cutoff = st.one_of(st.integers(0, 50), st.fractions(0, 50, max_denominator=6))
     return big_n, q, draw(st.lists(cutoff, min_size=2, max_size=4))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(_lens_and_cutoffs())
-@example((7, [1, 2, 3], [Fraction(-1, 2), Fraction(81, 2), 12, Fraction(1, 3)]))
+@example((7, [1, 2, 3], [Fraction(1, 2), Fraction(81, 2), 12, Fraction(1, 3)]))
 def test_family_tables_equal_the_per_label_counts(case):
     # one group asked at rising cutoffs extends its tables; another asked at
     # falling cutoffs reads prefixes of the first, longest ones; the oracle
