@@ -163,19 +163,14 @@ def _emit_rows(rows: list[tuple], header: tuple, fmt: str):
 def cmd_spectrum(args) -> int:
     space, group = _load_group(args.group)
     cutoff = _cutoff(args.cutoff)
-    n = group.n
-    rows = []
-    for p in _degrees(args.p, n):
-        if space == "flat":
-            spec = flat.spectrum(group, p, cutoff)
-            for mu, mult in spec.entries.items():
-                rows.append(
-                    (p, f"4*pi^2*{mu}", repr(4 * math.pi**2 * float(mu)), mult)
-                )
-        else:
-            spec = spherical.p_spectrum(group, p, cutoff)
-            for lam, mult in spec.entries.items():
-                rows.append((p, lam, repr(float(lam)), mult))
+    spectrum, prefix, factor = (
+        (flat.spectrum, "4*pi^2*", 4 * math.pi**2) if space == "flat" else (spherical.p_spectrum, "", 1)
+    )
+    rows = [
+        (p, f"{prefix}{lam}", repr(factor * float(lam)), mult)
+        for p in _degrees(args.p, group.n)
+        for lam, mult in spectrum(group, p, cutoff).entries.items()
+    ]
     _emit_rows(rows, ("p", "eigenvalue_exact", "eigenvalue_float", "multiplicity"), args.format)
     return 0
 

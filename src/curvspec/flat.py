@@ -36,16 +36,19 @@ lies in N Z^n for N = sum_k R^k (an integer Hermite reduction); the closure
 check's products give the powers of R, hence the power traces, and Newton's
 identities the exterior traces.
 
-On both, translations are residue vectors modulo their common denominator
-D, so each phase <v, b> is a residue r mod D.  A group caches one row
-(d_0, ..., d_n) per shell t, each entry |F|^-1 sum_r C_r
+On both, translations are residue vectors modulo their common denominator D,
+so each phase <v, b> is a residue r mod D.  A group's `_cache` has three
+sections.  "shells" is its ball: per shell t, each coset's counts C_r of the
+residues r, from the theta products on a frame and from the walk otherwise.
+"rows" holds one row (d_0, ..., d_n) per shell, each entry |F|^-1 sum_r C_r
 exp(-2 pi i r / D) for integer counts C_r that depend on gcd(r, D) alone
 (Galois invariance), so Moebius values sum it in integers.  All degrees
 share the counts: one pass builds a vector of trace-weighted counts per
-residue, and one phase sum of the vectors gives the row; `spectra` compares
-the rows telescoped into principal-series pieces.  Fractions are built only
-for results that leave the module: spectrum entries and the values of
-`shells`, a lazy mapping that converts a shell to ambient vectors when read.
+residue, and one phase sum of the vectors gives the row.  "pairs" holds the
+tables in which `spectra` compares the rows telescoped into principal-series
+pieces.  Fractions are built only for results that leave the module:
+spectrum entries and the values of `shells`, a lazy mapping that converts a
+shell to ambient vectors when read.
 """
 
 from __future__ import annotations
@@ -146,7 +149,7 @@ class Lattice:
     # the basis as an integer matrix S and a denominator d, basis = S / d,
     # with det S (see _det; a singular S is refused when it is 0)
     _integer: tuple[IntMat, int, int] = field(init=False, repr=False, compare=False)
-    # dual ball: {"mu": cutoff walked, "scale": K, "shells": {t: [dual coordinates]}, "keys": [t]}
+    # dual ball (see _extended): {t: [dual coordinates]} per shell
     _ball: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # shells as ambient vectors: {t: vectors}, filled when a value of shells() is read
     _ambient: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -215,22 +218,23 @@ class Lattice:
         frac = [x - (x.numerator // x.denominator) for x in self.coords(v)]
         return rl.mat_vec(rl.transpose(self.basis), frac)
 
-    def _walked(self, mu_max: Fraction) -> tuple[int, dict[int, list[tuple[int, ...]]]]:
-        """(K, shells): the dual ball as integer coordinates on the dual basis,
-        grouped by the norm numerator t = K |v|^2 in increasing order, walked to
-        a cutoff of at least mu_max.  K depends on the lattice alone, so a key t
-        means the same norm at every cutoff.  The walk runs once, at the largest
-        cutoff asked for so far; smaller cutoffs read its result, and that
-        cutoff itself passes by identity, comparing no Fraction."""
-        ball = self._ball
-        if ball.get("mu") is mu_max:
-            return ball["scale"], ball["shells"]
-        if mu_max < 0:
-            raise ValueError("cutoff must be nonnegative")
-        if ball.get("mu", -1) < mu_max:
-            scale, found = _fincke_pohst(*self._scaled[1], mu_max)
-            ball.update(mu=mu_max, scale=scale, shells=found, keys=list(found))
-        return ball["scale"], ball["shells"]
+
+def _extended(ball: dict, mu_max: Fraction, build: Callable, *args) -> dict:
+    """The ball {"mu": cutoff, "scale": K, "shells": {t: ...}, "keys": [t]},
+    its shells keyed by the norm numerator t = K mu in increasing order,
+    extended to a cutoff of at least mu_max by build(*args, mu_max) -> (K,
+    shells).  K does not depend on the cutoff, so a key t means the same norm
+    at every cutoff.  The build runs once, at the largest cutoff asked for so
+    far; smaller cutoffs read its result, and that cutoff itself passes by
+    identity, comparing no Fraction."""
+    if ball.get("mu") is mu_max:
+        return ball
+    if mu_max < 0:
+        raise ValueError("cutoff must be nonnegative")
+    if ball.get("mu", -1) < mu_max:
+        scale, found = build(*args, mu_max)
+        ball.update(mu=mu_max, scale=scale, shells=found, keys=list(found))
+    return ball
 
 
 def _fincke_pohst(dual: IntMat, den: int, mu_max: Fraction) -> tuple[int, dict]:
@@ -315,11 +319,9 @@ def _walk(form: _GramForm, den: int, mu_max: Fraction) -> tuple[int, dict[int, l
 
 
 class _ShellKeys:
-    """The shells of a ball up to a cutoff, in increasing norm.  A ball is a
-    dict {"scale": K, "shells": {t: ...}, "keys": [t, ...]} keyed by the
-    integer norm numerator t = K mu: a lattice's walk, or a group's theta
-    products in a cubic frame.  Iterating gives the norms t / K, each built
-    as a Fraction when it is reached."""
+    """The shells of a ball (see _extended) up to a cutoff, in increasing
+    norm: a lattice's walk, or a group's residue counts.  Iterating gives the
+    norms t / K, each built as a Fraction when it is reached."""
 
     def __init__(self, ball: dict, mu_max: Fraction):
         self._scale, self._found, self._keys = ball["scale"], ball["shells"], ball["keys"]
@@ -353,8 +355,7 @@ class _Shells(_ShellKeys, Mapping):
     when its value is read, and once per lattice."""
 
     def __init__(self, lattice: Lattice, mu_max: Fraction):
-        lattice._walked(mu_max)
-        super().__init__(lattice._ball, mu_max)
+        super().__init__(_extended(lattice._ball, mu_max, _fincke_pohst, *lattice._scaled[1]), mu_max)
         self._lattice = lattice
 
     def __getitem__(self, mu) -> tuple[rl.Vec, ...]:
@@ -421,8 +422,6 @@ class _OnBasis:
     """Coordinates on the given lattice basis: a rotation B is the integer
     matrix R = dual B basis^T, and rotations compose by matrix products."""
 
-    theta = None
-
     def __init__(self, lattice: Lattice):
         (basis, self._basis_den), (self.rows, self.den) = lattice._scaled
         self._basis_t = rl.transpose(basis)
@@ -467,6 +466,16 @@ class _OnBasis:
         traces = _traces_from_powers([diagonals[k % len(powers)] for k in range(n)])
         return tuple(tuple(row) for row in fixed if any(row)), traces, torsion
 
+    @staticmethod
+    def shells(group: BieberbachGroup, mu_max: Fraction) -> tuple[int, dict]:
+        """(K, {t: each coset's residue counts}) over the lattice's walk to
+        mu_max (see `shells`), one shell at a time."""
+        view, d = shells(group.lattice, mu_max), group._denom
+        found = view._found
+        return view._scale, {
+            t: [_residue_counts(c, d, found[t]) for c in group._holonomy] for t in view._numerators()
+        }
+
 
 class _OnFrame:
     """Coordinates on the basis f_i / c of the lattice, dual to its cubic
@@ -476,8 +485,7 @@ class _OnFrame:
     O(n); as a matrix on coordinates it has the entry +-1 at (pi(j), j)."""
 
     def __init__(self, lattice: Lattice):
-        self.rows, c, self.den = lattice._frame
-        self.theta = {"c": c, "scale": c.denominator}
+        self.rows, self.c, self.den = lattice._frame
         self.identity = tuple(range(lattice.n))
 
     @staticmethod
@@ -536,6 +544,16 @@ class _OnFrame:
         torsion = not any(beta for _, beta in cycles) if cycles else None
         return tuple(cycles), tuple(traces), torsion
 
+    def shells(self, group: BieberbachGroup, mu_max: Fraction) -> tuple[int, dict]:
+        """(K, {t: each coset's residue counts}) with K = den(c), each shell
+        t = K c e read off the cosets' theta products (see _theta_table)."""
+        c, d = self.c, group._denom
+        m = math.floor(mu_max / c)
+        tables = [_theta_table(coset.fixes, d, m) for coset in group._holonomy]
+        return c.denominator, {
+            c.numerator * e: per_coset for e, per_coset in enumerate(zip(*tables)) if any(per_coset)
+        }
+
 
 def _closure(coords, rots: list, shifts: list, d: int, start: int) -> Callable[[int, int], int]:
     """product(i, j), the memoised index of the coset of R_i R_j, after a
@@ -572,15 +590,18 @@ class BieberbachGroup:
     lattice: Lattice
     cosets: tuple[tuple[rl.Mat, rl.Vec], ...]
     name: str = ""
-    _cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    # "shells": the group's ball (see _extended), each shell holding every
+    # coset's residue counts; "rows": {t: (d_0, ..., d_n)} (see _row);
+    # "pairs": the comparison tables of `spectra.answer`
+    _cache: dict = field(init=False, compare=False, repr=False)
+    # the coordinates the cosets were validated on, which also read the shells
+    _coords: _OnBasis | _OnFrame = field(init=False, compare=False, repr=False)
     # the cosets in integer coordinates, in the order of `cosets`
     _holonomy: tuple[_Coset, ...] = field(init=False, compare=False, repr=False)
     _denom: int = field(init=False, compare=False, repr=False)  # D
     # the Betti numbers; a Fraction marks a trace average that is not a
     # nonnegative integer, refused when it is asked for
     _betti: tuple = field(init=False, compare=False, repr=False)
-    # in a cubic frame, the theta products as a ball (see _thetas); else None
-    _theta: dict | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         cosets = tuple((_exact_rows(b), _exact(t)) for b, t in self.cosets)
@@ -638,7 +659,8 @@ class BieberbachGroup:
         object.__setattr__(self, "_holonomy", tuple(holonomy))
         object.__setattr__(self, "_denom", d)
         object.__setattr__(self, "_betti", tuple(betti))
-        object.__setattr__(self, "_theta", coords.theta)
+        object.__setattr__(self, "_coords", coords)
+        object.__setattr__(self, "_cache", {"shells": {}, "rows": {}, "pairs": {}})
         return True
 
     @cached_property
@@ -698,41 +720,11 @@ def _theta_table(cycles, d: int, m: int) -> list[dict[int, int]]:
     return table
 
 
-def _thetas(group: BieberbachGroup, mu_max: Fraction) -> dict:
-    """The ball of a group in a cubic frame of squared norm c, extended to
-    mu_max: as `Lattice._walked` with K = den(c), but each shell t = K c e
-    holds the cosets' residue counts, read off the theta products."""
-    ball = group._theta
-    if ball.get("mu") is mu_max:
-        return ball
-    if mu_max < 0:
-        raise ValueError("cutoff must be nonnegative")
-    if ball.get("mu", -1) < mu_max:
-        c, d = ball["c"], group._denom
-        m = math.floor(mu_max / c)
-        tables = [_theta_table(coset.fixes, d, m) for coset in group._holonomy]
-        found = {
-            c.numerator * e: per_coset for e, per_coset in enumerate(zip(*tables)) if any(per_coset)
-        }
-        ball.update(mu=mu_max, shells=found, keys=list(found))
-    return ball
-
-
 def _group_shells(group: BieberbachGroup, mu_max) -> _ShellKeys:
-    """The group's shells up to mu_max: from theta products in a cubic frame,
-    else the lattice's walk."""
-    if group._theta is None:
-        return shells(group.lattice, mu_max)
+    """The group's shells up to mu_max, each holding every coset's residue
+    counts, as its coordinates read them."""
     mu_max = mu_max if type(mu_max) in (int, Fraction) else Fraction(mu_max)
-    return _ShellKeys(_thetas(group, mu_max), mu_max)
-
-
-def _residues(group: BieberbachGroup, t: int) -> list[dict[int, int]]:
-    """Each coset's residue counts at the shell t of the group's ball."""
-    if group._theta is not None:
-        return group._theta["shells"][t]
-    xs = group.lattice._ball["shells"][t]
-    return [_residue_counts(c, group._denom, xs) for c in group._holonomy]
+    return _ShellKeys(_extended(group._cache["shells"], mu_max, group._coords.shells, group), mu_max)
 
 
 def e_mu_gamma(group: BieberbachGroup, coset_index: int, mu) -> complex:
@@ -745,8 +737,9 @@ def e_mu_gamma(group: BieberbachGroup, coset_index: int, mu) -> complex:
         raise ValueError("mu must be nonnegative")
     if not 0 <= coset_index < group.holonomy_order:
         raise ValueError("coset index out of range")
-    t = _group_shells(group, mu)._key(mu)
-    residues = {} if t is None else _residues(group, t)[coset_index]
+    sh = _group_shells(group, mu)
+    t = sh._key(mu)
+    residues = {} if t is None else sh._found[t][coset_index]
     return sum((c * cmath.exp(-2j * cmath.pi * r / d) for r, c in residues.items()), 0j)
 
 
@@ -827,12 +820,13 @@ def _row(group: BieberbachGroup, t: int) -> tuple[int, ...]:
     and one exact phase sum of the vectors gives every degree.  Anomalies are
     named degree by degree, in increasing p, as one phase sum per degree
     would meet them."""
-    row = group._cache.get(t)
+    row = group._cache["rows"].get(t)
     if row is None:
+        ball = group._cache["shells"]
         d, order, size = group._denom, group.holonomy_order, group.n + 1
         vectors: dict[int, list[int]] = {}
         zeros = [0] * size
-        for coset, residues in zip(group._holonomy, _residues(group, t)):
+        for coset, residues in zip(group._holonomy, ball["shells"][t]):
             for r, c in residues.items():
                 vectors[r] = [y + c * x for x, y in zip(coset.traces, vectors.get(r, zeros))]
         total = _phase_vector(vectors, d, size)
@@ -841,12 +835,11 @@ def _row(group: BieberbachGroup, t: int) -> tuple[int, ...]:
                 # _phase_sum raises on counts that are not Galois invariant
                 x = total[p] if total else _phase_sum({r: v[p] for r, v in vectors.items()}, d)
                 if x % order or x < 0:
-                    ball = group.lattice._ball if group._theta is None else group._theta
                     raise IntegralityError(
                         f"multiplicity {Fraction(x, order)} at mu={Fraction(t, ball['scale'])}, "
                         f"p={p} is not a nonnegative integer"
                     )
-        row = group._cache[t] = tuple(x // order for x in total)
+        row = group._cache["rows"][t] = tuple(x // order for x in total)
     return row
 
 
@@ -897,9 +890,9 @@ def _telescoped(group: BieberbachGroup, t: int) -> tuple[int, ...]:
             raise IntegralityError(f"telescoped multiplicity {now} is negative")
         pieces.append(now)
     if pieces[-1]:
-        ball = group.lattice._ball if group._theta is None else group._theta
+        scale = group._cache["shells"]["scale"]
         raise IntegralityError(
-            f"top telescoped multiplicity {pieces[-1]} at mu={Fraction(t, ball['scale'])} is not 0"
+            f"top telescoped multiplicity {pieces[-1]} at mu={Fraction(t, scale)} is not 0"
         )
     return tuple(pieces)
 

@@ -147,15 +147,8 @@ def multiplicity_decomposition(n: int, p: int, lam) -> list[HyperbolicTerm]:
     lam = Fraction(lam)
     if lam < 0:
         raise ValueError("eigenvalues are nonnegative")
-    if lam == 0:
-        if n % 2 == 0 and p == n // 2:
-            return [HyperbolicTerm("discrete_pair", n // 2, None, Fraction(1, 2))]
-        return [
-            HyperbolicTerm(
-                "langlands", s, NuValue(False, rho_p(n, s) ** 2), rho_p(n, s)
-            )
-            for s in _sigma_degrees(n, p)
-        ]
+    if lam == 0:  # the endpoint modules of the families
+        return [t for t in hat_G_taup(n, p) if t.kind in ("langlands", "discrete_pair")]
     terms = []
     for s in _sigma_degrees(n, p):
         nu = nu_from_lambda(n, s, lam)

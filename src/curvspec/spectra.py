@@ -26,15 +26,16 @@ class ComparisonResult:
 def answer(g1, g2, p: int, scope, pieces, mode: str):
     """The answer at degree p in the mode "spec", "half-closed", "half-coclosed"
     (a `ComparisonResult`) or "tau" (a bool), from the pair's table of every
-    mode and degree, built once per g2 and scope and kept in g1's `_cache[0]`
-    under the id of g2, with g2 itself, so that id names no other group."""
+    mode and degree, built once per g2 and scope and kept in the section
+    "pairs" of g1's `_cache` under the id of g2, with g2 itself, so that id
+    names no other group."""
     if g1.n != g2.n:
         raise ValueError("groups act on spaces of different dimensions")
     if not 0 <= p <= g1.n:
         raise ValueError("form degree out of range")
     # the scopes already asked for, found by identity or equality, so that a
     # Fraction scope is not hashed on every call
-    entries = g1._cache.setdefault(0, {}).setdefault(id(g2), [])
+    entries = g1._cache["pairs"].setdefault(id(g2), [])
     entry = next((e for e in entries if e[0] is scope or e[0] == scope), None)
     if entry is None:
         entry = (scope, g2, _sweep(pieces(g1, scope), pieces(g2, scope)))

@@ -13,7 +13,9 @@ exterior powers on C^(2m) (see `n_gamma`), so the multiplicity of its weights
 is a closed form M(r, l) in the 1-norm r and the number l of zero
 coordinates, and the count is sum M(r, l) N_L(r, l), N_L counted by a
 residue DP sized once per cutoff for every family.  A group keeps one table
-per label shape q = min(j, n+1-j), which families j and n+1-j both read.
+per label shape q = min(j, n+1-j), which families j and n+1-j both read, in
+the section "families" of its `_cache`; "lattice" holds the counts N_L once
+made, "labels" n_gamma by label, and "pairs" the tables of `spectra.answer`.
 """
 
 from __future__ import annotations
@@ -103,7 +105,10 @@ class SphericalGroup:
     m: int
     elements: tuple | LensElements
     name: str = ""
-    _cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    _cache: dict = field(
+        default_factory=lambda: {"families": {}, "lattice": None, "labels": {}, "pairs": {}},
+        compare=False, repr=False,
+    )
 
     def __post_init__(self):
         lens = isinstance(self.elements, LensElements)
@@ -249,8 +254,8 @@ def n_gamma(group: SphericalGroup, label: IrrepLabelO) -> int:
     the count is sum M(r, l) N_L(r, l) in integers (Ikeda 1980; Lauret,
     Miatello, Rossetti, Spectra of lens spaces from 1-norm spectra of
     congruence lattices, 2016)."""
-    key = (label.weight, label.delta)
-    cached = group._cache.get(key)
+    key, labels = (label.weight, label.delta), group._cache["labels"]
+    cached = labels.get(key)
     if cached is not None:
         # only labels that passed validation for this rank are memoised
         return cached
@@ -260,19 +265,20 @@ def n_gamma(group: SphericalGroup, label: IrrepLabelO) -> int:
     q = max(1, m - label.weight.count(0))
     if rest != [1] * (q - 1) + [0] * (m - q):
         raise ValueError(f"{label} is not a family label (k, 1^(q-1))")
-    return group._cache.setdefault(key, _family_counts(group, q, k)[k])
+    return labels.setdefault(key, _family_counts(group, q, k)[k])
 
 
 def _family_counts(group: SphericalGroup, q: int, k_max: int, radius: int = 0) -> list[int]:
     """The group's list of n_gamma(k, 1^(q-1)) by k = 0, 1, ... (0 at k = 0
-    when q > 1), cached under q and extended to k_max when it is shorter, as
-    sum M(r, l) N_L(r, l) per k.  N_L is counted again when its 1-norm stops
-    short of k_max + q - 1: to `radius` when the caller sizes it for every
-    family at its cutoff, else to at least twice as far, so k_max rising one
-    by one costs O(log k_max) counts."""
-    table = group._cache.setdefault(q, [])
+    when q > 1), kept under q in "families" and extended to k_max when it
+    is shorter, as sum M(r, l) N_L(r, l) per k.  N_L is counted again when
+    its 1-norm stops short of k_max + q - 1: to `radius` when the caller
+    sizes it for every family at its cutoff, else to at least twice as far,
+    so k_max rising one by one costs O(log k_max) counts."""
+    cache = group._cache
+    table = cache["families"].setdefault(q, [])
     if len(table) <= k_max:
-        lattice = group._cache.setdefault("lattice", _LatticeCounts(group.order, group.elements.q))
+        lattice = cache["lattice"] = cache["lattice"] or _LatticeCounts(group.order, group.elements.q)
         if k_max + q - 1 > lattice.radius:
             lattice.up_to(max(k_max + q - 1, radius or 2 * lattice.radius))
         table.extend(

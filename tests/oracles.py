@@ -122,7 +122,7 @@ def row_by_degree(group, t: int) -> tuple:
     tr Lambda^p(B) and takes one exact phase sum, raising the library's
     IntegralityError at the first degree that is not a nonnegative integer."""
     d, order = group._denom, group.holonomy_order
-    per_coset = [(c.traces, res) for c, res in zip(group._holonomy, flat._residues(group, t))]
+    per_coset = [(c.traces, res) for c, res in zip(group._holonomy, group._cache["shells"]["shells"][t])]
     row = []
     for p in range(group.n + 1):
         counts: dict = {}
@@ -132,8 +132,7 @@ def row_by_degree(group, t: int) -> tuple:
         total = flat._phase_sum(counts, d)
         val, rest = divmod(total, order)
         if rest or val < 0:
-            ball = group.lattice._ball if group._theta is None else group._theta
-            mu = Fraction(t, ball["scale"])
+            mu = Fraction(t, group._cache["shells"]["scale"])
             raise IntegralityError(
                 f"multiplicity {Fraction(total, order)} at mu={mu}, p={p} "
                 "is not a nonnegative integer"

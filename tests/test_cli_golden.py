@@ -17,7 +17,9 @@ reads each family to k <= K, beyond the cutoff), and the csv spectra of three
 deep rows: L(5;1,2) at lambda <= 2000, L(7;1,2,3,1) at lambda <= 300 and
 L(10007;1,2,3) at lambda <= 2000, and the spectra of flat8_a and flat8_b at
 mu <= 16 (recorded from the dual-ball walk) and at mu <= 200, the list of
-fixtures, and three hyperbolic dictionary entries.  To record the file again with the library on the path:
+fixtures, and five hyperbolic dictionary entries, three of them at lambda = 0
+(n = 4, p = 2; n = 5, p = 2, with two Langlands terms; n = 4, p = 0).  To
+record the file again with the library on the path:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -160,7 +162,7 @@ _DEEP = {
 _DEEP_FLAT = (("flat8_a", "16"), ("flat8_b", "16"), ("flat8_a", "200"), ("flat8_b", "200"))
 
 # hyperbolic dictionary entries: (n, p, lambda)
-_DICT = (("4", "2", "0"), ("5", "2", "3"), ("3", "0", "-1"))
+_DICT = (("4", "2", "0"), ("5", "2", "0"), ("4", "0", "0"), ("5", "2", "3"), ("3", "0", "-1"))
 
 
 def cases():

@@ -31,6 +31,8 @@ from curvspec.flat import (
     shells,
     spectrum,
     tau_equivalent,
+    _OnBasis,
+    _OnFrame,
 )
 
 
@@ -834,7 +836,7 @@ def test_re_presentation_and_dilation_rescale_every_flat_result(name, c, partner
     if turned:
         q = _turn(group.n, rng)
         moved, moved_other, moved_again = (_conjugate(g, q) for g in (moved, moved_other, moved_again))
-        assert moved._theta is None and moved_other._theta is None and moved_again._theta is None
+        assert all(type(g._coords) is _OnBasis for g in (moved, moved_other, moved_again))
     cutoff = Fraction(2 if group.n == 8 else 3)
     scaled, c2 = cutoff / (c * c), c * c
     for p in range(group.n + 1):
@@ -891,7 +893,7 @@ def test_pipeline_builds_no_ambient_vector_and_keys_no_fraction():
             n_sigma_multiplicity(g2, p, 2)
         for g in (g1, g2):
             assert g.lattice._ambient == {}
-            assert g._cache and all(type(key) is int for key in g._cache)
+            assert g._cache["rows"] and all(type(key) is int for key in g._cache["rows"])
         # reading a value converts that shell alone, once
         sh = shells(g1.lattice, 3)
         first = sh[Fraction(1)]
@@ -950,7 +952,7 @@ def test_d_lambda_off_the_dual_lattice_is_zero():
             assert d_lambda(ka, p, mu) == 0
             assert n_sigma_multiplicity(ka, p, mu) == 0
         assert e_mu_gamma(ka, 0, mu) == 0
-    assert ka._cache == {}
+    assert ka._cache["rows"] == {}
 
 
 def test_negative_telescoped_multiplicity_is_refused(monkeypatch):
@@ -992,14 +994,14 @@ def test_d_lambda_beyond_the_walk_extends_it_once(monkeypatch):
     monkeypatch.setattr(flat, "_fincke_pohst", counted)
     ka, _ = klein_pair()
     before = [spectrum(ka, p, 1).entries for p in range(3)]
-    rows, coords = dict(ka._cache), dict(ka.lattice._ball["shells"])
+    rows, coords = dict(ka._cache["rows"]), dict(ka.lattice._ball["shells"])
     assert walks == [1]
     assert d_lambda(ka, 1, 4) == expected[1].entries[Fraction(4)]
     assert walks == [1, 4]
     # the earlier keys name the same shells, and their rows stay in the cache
     shells_now = ka.lattice._ball["shells"]
     assert all(sorted(shells_now[t]) == sorted(xs) for t, xs in coords.items())
-    assert all(ka._cache[t] == row for t, row in rows.items())
+    assert all(ka._cache["rows"][t] == row for t, row in rows.items())
     assert [spectrum(ka, p, 1).entries for p in range(3)] == before
     assert [spectrum(ka, p, 4) for p in range(3)] == expected
     assert walks == [1, 4]
@@ -1019,7 +1021,7 @@ def test_damaged_phase_sum_names_mu_and_degree(monkeypatch):
     ka, _ = klein_pair()
     with pytest.raises(IntegralityError, match=r"at mu=1/4, p=1 is not"):
         d_lambda(ka, 0, Fraction(1, 4))
-    assert ka._cache == {}
+    assert ka._cache["rows"] == {}
     monkeypatch.setattr(flat, "_phase_vector", lambda *args: [-2 * x for x in real(*args)])
     with pytest.raises(IntegralityError, match=r"at mu=1/4, p=0 is not a nonnegative integer"):
         spectrum(klein_pair()[0], 2, 1)
@@ -1068,13 +1070,13 @@ _NOT_KLEIN = sorted(name for name in fixtures() if not name.startswith("klein"))
 def test_theta_rows_equal_the_walk_rows(name, c, seed):
     group = fixtures()[name]
     moved = _dilate(_re_present(group, random.Random(seed)), c)
-    assert group._theta is not None and moved._theta is not None
+    assert type(group._coords) is type(moved._coords) is _OnFrame
     cutoff = Fraction(6 if group.n == 8 else 12)
     for g, mu_max in ((group, cutoff), (moved, cutoff / (c * c))):
         theta, walk = _rows_on_both_paths(g, mu_max)
         assert theta == walk and len(theta) >= 6
         twin = _on_basis(g.lattice, g.cosets)
-        assert twin._theta is None and twin._betti == g._betti
+        assert type(twin._coords) is _OnBasis and twin._betti == g._betti
         assert [c.traces for c in twin._holonomy] == [c.traces for c in g._holonomy]
 
 
@@ -1087,7 +1089,7 @@ def test_frame_and_walk_groups_compare_on_a_common_scale():
     for c in (Fraction(1), Fraction(3, 2)):
         square = _dilate(BieberbachGroup(Lattice(rl.identity(2)), _KLEIN_Z2), c)
         walked = _on_basis(square.lattice, square.cosets)
-        assert square._theta is not None and walked._theta is None and ka._theta is None
+        assert type(square._coords) is _OnFrame and type(walked._coords) is type(ka._coords) is _OnBasis
         for p in range(3):
             for first, second in ((square, ka), (ka, square)):
                 reference = (walked, ka) if first is square else (ka, walked)
@@ -1106,8 +1108,8 @@ def test_groups_on_cubic_lattices_take_the_frame_path(monkeypatch):
     rng = random.Random(41)
     for name, group in fixtures().items():
         on_frame = not name.startswith("klein")
-        assert (group._theta is not None) == on_frame
-        assert (_re_present(group, rng)._theta is not None) == on_frame
+        assert (type(group._coords) is _OnFrame) == on_frame
+        assert (type(_re_present(group, rng)._coords) is _OnFrame) == on_frame
     # Z^2 turned by the 3-4-5 rotation has no frame on the standard axes, so
     # its Klein bottle is walked, to the rows of the Klein bottle on Z^2
     turn = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(3, 5)))
@@ -1115,9 +1117,9 @@ def test_groups_on_cubic_lattices_take_the_frame_path(monkeypatch):
     cosets = ((rl.identity(2), (0, 0)), (rl.mat_mul(rl.transpose(turn), rl.mat_mul(_REFL, turn)),
                                          tuple(Fraction(1, 2) * x for x in turn[0])))
     tilted = BieberbachGroup(lat, cosets)
-    assert tilted._theta is None and lat._frame is None
+    assert type(tilted._coords) is _OnBasis and lat._frame is None
     square = BieberbachGroup(Lattice(rl.identity(2)), _KLEIN_Z2)
-    assert square._theta is not None
+    assert type(square._coords) is _OnFrame
     theta, walk = _rows_on_a_common_scale((square, tilted), 9)
     assert theta == walk and len(theta) == 6  # the norms 1, 2, 4, 5, 8, 9
     # the walk takes the rest, and frame recognition walks none of them by
@@ -1135,7 +1137,7 @@ def test_groups_on_cubic_lattices_take_the_frame_path(monkeypatch):
     for lattice in (Lattice(((1, 0), (0, 3))), hexagonal, _skew(((1, 0), (0, 2))), e8):
         assert lattice._frame is None
         ident = rl.identity(lattice.n)
-        assert BieberbachGroup(lattice, ((ident, (0,) * lattice.n),))._theta is None
+        assert type(BieberbachGroup(lattice, ((ident, (0,) * lattice.n),))._coords) is _OnBasis
     assert walks == []
 
 
@@ -1265,7 +1267,7 @@ def test_cubic_lattices_are_built_and_counted_without_an_inverse(name, c, monkey
     monkeypatch.setattr(flat, "_inverse", _refuse_inverse)
     groups = [BieberbachGroup(Lattice(g.lattice.basis), g.cosets) for g in refs]
     found = _answers(*groups, cutoff)
-    assert all(g._theta is not None and "_scaled" not in vars(g.lattice) for g in groups)
+    assert all(type(g._coords) is _OnFrame and "_scaled" not in vars(g.lattice) for g in groups)
     monkeypatch.undo()
     assert found == _answers(*refs, cutoff)
 
@@ -1301,15 +1303,16 @@ def test_klein_pair_still_walks_and_reads_shells(monkeypatch):
         klein_pair()
     monkeypatch.undo()
     ka, kb = klein_pair()
-    assert ka._theta is None and kb._theta is None and ka.lattice._frame is None
+    assert type(ka._coords) is type(kb._coords) is _OnBasis and ka.lattice._frame is None
     calls, real = [], flat.shells
     monkeypatch.setattr(flat, "shells", lambda *args: calls.append(args) or real(*args))
     spectrum(ka, 1, 4)
     compare(ka, kb, 1, 4)
     tau_equivalent(ka, kb, 1, 4)
-    # one read for the spectrum and one per group for the pair's comparison
-    # table, which tau_equivalent then reads without reading shells again
-    assert len(calls) == 3
+    # a group reads the walk once per larger cutoff: ka for the spectrum, its
+    # ball then serving the pair's comparison table, and kb for that table,
+    # which tau_equivalent then reads without reading shells again
+    assert len(calls) == 2
 
 
 # the Klein bottle on 2Z x 4Z with the glide (x1 + 1, -x2): all entries integers
@@ -1483,7 +1486,7 @@ def test_degree_vector_rows_equal_the_per_degree_rows(name):
         moved = _re_present(base, rng) if seed else base
         fresh = BieberbachGroup(Lattice(moved.lattice.basis), moved.cosets)
         walked = _on_basis(Lattice(moved.lattice.basis), moved.cosets)
-        assert walked._theta is None and (fresh._theta is None) == name.startswith("klein")
+        assert type(walked._coords) is _OnBasis and (type(fresh._coords) is _OnBasis) == name.startswith("klein")
         for g in (fresh, walked):
             for cutoff in (6, 1):
                 shells_up_to = [t for t in flat._group_shells(g, cutoff)._numerators() if t]
@@ -1526,10 +1529,10 @@ def test_anomalous_counts_are_refused_as_the_per_degree_rows_refuse_them(data):
     fresh = BieberbachGroup(group.lattice, group.cosets)
     flat._group_shells(fresh, 1)  # the ball that names mu in a message
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(flat, "_residues", lambda g, t: counts)
+        m.setitem(fresh._cache["shells"]["shells"], 1, counts)
         expected = _outcome(oracles.row_by_degree, fresh, 1)
         assert _outcome(flat._row, fresh, 1) == expected
-    assert (1 in fresh._cache) == (type(expected) is tuple)
+    assert (1 in fresh._cache["rows"]) == (type(expected) is tuple)
 
 
 def _tau_from_spectra(g1, g2, p, cutoff) -> bool:
@@ -1578,14 +1581,14 @@ def test_one_comparison_table_answers_every_degree_order_and_cutoff(monkeypatch)
                     assert tau_equivalent(first, second, p, cutoff) == expected
         # one table per partner and cutoff value: the int and its equal Fraction share one
         for g, partner in ((g1, g2), (g2, g1)):
-            assert list(g._cache[0]) == [id(partner)] and len(g._cache[0][id(partner)]) == 2
+            assert list(g._cache["pairs"]) == [id(partner)] and len(g._cache["pairs"][id(partner)]) == 2
     # a damaged row still raises from compare when the Betti numbers differ,
     # and tau_equivalent answers such a pair without reading a row
     real = flat._phase_vector
     monkeypatch.setattr(flat, "_phase_vector", lambda *args: [-1 - x for x in real(*args)])
     torus, kb = _torus(2), klein_pair()[1]
     assert betti(torus, 1) != betti(kb, 1)
-    assert tau_equivalent(torus, kb, 1, 4) is False and 0 not in torus._cache
+    assert tau_equivalent(torus, kb, 1, 4) is False and torus._cache["pairs"] == {}
     with pytest.raises(IntegralityError, match="is not a nonnegative integer"):
         compare(torus, kb, 1, 4)
 
@@ -1717,7 +1720,7 @@ def _group_data(lattice: Lattice, cosets, on_basis: bool, closure=None):
             g = _on_basis(lattice, cosets) if on_basis else BieberbachGroup(lattice, cosets)
         except InvariantViolation as exc:
             return str(exc)
-    return g._holonomy, g._denom, g._betti, g._theta
+    return g._holonomy, g._denom, g._betti, type(g._coords)
 
 
 def _mutated(cosets: list, kind: str, lattice: Lattice, rng) -> list:

@@ -48,3 +48,37 @@ def test_one_table_answers_every_spherical_mode_as_the_spectra_do():
                 ]
                 expected = all(spherical.n_gamma(g1, x) == spherical.n_gamma(g2, x) for x in labels)
                 assert spherical.tau_equivalent(g1, g2, p, k_max) == expected
+
+
+_BALL = {"mu", "scale", "shells", "keys"}
+
+
+def test_every_cache_key_names_a_section():
+    # a flat group keeps its ball, rows and comparison tables under their
+    # names, on the walk (Klein) and on the frame (flat4) alike
+    table = flat.fixtures()
+    for a, b in (("klein_a", "klein_b"), ("flat4_a", "flat4_b")):
+        g1, g2 = (flat.BieberbachGroup(table[x].lattice, table[x].cosets) for x in (a, b))
+        for p in range(g1.n + 1):
+            flat.spectrum(g1, p, 3)
+            flat.compare(g1, g2, p, 3)
+            flat.tau_equivalent(g1, g2, p, 3)
+            flat.d_lambda(g1, p, 2)
+            flat.n_sigma_multiplicity(g2, p, 1)
+        flat.e_mu_gamma(g1, 1, 1)
+        for g in (g1, g2):
+            assert set(g._cache) == {"shells", "rows", "pairs"}
+            assert set(g._cache["shells"]) == _BALL and g._cache["rows"]
+        assert g1._cache["pairs"] and g2._cache["pairs"] == {}
+    assert set(table["klein_a"].lattice._ball) == _BALL
+    # a lens group keeps its family tables, lattice counts, labels and
+    # comparison tables likewise
+    g1, g2 = spherical.lens_space(7, [1, 2, 3]), spherical.lens_space(7, [1, 1, 2])
+    for p in range(g1.n + 1):
+        spherical.p_spectrum(g1, p, 40)
+        spherical.compare(g1, g2, p, 40)
+        spherical.tau_equivalent(g1, g2, p, 3)
+    assert spherical.n_gamma(g1, spherical.family_label(3, 2, 2)) >= 0
+    for g in (g1, g2):
+        assert set(g._cache) == {"families", "lattice", "labels", "pairs"}
+    assert all(g1._cache.values()) and g1._cache["lattice"].radius > 0

@@ -433,7 +433,7 @@ def test_n_gamma_refuses_a_label_outside_the_families():
     ):
         with pytest.raises(ValueError, match="not a family label"):
             n_gamma(group, label)
-        assert (label.weight, label.delta) not in group._cache
+        assert (label.weight, label.delta) not in group._cache["labels"]
 
 
 # ---------------------------------------------------------------- spectra
