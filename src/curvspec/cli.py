@@ -36,6 +36,10 @@ class _ParseError(Exception):
     pass
 
 
+class _NotAList(TypeError):
+    """A string or an object where a JSON list belongs (see _items)."""
+
+
 def _fraction(x) -> Fraction:
     return Fraction(*ratlinalg._rational_pair(x))
 
@@ -51,8 +55,15 @@ def _items(x) -> list:
     """A JSON list: a string or an object in its place would be iterated as
     its characters or keys."""
     if type(x) is not list:
-        raise TypeError(f"expected a list, got {x!r}")
+        raise _NotAList(f"expected a list, got {x!r}")
     return x
+
+
+def _malformed(exc: Exception, members) -> str:
+    """The text of exc, met reading members that should be JSON objects: any
+    TypeError but `_items`'s comes from indexing the first that is not one."""
+    bad = [x for x in members if type(x) is not dict] if type(members) is list else []
+    return f"expected an object, got {bad[0]!r}" if type(exc) is TypeError and bad else str(exc)
 
 
 def _load_group(token: str):
@@ -92,7 +103,8 @@ def _group_from_description(data):
                 for c in _items(data["cosets"])
             )
         except (KeyError, TypeError) as exc:
-            raise _ParseError(f"malformed flat group description: {exc}") from exc
+            reason = _malformed(exc, data.get("cosets"))
+            raise _ParseError(f"malformed flat group description: {reason}") from exc
         except ValueError as exc:
             raise _ParseError(str(exc)) from exc
         return "flat", flat.BieberbachGroup(lattice, cosets, name=data.get("name", ""))
@@ -103,13 +115,14 @@ def _group_from_description(data):
                 big_n, q = _integer(lens["N"]), [_integer(x) for x in _items(lens["q"])]
                 group = spherical.lens_space(big_n, q)
             except (KeyError, TypeError, ValueError) as exc:
-                raise _ParseError(f"malformed lens description: {exc}") from exc
+                raise _ParseError(f"malformed lens description: {_malformed(exc, [lens])}") from exc
             return "spherical", group
         if "elements" in data:
             try:
                 rows = [_items(e["angles"]) for e in _items(data["elements"])]
             except (KeyError, TypeError) as exc:
-                raise _ParseError(f"malformed element list: {exc}") from exc
+                reason = _malformed(exc, data["elements"])
+                raise _ParseError(f"malformed element list: {reason}") from exc
             if not rows:
                 raise _ParseError("element list is empty")
             return "spherical", spherical.SphericalGroup(len(rows[0]), rows)

@@ -8,7 +8,7 @@ The kernel runs on integers.  Int and Fraction input entries are kept as
 given (any other number goes through Fraction once), each matrix that enters
 integer arithmetic is scaled to integers over its common denominator, and a
 basis S / d is refused as singular when det S = 0.  Closure under
-composition is checked on generators, |F| products each.
+composition is checked on generators, |F| products each, memoised in a dict.
 
 When the lattice is a scaled Z^n on the standard axes, `Lattice._frame`
 reads its cubic frame f_i = (d / s) e_i, of squared norm c, off det S and
@@ -60,8 +60,8 @@ from bisect import bisect_right
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
-from itertools import islice
+from functools import cached_property, lru_cache
+from itertools import chain, islice
 from operator import mul, sub
 from typing import NamedTuple
 
@@ -71,21 +71,22 @@ from .liealg import exterior_trace  # noqa: F401 (perfbench/tracer.py wraps flat
 from .spectra import ComparisonResult
 
 IntMat = tuple[tuple[int, ...], ...]
+_EXACT = frozenset((int, Fraction))
 
 
 def _exact(row) -> tuple:
     """row as a tuple of exact numbers: an int or a Fraction entry as it is,
     any other through Fraction."""
     row = tuple(row)
-    if set(map(type, row)) <= {int, Fraction}:
+    if _EXACT.issuperset(map(type, row)):
         return row
-    return tuple(x if type(x) in (int, Fraction) else Fraction(x) for x in row)
+    return tuple(x if type(x) in _EXACT else Fraction(x) for x in row)
 
 
 def _exact_rows(rows) -> rl.Mat:
     """rows as a matrix of exact numbers (see _exact), refusing a ragged one."""
     m = tuple(map(_exact, rows))
-    if m and any(len(r) != len(m[0]) for r in m):
+    if len(set(map(len, m))) > 1:
         raise ValueError("ragged matrix")
     return m
 
@@ -125,7 +126,9 @@ def _inverse(m: IntMat) -> tuple[IntMat, int]:
 
 def _det(m: IntMat) -> int:
     """det m by fraction-free elimination (Bareiss) with row pivoting: each
-    pivot is a minor of the row-permuted m, so every division is exact."""
+    pivot is a minor of the row-permuted m, so every division is exact.  A
+    step updates only the entries right of its pivot: the column below it is
+    never read again."""
     rows, n, sign, prev = [list(row) for row in m], len(m), 1, 1
     for k in range(n):
         piv = next((i for i in range(k, n) if rows[i][k]), None)
@@ -134,9 +137,10 @@ def _det(m: IntMat) -> int:
         if piv != k:
             rows[k], rows[piv], sign = rows[piv], rows[k], -sign
         pivot_row, p = rows[k], rows[k][k]
-        for i in range(k + 1, n):
-            f = rows[i][k]
-            rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], pivot_row)]
+        for row in rows[k + 1 :]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (p * row[j] - f * pivot_row[j]) // prev
         prev = p
     return sign * prev
 
@@ -182,10 +186,10 @@ class Lattice:
         return (scaled, den), (dual, p // g)
 
     @cached_property
-    def _frame(self) -> tuple[IntMat, Fraction, int] | None:
-        """(F, c, e) when the lattice is a scaled Z^n on the standard axes: the
-        rows of F / e are the ambient vectors f_i = (d / s) e_i of squared norm
-        c, an orthogonal basis of the dual lattice.  None otherwise: a cubic
+    def _frame(self) -> tuple[int, Fraction, int] | None:
+        """(a, c, e) when the lattice is a scaled Z^n on the standard axes: the
+        ambient vectors f_i = (a / e) e_i = (d / s) e_i of squared norm c are an
+        orthogonal basis of the dual lattice.  None otherwise: a cubic
         lattice off the standard axes is walked.
 
         For s the gcd of the entries of the basis S / d, S / s is unimodular
@@ -193,11 +197,11 @@ class Lattice:
         f_i = d e_i / s and c = d^2 / s^2.  Every a Z^n passes, as a basis a U
         has U unimodular with entries of gcd 1, so S = d a U has s = |d a|."""
         scaled, den, det = self._integer
-        n, s = len(scaled), math.gcd(*(x for row in scaled for x in row))
+        n, s = len(scaled), math.gcd(*chain.from_iterable(scaled))
         if abs(det) != s**n:
             return None
         g = math.gcd(s, den)
-        return _eye(n, den // g), Fraction(den * den, s * s), s // g
+        return den // g, Fraction(den * den, s * s), s // g
 
     def dual_basis(self) -> rl.Mat:
         """Rows d_j with <b_i, d_j> = delta_ij."""
@@ -427,6 +431,9 @@ class _OnBasis:
         self._basis_t = rl.transpose(basis)
         self.identity = _eye(lattice.n)
 
+    def shift(self, t: tuple[int, ...]) -> list[int]:
+        return rl.mat_vec(self.rows, t)
+
     def rotation(self, b: rl.Mat) -> IntMat:
         b_int, b_den = _integral(b)
         if rl.mat_mul(rl.transpose(b_int), b_int) != _eye(len(b), b_den * b_den):
@@ -438,7 +445,11 @@ class _OnBasis:
         return tuple(tuple(x // den for x in row) for row in rot)
 
     mul = staticmethod(rl.mat_mul)
-    act = staticmethod(rl.mat_vec)
+
+    @staticmethod
+    def closes(rot: IntMat, s1, s2, s3, d: int) -> bool:
+        """Is R (s2 - s3) + s1 = 0 mod d?"""
+        return not any((x + y) % d for x, y in zip(s1, rl.mat_vec(rot, list(map(sub, s2, s3)))))
 
     @staticmethod
     def coset(rots: list[IntMat], product, i: int, s, d: int) -> tuple:
@@ -477,6 +488,12 @@ class _OnBasis:
         }
 
 
+@lru_cache(maxsize=16)
+def _unit_rows(n: int) -> dict[tuple[int, ...], tuple[int, bool]]:
+    """{+-e_j as a row of n ints: (j, whether the sign is +)}."""
+    return {tuple(s * (i == j) for i in range(n)): (j, s > 0) for j in range(n) for s in (1, -1)}
+
+
 class _OnFrame:
     """Coordinates on the basis f_i / c of the lattice, dual to its cubic
     frame f_i = (d / s) e_i (see `Lattice._frame`).  A rotation B maps f_j to
@@ -485,33 +502,37 @@ class _OnFrame:
     O(n); as a matrix on coordinates it has the entry +-1 at (pi(j), j)."""
 
     def __init__(self, lattice: Lattice):
-        self.rows, self.c, self.den = lattice._frame
+        self.scale, self.c, self.den = lattice._frame
         self.identity = tuple(range(lattice.n))
+
+    def shift(self, t: tuple[int, ...]) -> list[int]:
+        return [self.scale * x for x in t]  # the frame's rows are scale times 1
 
     @staticmethod
     def rotation(b: rl.Mat) -> tuple[int, ...] | None:
-        """B as a signed permutation, or None when the columns of B are not
-        +-e_i for n distinct i (B is then not orthogonal or does not preserve
-        the lattice); an integral Fraction entry counts as its int."""
-        image = []
-        for col in zip(*b):
-            support = [i for i, x in enumerate(col) if x]
-            if len(support) != 1 or abs(x := col[support[0]]) != 1:
+        """B as a signed permutation, or None when the rows of B, each looked up
+        whole among the +-e_j, are not +-e_j for n distinct j (B is then not
+        orthogonal or does not preserve the lattice); an integral Fraction
+        entry counts as its int."""
+        units, image = _unit_rows(len(b)), [None] * len(b)
+        for i, row in enumerate(b):
+            j, plus = units.get(row, (0, None))
+            if plus is None or image[j] is not None:
                 return None
-            image.append(support[0] if x > 0 else ~support[0])
-        return tuple(image) if len(image) == len(b) == len({max(j, ~j) for j in image}) else None
+            image[j] = i if plus else ~i
+        return tuple(image)
 
     @staticmethod
     def mul(p1: tuple[int, ...], p2: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(p1[a] if a >= 0 else ~p1[~a] for a in p2)
 
     @staticmethod
-    def act(p: tuple[int, ...], v: list[int]) -> list[int]:
-        """The matrix of p times v, in O(n): entry pi(j) is +-v_j."""
-        out = [0] * len(p)
-        for a, x in zip(p, v):
-            out[a if a >= 0 else ~a] = x if a >= 0 else -x
-        return out
+    def closes(p: tuple[int, ...], s1, s2, s3, d: int) -> bool:
+        """As `_OnBasis.closes`, entry by entry: entry pi(j) of R v is +-v_j."""
+        for a, x, y in zip(p, s2, s3):
+            if (s1[a] + x - y if a >= 0 else s1[~a] - x + y) % d:
+                return False
+        return True
 
     @staticmethod
     def coset(rots, product, i: int, shift, d: int) -> tuple:
@@ -556,30 +577,32 @@ class _OnFrame:
 
 
 def _closure(coords, rots: list, shifts: list, d: int, start: int) -> Callable[[int, int], int]:
-    """product(i, j), the memoised index of the coset of R_i R_j, after a
-    breadth-first search from the identity coset `start` closes the cosets
-    under right products with generators, each the first coset left
+    """product(i, j), the index of the coset of R_i R_j, memoised in a dict,
+    after a breadth-first search from the identity coset `start` closes the
+    cosets under right products with generators, each the first coset left
     unreached: a finite set with the identity, closed under generators
     (which then permute it) and reached by them is the group they generate."""
-    index = {r: i for i, r in enumerate(rots)}
+    index, memo = {r: i for i, r in enumerate(rots)}, {}
 
-    @cache
     def product(i: int, j: int) -> int:
-        k = index.get(coords.mul(rots[i], rots[j]))
-        # (B1, b1)(B2, b2) = (B1 B2, b2 + B2^-1 b1); on lattice
-        # coordinates, times R2: R2 (s2 - s_k) + s1 = 0 mod D
-        if k is None or any(
-            (x + y) % d
-            for x, y in zip(shifts[i], coords.act(rots[j], list(map(sub, shifts[j], shifts[k]))))
-        ):
-            raise InvariantViolation("coset system is not closed under composition")
+        k = memo.get((i, j))
+        if k is None:
+            k = index.get(coords.mul(rots[i], rots[j]))
+            # (B1, b1)(B2, b2) = (B1 B2, b2 + B2^-1 b1); on lattice
+            # coordinates, times R2: R2 (s2 - s_k) + s1 = 0 mod D
+            if k is None or not coords.closes(rots[j], shifts[i], shifts[j], shifts[k], d):
+                raise InvariantViolation("coset system is not closed under composition")
+            memo[i, j] = k
         return k
 
-    reached, gens = [start], []
-    while len(reached) < len(rots):
-        gens.append(next(i for i in range(len(rots)) if i not in reached))
+    reached, gens, unreached = [start], [], set(range(len(rots))) - {start}
+    while unreached:
+        gens.append(min(unreached))
         for i in reached:  # grows as it goes; i g differs for each generator g
-            reached += [k for g in gens if (k := product(i, g)) not in reached]
+            for g in gens:
+                if (k := product(i, g)) in unreached:
+                    unreached.remove(k)
+                    reached.append(k)
     return product
 
 
@@ -614,7 +637,7 @@ class BieberbachGroup:
         """Validate the cosets on the given coordinates and store them; False,
         storing nothing, when a rotation has no signed permutation there."""
         n = self.lattice.n
-        seen, rots = [], []
+        seen, rots = set(), []
         for b, t in self.cosets:
             if len(b) != n or len(t) != n:
                 raise InvariantViolation("coset data has wrong dimension")
@@ -622,7 +645,7 @@ class BieberbachGroup:
             # time, so testing repetition first changes no message
             if b in seen:
                 raise InvariantViolation("two cosets share a rotation part")
-            seen.append(b)
+            seen.add(b)
             rot = coords.rotation(b)
             if rot is None:
                 return False
@@ -630,9 +653,9 @@ class BieberbachGroup:
         # the coordinates of t are rows t_int / (den t_den), reduced to D
         t_int, t_den = _integral([t for _, t in self.cosets])
         d = coords.den * t_den
-        shifts = [[x % d for x in rl.mat_vec(coords.rows, t)] for t in t_int]
-        g = math.gcd(d, *(x for s in shifts for x in s))
-        d, shifts = d // g, [tuple(x // g for x in s) for s in shifts]
+        shifts = [[x % d for x in coords.shift(t)] for t in t_int]
+        g = math.gcd(d, *chain.from_iterable(shifts))
+        d, shifts = d // g, [tuple([x // g for x in s]) for s in shifts]
         try:
             id_index = rots.index(coords.identity)
         except ValueError:
@@ -652,8 +675,7 @@ class BieberbachGroup:
                     )
             holonomy.append(_Coset(fixes, s, traces))
         betti = []
-        for p in range(n + 1):
-            trace_sum = sum(c.traces[p] for c in holonomy)
+        for trace_sum in map(sum, zip(*(c.traces for c in holonomy))):  # p = 0..n
             val, rest = divmod(trace_sum, len(holonomy))
             betti.append(Fraction(trace_sum, len(holonomy)) if rest or val < 0 else val)
         object.__setattr__(self, "_holonomy", tuple(holonomy))

@@ -93,6 +93,18 @@ def in_integer_span(vec: Sequence, generators: Sequence[Sequence]) -> bool:
     return all(x == 0 for x in target)
 
 
+def _coordinate_matrix(rot) -> list:
+    """A validated rotation as its matrix on the coordinates it was read on:
+    an integer matrix as it is, a signed permutation of a cubic frame (entry
+    j is pi(j) for + and ~pi(j) for -) with the entry +-1 at (pi(j), j)."""
+    if not rot or not isinstance(rot[0], int):
+        return [list(row) for row in rot]
+    out = [[0] * len(rot) for _ in rot]
+    for j, a in enumerate(rot):
+        out[max(a, ~a)][j] = 1 if a >= 0 else -1
+    return out
+
+
 def closure_by_table(coords, rots, shifts, d: int, start: int):
     """The closure check of a flat group's cosets by the whole |F|^2 product
     table: every product R_i R_j must be the rotation of some coset, with the
@@ -107,8 +119,8 @@ def closure_by_table(coords, rots, shifts, d: int, start: int):
             # (B1, b1)(B2, b2) = (B1 B2, b2 + B2^-1 b1); on lattice
             # coordinates, times R2: R2 (s2 - s_match) + s1 = 0 mod D
             if match is None or any(
-                (x + y) % d
-                for x, y in zip(s1, coords.act(r2, [a - b for a, b in zip(s2, shifts[match])]))
+                (x + dot(r, [a - b for a, b in zip(s2, shifts[match])])) % d
+                for x, r in zip(s1, _coordinate_matrix(r2))
             ):
                 raise InvariantViolation("coset system is not closed under composition")
             row.append(match)

@@ -160,6 +160,35 @@ def test_a_string_or_object_for_a_list_exits_2(capsys, tmp_path, payload, messag
         assert err.startswith(f"error: malformed {message}: expected a list")
 
 
+@pytest.mark.parametrize(
+    "payload, message, got",
+    [
+        # indexing these by a key leaked Python's own TypeError text
+        ({**_torus(), "cosets": [_torus()["cosets"][0], 1]}, "flat group description", "1"),
+        ({**_torus(), "cosets": [["1", "0"]]}, "flat group description", "['1', '0']"),
+        ({**_torus(), "cosets": ["10"]}, "flat group description", "'10'"),
+        ({"space": "spherical", "elements": [{"angles": ["0"]}, None]}, "element list", "None"),
+        ({"space": "spherical", "elements": [["0", "0"]]}, "element list", "['0', '0']"),
+        ({"space": "spherical", "lens": [7, [1, 2]]}, "lens description", "[7, [1, 2]]"),
+        ({"space": "spherical", "lens": "L(7;1,2)"}, "lens description", "'L(7;1,2)'"),
+    ],
+    ids=lambda x: json.dumps(x) if isinstance(x, dict) else x,
+)
+def test_a_value_for_an_object_exits_2_naming_it(capsys, tmp_path, payload, message, got):
+    path = write_json(tmp_path, payload)
+    for argv in (["spectrum", path, "--p", "all", "--cutoff", "10"], ["betti", path]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed {message}: expected an object, got {got}\n"
+
+
+def test_a_list_is_named_before_a_later_value_for_an_object(capsys, tmp_path):
+    # the first fault met is reported: a string rotation before a coset that is not an object
+    payload = {**_torus(rotation="10"), "cosets": [_torus(rotation="10")["cosets"][0], 1]}
+    code, _, err = run(capsys, "betti", write_json(tmp_path, payload))
+    assert (code, err) == (2, "error: malformed flat group description: expected a list, got '10'\n")
+
+
 def test_spectrum_torsion_exits_3(capsys, tmp_path):
     payload = {
         "space": "flat",

@@ -1594,8 +1594,8 @@ def test_one_comparison_table_answers_every_degree_order_and_cutoff(monkeypatch)
 
 
 def _frame_by_the_full_walk(lattice: Lattice):
-    """`Lattice._frame` read off the walk of the whole ball to c': 2n vectors
-    of norm c', one of each +-x kept."""
+    """The frame read off the walk of the whole ball to c': (F, c', e) for
+    the 2n vectors of norm c', one of each +-x kept, as the rows of F / e."""
     from curvspec import flat
 
     scaled, den, _ = lattice._integer
@@ -1634,6 +1634,8 @@ def _frame_and_walks(basis) -> tuple:
 @settings(max_examples=100, deadline=None, database=None, derandomize=True, phases=_NO_SHRINK)
 @given(n=st.integers(1, 8), scale=st.sampled_from(_SCALES), seed=st.integers(0, 2**32))
 def test_determinant_certificate_finds_cubic_frames_without_a_walk(n, scale, seed):
+    from curvspec import flat
+
     # c Z^n on a random basis c U, U in GL(n, Z): |det S| = s^n for s the
     # gcd of the entries of S, so the frame is read off without a walk
     rng = random.Random(seed)
@@ -1641,7 +1643,7 @@ def test_determinant_certificate_finds_cubic_frames_without_a_walk(n, scale, see
     basis = [[scale * x for x in row] for row in u]
     (frame, walks), expected = _frame_and_walks(basis), _frame_by_the_full_walk(Lattice(basis))
     assert walks == [] and frame is not None and expected is not None
-    assert _up_to_sign(frame[0]) == _up_to_sign(expected[0]) and frame[1:] == expected[1:]
+    assert _up_to_sign(flat._eye(n, frame[0])) == _up_to_sign(expected[0]) and frame[1:] == expected[1:]
 
 
 def _block_diag(*blocks) -> list[list[int]]:
@@ -1799,3 +1801,29 @@ def test_closure_composes_each_coset_once_per_generator(name, monkeypatch):
     expected = next(v for k, v in _COMPOSITIONS.items() if name.startswith(k))
     # the Klein group's power chains may compose beyond the closure's products
     assert len(calls) == expected if name.startswith("flat") else 0 < len(calls) <= expected
+
+
+@pytest.mark.parametrize("name", ["flat4_m24", "flat8_a"])
+def test_a_group_on_its_frame_is_built_with_no_ratlinalg_call(name, monkeypatch):
+    # the input as a caller gives it: a re-presented fixture, its entries
+    # ints where integral and Fractions elsewhere, read on the cubic frame
+    from curvspec import flat
+
+    def plain(x):
+        return x.numerator if x.denominator == 1 else x
+
+    group = _re_present(fixtures()[name], random.Random(name))
+    basis = [[plain(x) for x in row] for row in group.lattice.basis]
+    cosets = [([[plain(x) for x in row] for row in b], [plain(x) for x in t]) for b, t in group.cosets]
+    calls = []
+    for attr, fn in vars(rl).items():
+        if not attr.startswith("_") and callable(fn) and getattr(fn, "__module__", "") == rl.__name__:
+            monkeypatch.setattr(rl, attr, lambda *a, fn=fn, attr=attr: calls.append(attr) or fn(*a))
+    real = flat._OnFrame.mul
+    counted = staticmethod(lambda a, b: calls.append("mul") or real(a, b))
+    monkeypatch.setattr(flat._OnFrame, "mul", counted)
+    fresh = BieberbachGroup(Lattice(basis), cosets)
+    monkeypatch.undo()
+    assert type(fresh._coords) is _OnFrame and fresh._betti == group._betti
+    # no ratlinalg function, and |F| compositions per generator
+    assert calls == ["mul"] * next(v for k, v in _COMPOSITIONS.items() if name.startswith(k))
