@@ -159,18 +159,15 @@ def _degrees(p_arg: str, n: int) -> list[int]:
 
 
 def _emit_rows(rows: list[tuple], header: tuple, fmt: str):
+    """The header and the rows as csv or as a left-aligned table, in one write."""
+    table = (header, *rows)
     if fmt == "csv":
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(x) for x in row))
-        return
-    widths = [
-        max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(str(h))
-        for i, h in enumerate(header)
-    ]
-    print("  ".join(str(h).ljust(w) for h, w in zip(header, widths)).rstrip())
-    for row in rows:
-        print("  ".join(str(x).ljust(w) for x, w in zip(row, widths)).rstrip())
+        line = ",".join(["%s"] * len(header))
+        lines = [line % row for row in table]
+    else:
+        line = "  ".join(f"%-{max(map(len, map(str, column)))}s" for column in zip(*table))
+        lines = [(line % row).rstrip() for row in table]
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def cmd_spectrum(args) -> int:
@@ -251,9 +248,9 @@ def cmd_fixtures(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing keeps no state in
-    it, every call gets a fresh namespace."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and the parser of each command, built once per
+    process: parsing keeps no state in them, every call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="curvspec",
         description="Spectra of constant-curvature space forms from representation data",
@@ -292,12 +289,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fx = sub.add_parser("fixtures", help="list the built-in example groups")
     fx.set_defaults(func=cmd_fixtures)
-    return parser
+    return parser, {"spectrum": sp, "compare": cp, "betti": bt, "dict": dc, "fixtures": fx}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
+    # one pass by the command's own parser; the whole parser reads argv again
+    # only to refuse, with its usage, an unknown command or arguments left over
+    command = commands.get(argv[0]) if argv else None
+    args, rest = command.parse_known_args(argv[1:]) if command else (None, None)
+    if command is None or rest:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except InvariantViolation as exc:

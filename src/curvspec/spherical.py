@@ -81,6 +81,8 @@ class _Residues(dict):
         self.big_n = big_n
 
     def __missing__(self, x):
+        if type(x) is tuple and (len(x) != 2 or set(map(type, x)) != {int} or not x[1]):
+            raise ValueError(f"bad rational {x!r}")
         a, b = x if type(x) is tuple else _rational_pair(x)
         big_n = self.big_n
         r = a * big_n // b % big_n if a * big_n % b == 0 else Fraction(a, b) % 1
@@ -94,13 +96,15 @@ class SphericalGroup:
     """Finite fixed-point-free rotation group acting on the sphere S^{2m-1},
     given by its `RotationElement`s, by rows of angles, or as the
     `LensElements` of L(N; q).  An angle, in turns, is an (a, b) pair of
-    ints for a/b, an int, or a string such as "1/7", " 2/14", "0.25" or
-    "-1/7"; a bool, a float or any other entry is refused by name.
+    ints for a/b, b nonzero, an int, or a string such as "1/7", " 2/14",
+    "0.25" or "-1/7"; a bool, a float or any other entry is refused by name.
 
     Such a group is abelian and acts freely, hence cyclic: the lens group
     L(N; q) generated by the rotation with angles q_j / N, N the order.
-    Validation reads each angle once, as a residue mod N, before any check,
-    finds that generator and keeps only `LensElements(N, q)`."""
+    Validation reads each angle once, as a residue mod N, into one column
+    and checks the elements plane by plane on its slices: ranks, repeats,
+    the identity, unit eigenvalues, then closure, plane j being q_j times
+    the first.  It finds that generator and keeps only `LensElements(N, q)`."""
 
     m: int
     elements: tuple | LensElements
@@ -113,13 +117,14 @@ class SphericalGroup:
     def __post_init__(self):
         lens = isinstance(self.elements, LensElements)
         if not lens:
-            rows = [
-                [(a.numerator, a.denominator) for a in g.angles] if isinstance(g, RotationElement) else g
+            rows = [  # the ranks are read from the rows, so an iterator is read here
+                g if type(g) is list else [(a.numerator, a.denominator) for a in g.angles]
+                if isinstance(g, RotationElement) else list(g) if hasattr(g, "__next__") else g
                 for g in self.elements
             ]
             big_n, residues = len(rows), _Residues(len(rows))
             try:
-                values = [tuple(map(residues.__getitem__, g)) for g in rows]
+                column = list(map(residues.__getitem__, chain.from_iterable(rows)))
             except TypeError:  # an unhashable entry, which the reader refuses by name
                 for x in chain(*rows):
                     if x.__hash__ is None:
@@ -134,14 +139,15 @@ class SphericalGroup:
         if not rows:
             raise InvariantViolation("group is empty")
         # the elements, and their planes, before the first of the wrong rank
-        bad = next((i for i, g in enumerate(values) if len(g) != self.m), big_n)
-        keys = set(values[:bad])
-        planes = list(zip(*values[:bad]))
+        m = self.m
+        bad = big_n if set(map(len, rows)) == {m} else next(i for i, g in enumerate(rows) if len(g) != m)
+        planes = [column[j : bad * m : m] for j in range(m)]
+        keys = set(zip(*planes))
         if len(keys) < bad:
             raise InvariantViolation("duplicate element")
         if bad < big_n:
             raise InvariantViolation("element rank does not match the group")
-        if (0,) * self.m not in keys:
+        if (0,) * m not in keys:
             raise InvariantViolation("identity element missing")
         if any(plane.count(0) > 1 for plane in planes):
             raise InvariantViolation(
@@ -151,11 +157,12 @@ class SphericalGroup:
         # group of order N has exactly one element with first angle 1/N, of
         # order N, and the element with first angle t/N is t times it
         at = planes[0].index(1 % big_n) if 1 % big_n in planes[0] else None
-        if at is None or any(type(r) is Fraction for r in residues.values()) or any(
-            plane != tuple(t * plane[at] % big_n for t in planes[0]) for plane in planes[1:]
+        q = () if at is None else tuple(plane[at] for plane in planes)
+        if not q or Fraction in set(map(type, residues.values())) or any(
+            plane != [t * qj % big_n for t in planes[0]] for plane, qj in zip(planes[1:], q[1:])
         ):
             raise InvariantViolation("element list is not closed under composition")
-        object.__setattr__(self, "elements", LensElements(big_n, tuple(p[at] for p in planes)))
+        object.__setattr__(self, "elements", LensElements(big_n, q))
 
     @property
     def n(self) -> int:

@@ -518,6 +518,22 @@ def test_repeated_calls_in_one_process_match_fresh_interpreters(capsys, monkeypa
         assert (code, captured.out, captured.err) == expected, argv
 
 
+def test_a_command_is_parsed_in_one_argparse_pass(capsys, monkeypatch):
+    import argparse
+
+    passes = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        passes.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    code, out, _ = run(capsys, "spectrum", "fixture:klein_a", "--cutoff", "2", "--format", "csv")
+    assert code == 0 and out.startswith("p,eigenvalue_exact")
+    assert passes == ["curvspec spectrum"]
+
+
 # ---------------------------------------------------------------- imports
 
 

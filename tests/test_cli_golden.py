@@ -18,8 +18,12 @@ deep rows: L(5;1,2) at lambda <= 2000, L(7;1,2,3,1) at lambda <= 300 and
 L(10007;1,2,3) at lambda <= 2000, and the spectra of flat8_a and flat8_b at
 mu <= 16 (recorded from the dual-ball walk) and at mu <= 200, the list of
 fixtures, and five hyperbolic dictionary entries, three of them at lambda = 0
-(n = 4, p = 2; n = 5, p = 2, with two Langlands terms; n = 4, p = 0).  To
-record the file again with the library on the path:
+(n = 4, p = 2; n = 5, p = 2, with two Langlands terms; n = 4, p = 0).  Last
+come the exits of argparse itself, usage and help wrapped at 80 columns: no
+arguments, an unknown command, `spectrum` without its required `--cutoff`,
+with an unknown option, and with a `--format` outside its choices, and the
+help of `spectrum` and of the whole program.  To record the file again with
+the library on the path:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -32,6 +36,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -164,6 +169,17 @@ _DEEP_FLAT = (("flat8_a", "16"), ("flat8_b", "16"), ("flat8_a", "200"), ("flat8_
 # hyperbolic dictionary entries: (n, p, lambda)
 _DICT = (("4", "2", "0"), ("5", "2", "0"), ("4", "0", "0"), ("5", "2", "3"), ("3", "0", "-1"))
 
+# command lines that argparse itself answers, with an error or with help
+_ARGPARSE = (
+    [],
+    ["bogus"],
+    ["spectrum", "fixture:klein_a"],
+    ["spectrum", "fixture:klein_a", "--cutoff", "3", "--bogus"],
+    ["spectrum", "fixture:klein_a", "--cutoff", "3", "--format", "xml"],
+    ["spectrum", "-h"],
+    ["-h"],
+)
+
 
 def cases():
     """(argv, {file name: description}) for every recorded case."""
@@ -212,12 +228,14 @@ def cases():
     out.append((["fixtures"], {}))
     for n, p, lam in _DICT:
         out.append((["dict", "--n", n, "--p", p, "--lambda", lam], {}))
+    out.extend((argv, {}) for argv in _ARGPARSE)
     return out
 
 
 def _run(argv, files, workdir):
     """Exit code, stdout and stderr of one in-process CLI run in workdir,
-    after writing the group files it reads there."""
+    after writing the group files it reads there; an exit of argparse gives
+    the code of its SystemExit, its text wrapped at 80 columns."""
     for file, data in files.items():
         (Path(workdir) / file).write_text(json.dumps(data))
     out, err = io.StringIO(), io.StringIO()
@@ -225,7 +243,10 @@ def _run(argv, files, workdir):
     os.chdir(workdir)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(list(argv))
+            with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+                code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     finally:
         os.chdir(cwd)
     return code, out.getvalue(), err.getvalue()
@@ -251,7 +272,7 @@ def test_deep_lens_rows_replay_on_one_lattice_count_each(monkeypatch, tmp_path):
 
     monkeypatch.setattr(spherical._LatticeCounts, "up_to", counted)
     deep = [case for case in json.loads(GOLDEN.read_text()) if set(case["files"]) <= set(_DEEP)]
-    deep = [case for case in deep if case["argv"][0] == "spectrum" and "csv" in case["argv"]]
+    deep = [case for case in deep if case["argv"][:1] == ["spectrum"] and "csv" in case["argv"]]
     assert len(deep) == len(_DEEP)
     for case in deep:
         runs.clear()

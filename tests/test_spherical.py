@@ -6,6 +6,7 @@ import json
 import math
 import operator
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -378,8 +379,12 @@ def _lens_data_or_message(fn, *args):
         return str(exc)
 
 
+_RANK_THEN_DUPLICATE = [[(0, 3), (0, 3)], [(1, 3), (1, 3)], [(1, 3)], [(2, 3), (2, 3)], [(4, 6), (4, 6)]]
+
+
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(_element_lists())
+@example((2, [[f"{a}/{b}" for a, b in row] for row in _RANK_THEN_DUPLICATE], _RANK_THEN_DUPLICATE))
 def test_element_lists_are_read_as_the_element_by_element_check_reads_them(case):
     # the oracle reads the angles as pairs, whatever form the rows take
     m, rows, pairs = case
@@ -387,6 +392,20 @@ def test_element_lists_are_read_as_the_element_by_element_check_reads_them(case)
     if isinstance(group, SphericalGroup):
         group = group.order, group.elements.q
     assert group == _lens_data_or_message(lens_data_by_elements, m, pairs)
+
+
+@pytest.mark.parametrize(
+    "pair", [(1, 0), (1, 2.0), (True, 2), (1, 2, 3)], ids=["zero", "float", "bool", "triple"]
+)
+def test_a_malformed_angle_pair_is_refused_by_name(pair):
+    with pytest.raises(ValueError, match=rf"^bad rational {re.escape(repr(pair))}$"):
+        SphericalGroup(2, [[(0, 1), (0, 1)], [pair, (1, 2)]])
+
+
+def test_rows_given_as_iterators_read_as_lists():
+    rows = [[f"{t * x % 5}/5" for x in (1, 2)] for t in range(5)]
+    group = SphericalGroup(2, [iter(row) for row in rows])
+    assert group.elements == SphericalGroup(2, rows).elements == LensElements(5, (1, 2))
 
 
 def test_spectra_build_no_full_weight_table(monkeypatch):
