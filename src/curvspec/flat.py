@@ -18,10 +18,9 @@ permutation: one test, that each column of B is some +-e_j, replaces the
 orthogonality and lattice tests, and products and shifts take O(n).  One
 walk over the cycles gives everything else.  A dual vector fixed by B is 0
 on each cycle whose signs multiply to -1 and +-x along each other cycle C,
-adding c |C| x^2 to the norm and x beta_C to D <v, b>, so a coset's residue
-counts by norm are the coefficients of a product of one-dimensional theta
-series (Miatello-Rossetti), keyed by t = den(c) mu, with the cycles of
-beta_C = 0 multiplied as a plain integer series; the coset holds no
+adding c |C| x^2 to the norm and x beta_C to D <v, b>, so a coset's shells
+by norm, keyed by t = den(c) mu, are the coefficients of a product of
+one-dimensional theta series (Miatello-Rossetti); the coset holds no
 fixed-point isometry exactly when some beta_C is not 0 mod D; and a cycle C
 of sign s_C multiplies det(1 + t R) = sum_p tr Lambda^p(R) t^p by
 1 - s_C (-t)^|C|, so no matrix is built.
@@ -38,17 +37,19 @@ identities the exterior traces.
 
 On both, translations are residue vectors modulo their common denominator D,
 so each phase <v, b> is a residue r mod D.  A group's `_cache` has three
-sections.  "shells" is its ball: per shell t, each coset's counts C_r of the
-residues r, from the theta products on a frame and from the walk otherwise.
-"rows" holds one row (d_0, ..., d_n) per shell, each entry |F|^-1 sum_r C_r
-exp(-2 pi i r / D) for integer counts C_r that depend on gcd(r, D) alone
-(Galois invariance), so Moebius values sum it in integers.  All degrees
-share the counts: one pass builds a vector of trace-weighted counts per
-residue, and one phase sum of the vectors gives the row.  "pairs" holds the
-tables in which `spectra` compares the rows telescoped into principal-series
-pieces.  Fractions are built only for results that leave the module:
-spectrum entries and the values of `shells`, a lazy mapping that converts a
-shell to ambient vectors when read.
+sections.  "shells" is its ball, from the theta products on a frame and from
+the walk otherwise; "rows" holds one row (d_0, ..., d_n) per shell, each
+entry |F|^-1 sum_cosets tr Lambda^p(B) Phi, Phi = sum_v exp(2 pi i <v, b>)
+over the fixed vectors v, real as v and -v pair up.  When D divides 4 or 6,
+2 cos(2 pi r / D) is an integer (`_TWO_COS`), so Phi is one, and each shell
+holds every coset's Phi.  For other D it holds each coset's counts C_r of
+the residues r, which must depend on gcd(r, D) alone (Galois invariance), so
+Moebius values sum them in integers; when D divides 4 or 6 each class
+gcd(r, D) is {r, -r} and that check would hold for any input.  "pairs"
+holds the tables in which `spectra` compares the rows telescoped into
+principal-series pieces.  Fractions are built only for results that leave
+the module: spectrum entries and the values of `shells`, a lazy mapping that
+converts a shell to ambient vectors when read.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ import cmath
 import math
 import numbers
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -479,12 +481,13 @@ class _OnBasis:
 
     @staticmethod
     def shells(group: BieberbachGroup, mu_max: Fraction) -> tuple[int, dict]:
-        """(K, {t: each coset's residue counts}) over the lattice's walk to
-        mu_max (see `shells`), one shell at a time."""
+        """(K, {t: each coset's phase sum, or its residue counts when D is not
+        a key of _TWO_COS}) over the lattice's walk to mu_max (see `shells`),
+        one shell at a time."""
         view, d = shells(group.lattice, mu_max), group._denom
-        found = view._found
+        found, count = view._found, _walked_phase if d in _TWO_COS else _residue_counts
         return view._scale, {
-            t: [_residue_counts(c, d, found[t]) for c in group._holonomy] for t in view._numerators()
+            t: [count(c, d, found[t]) for c in group._holonomy] for t in view._numerators()
         }
 
 
@@ -566,11 +569,13 @@ class _OnFrame:
         return tuple(cycles), tuple(traces), torsion
 
     def shells(self, group: BieberbachGroup, mu_max: Fraction) -> tuple[int, dict]:
-        """(K, {t: each coset's residue counts}) with K = den(c), each shell
-        t = K c e read off the cosets' theta products (see _theta_table)."""
+        """(K, {t: each coset's phase sum, or its residue counts when D is not
+        a key of _TWO_COS}) with K = den(c), each shell t = K c e read off the
+        cosets' theta products (see _theta_series and _theta_table)."""
         c, d = self.c, group._denom
-        m = math.floor(mu_max / c)
-        tables = [_theta_table(coset.fixes, d, m) for coset in group._holonomy]
+        m = mu_max.numerator * c.denominator // (mu_max.denominator * c.numerator)  # floor(mu_max / c)
+        build = _theta_series if d in _TWO_COS else _theta_table
+        tables = [build(coset.fixes, d, m) for coset in group._holonomy]
         return c.denominator, {
             c.numerator * e: per_coset for e, per_coset in enumerate(zip(*tables)) if any(per_coset)
         }
@@ -698,18 +703,49 @@ def is_orientable(group: BieberbachGroup) -> bool:
     return all(c.traces[-1] == 1 for c in group._holonomy)  # tr Lambda^n = det
 
 
-def _residue_counts(coset: _Coset, d: int, xs) -> dict[int, int]:
-    """Counts of the residues r = D <v, b> mod D over the dual vectors v
-    (integer coordinates xs of one shell) fixed by the coset's rotation part."""
-    counts: dict[int, int] = {}
+def _fixed_residues(coset: _Coset, d: int, xs) -> Iterator[int]:
+    """The residues r = D <v, b> mod D over the dual vectors v (integer
+    coordinates xs of one shell) fixed by the coset's rotation part."""
     for x in xs:
         for row in coset.fixes:
             if sum(map(mul, row, x)):
                 break
         else:
-            r = sum(map(mul, coset.shift, x)) % d
-            counts[r] = counts.get(r, 0) + 1
-    return counts
+            yield sum(map(mul, coset.shift, x)) % d
+
+
+def _residue_counts(coset: _Coset, d: int, xs) -> dict[int, int]:
+    """Counts of the residues of `_fixed_residues`."""
+    return Counter(_fixed_residues(coset, d, xs))
+
+
+# 2 cos(2 pi r / D) for r = 0..D-1 at the D where these are integers
+_TWO_COS = {1: (2,), 2: (2, -2), 3: (2, -1, -1), 4: (2, 0, -2, 0), 6: (2, 1, -1, -2, -1, 1)}
+
+
+def _walked_phase(coset: _Coset, d: int, xs) -> int:
+    """sum_v exp(2 pi i <v, b>) over the vectors of `_fixed_residues`, D a
+    key of _TWO_COS: half the sum of 2 cos(2 pi r / D), exact as v and -v
+    pair up and the origin gives 2.  The identity fixes all, at phase 0."""
+    if not coset.fixes:
+        return len(xs)
+    return sum(map(_TWO_COS[d].__getitem__, _fixed_residues(coset, d, xs))) // 2
+
+
+def _theta_series(cycles, d: int, m: int) -> list[int]:
+    """[Phi_e for e = 0..m], Phi_e = sum_v exp(2 pi i <v, b>) over the dual
+    vectors v of squared norm c e fixed by one rotation, D a key of _TWO_COS:
+    the q^e coefficients of the product over its +cycles C of
+    1 + sum_{x > 0} 2 cos(2 pi x beta_C / D) q^(|C| x^2), as x and -x along C
+    pair up; one slice convolution per x."""
+    series, cos = [1] + [0] * m, _TWO_COS[d]
+    for length, beta in cycles:
+        before = series[:]
+        for x in range(1, math.isqrt(m // length) + 1):
+            w, s = cos[x * beta % d], length * x * x
+            if w:
+                series[s:] = [a + w * b for a, b in zip(series[s:], before)]
+    return series
 
 
 def _theta_table(cycles, d: int, m: int) -> list[dict[int, int]]:
@@ -717,15 +753,10 @@ def _theta_table(cycles, d: int, m: int) -> list[dict[int, int]]:
     over the dual vectors v of squared norm c e fixed by one rotation, as the
     q^e coefficients of the product over its +cycles C of the one-dimensional
     theta series sum_x q^(|C| x^2) z^(x beta_C), with z^D = 1.  A cycle with
-    beta_C = 0 moves no residue, so those multiply as a plain integer series;
-    only the others go through the counts {(e, r): C}."""
-    plain, moved = [1] + [0] * m, {(0, 0): 1}
-    for length, beta in cycles:
-        if not beta:  # times 1 + 2 sum_{x > 0} q^(|C| x^2), from the top down
-            for e in range(m, length - 1, -1):
-                xs = range(1, math.isqrt(e // length) + 1)
-                plain[e] += 2 * sum(plain[e - length * x * x] for x in xs)
-            continue
+    beta_C = 0 moves no residue, so those multiply as a plain integer series
+    (see _theta_series); only the others go through the counts {(e, r): C}."""
+    plain, moved = _theta_series([(length, 0) for length, beta in cycles if not beta], 1, m), {(0, 0): 1}
+    for length, beta in (cycle for cycle in cycles if cycle[1]):
         k, out = math.isqrt(m // length), {}
         for (e, r), c in moved.items():
             for x in range(-k, k + 1):
@@ -751,7 +782,8 @@ def _group_shells(group: BieberbachGroup, mu_max) -> _ShellKeys:
 
 def e_mu_gamma(group: BieberbachGroup, coset_index: int, mu) -> complex:
     """Sum of exp(-2 pi i <v, b>) over the dual vectors of squared norm mu
-    fixed by the rotation part of the chosen coset, evaluated as
+    fixed by the rotation part of the chosen coset: the shell's exact integer
+    when D is a key of _TWO_COS, else evaluated as
     sum_r c_r exp(-2 pi i r / D) over the counts c_r of the exact residues
     r = D <v, b> mod D."""
     mu, d = Fraction(mu), group._denom
@@ -761,6 +793,8 @@ def e_mu_gamma(group: BieberbachGroup, coset_index: int, mu) -> complex:
         raise ValueError("coset index out of range")
     sh = _group_shells(group, mu)
     t = sh._key(mu)
+    if d in _TWO_COS:
+        return complex(0 if t is None else sh._found[t][coset_index])
     residues = {} if t is None else sh._found[t][coset_index]
     return sum((c * cmath.exp(-2j * cmath.pi * r / d) for r, c in residues.items()), 0j)
 
@@ -837,23 +871,30 @@ def _phase_vector(vectors: dict[int, list[int]], d: int, size: int) -> list[int]
 
 def _row(group: BieberbachGroup, t: int) -> tuple[int, ...]:
     """(d_0, ..., d_n) at the shell t > 0 of the group's ball, cached per
-    group: one pass over the cosets' residue counts builds a vector
-    V_r = sum_cosets C_r (tr Lambda^0(B), ..., tr Lambda^n(B)) per residue r,
-    and one exact phase sum of the vectors gives every degree.  Anomalies are
-    named degree by degree, in increasing p, as one phase sum per degree
-    would meet them."""
+    group: sum_cosets Phi (tr Lambda^0(B), ..., tr Lambda^n(B)) / |F| from
+    each coset's phase sum Phi when D is a key of _TWO_COS, which needs no
+    Galois-invariance check (see the module docstring); else one exact phase
+    sum of the vectors V_r = sum_cosets C_r (tr Lambda^0(B), ...) of the
+    residue counts.  Anomalies are named degree by degree, in increasing p,
+    as one phase sum per degree would meet them."""
     row = group._cache["rows"].get(t)
     if row is None:
-        ball = group._cache["shells"]
-        d, order, size = group._denom, group.holonomy_order, group.n + 1
+        ball, d, order = group._cache["shells"], group._denom, len(group._holonomy)
         vectors: dict[int, list[int]] = {}
-        zeros = [0] * size
-        for coset, residues in zip(group._holonomy, ball["shells"][t]):
-            for r, c in residues.items():
-                vectors[r] = [y + c * x for x, y in zip(coset.traces, vectors.get(r, zeros))]
-        total = _phase_vector(vectors, d, size)
-        if total is None or any(x % order or x < 0 for x in total):
-            for p in range(size):
+        zeros = total = [0] * (group.n + 1)
+        if d in _TWO_COS:
+            for coset, phase in zip(group._holonomy, ball["shells"][t]):
+                if phase:
+                    total = [y + phase * x for x, y in zip(coset.traces, total)]
+        else:
+            for coset, residues in zip(group._holonomy, ball["shells"][t]):
+                for r, c in residues.items():
+                    vectors[r] = [y + c * x for x, y in zip(coset.traces, vectors.get(r, zeros))]
+            total = _phase_vector(vectors, d, len(zeros))
+        row = None if total is None else tuple(map(order.__rfloordiv__, total))
+        # every remainder is 0 exactly when the quotients sum to sum(total) / |F|
+        if total is None or min(row) < 0 or order * sum(row) != sum(total):
+            for p in range(len(zeros)):
                 # _phase_sum raises on counts that are not Galois invariant
                 x = total[p] if total else _phase_sum({r: v[p] for r, v in vectors.items()}, d)
                 if x % order or x < 0:
@@ -861,7 +902,7 @@ def _row(group: BieberbachGroup, t: int) -> tuple[int, ...]:
                         f"multiplicity {Fraction(x, order)} at mu={Fraction(t, ball['scale'])}, "
                         f"p={p} is not a nonnegative integer"
                     )
-        row = group._cache["rows"][t] = tuple(x // order for x in total)
+        group._cache["rows"][t] = row
     return row
 
 

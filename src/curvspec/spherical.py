@@ -211,13 +211,17 @@ def eigenvalue_family(n: int, p: int, lam_max: int) -> list[tuple[int, int]]:
         k += 1
 
 
-def k_from_lambda(n: int, p: int, lam: int) -> int | None:
-    """Invert the family equation; None when lam is not in the family."""
+def k_from_lambda(n: int, p: int, lam) -> int | None:
+    """Invert the family equation; None when lam is not in the family.  lam is
+    read through Fraction, as `flat.d_lambda` reads mu: only an integer is."""
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
     if p in (0, n + 1):
         return None
-    h = (n - 1) // 2
+    lam = Fraction(lam)
+    if lam.denominator != 1:
+        return None
+    lam, h = lam.numerator, (n - 1) // 2
     s2 = h * h + lam - (p - 1) * (n - p)
     if s2 < 0:
         return None

@@ -1,10 +1,11 @@
 """Code that only the tests use: exact linear algebra over `Fraction`, as
 oracles for the integer code paths of `curvspec.flat` and `curvspec.liealg`
-and helpers for building test data, the full-table closure check and the
-one-degree-at-a-time row of a flat group, the per-weight count of the
-spherical multiplicities n_Gamma, the prefix-shell count of the lens lattice,
-the element-by-element check of a spherical element list and the
-eigenvalue-by-eigenvalue comparison of two spectra."""
+and helpers for building test data (a flat group with its origin moved among
+them), the full-table closure check, the residue counts of a flat shell
+counted again and the one-degree-at-a-time row of a flat group, the
+per-weight count of the spherical multiplicities n_Gamma, the prefix-shell
+count of the lens lattice, the element-by-element check of a spherical
+element list and the eigenvalue-by-eigenvalue comparison of two spectra."""
 
 import math
 from fractions import Fraction
@@ -128,20 +129,53 @@ def closure_by_table(coords, rots, shifts, d: int, start: int):
     return lambda i, j: table[i][j]
 
 
-def row_by_degree(group, t: int) -> tuple:
+def move_origin(group, c: Sequence):
+    """The same space form with its origin moved to the point c: each coset
+    (B, b) becomes (B, b + c - B^T c)."""
+    cosets = []
+    for b, t in group.cosets:
+        moved = vec_sub(c, [dot(col, c) for col in zip(*b)])  # c - B^T c
+        cosets.append((b, vec_add(t, moved)))
+    return flat.BieberbachGroup(flat.Lattice(group.lattice.basis), tuple(cosets))
+
+
+def far_origin(group):
+    """The group with its origin moved to (1, 2, ..., n) / 17.  No signed
+    permutation but the identity fixes that point mod 17, so every other
+    coset's translation gains a denominator 17 and D leaves {1, 2, 3, 4, 6}."""
+    return move_origin(group, [Fraction(k, 17) for k in range(1, group.n + 1)])
+
+
+def residue_counts(group, t: int) -> list:
+    """Each coset's counts {r: C_r} of the residues r = D <v, b> mod D over
+    the dual vectors v of the group's shell t that its rotation part fixes,
+    counted again rather than read from the group's ball: from the theta
+    products of its cycles on a cubic frame, over the lattice's walk
+    otherwise."""
+    d = group._denom
+    if isinstance(group._coords, flat._OnFrame):
+        e = t // group._coords.c.numerator
+        return [flat._theta_table(c.fixes, d, e)[e] for c in group._holonomy]
+    xs = group.lattice._ball["shells"].get(t, ())
+    return [flat._residue_counts(c, d, xs) for c in group._holonomy]
+
+
+def row_by_degree(group, t: int, counts=None) -> tuple:
     """(d_0, ..., d_n) of a flat group at its shell t > 0, one degree at a
-    time: each degree p weights the cosets' residue counts by
-    tr Lambda^p(B) and takes one exact phase sum, raising the library's
-    IntegralityError at the first degree that is not a nonnegative integer."""
+    time: each degree p weights the cosets' residue counts (see
+    `residue_counts`, unless they are given) by tr Lambda^p(B) and takes one
+    exact phase sum, raising the library's IntegralityError at the first
+    degree that is not a nonnegative integer."""
     d, order = group._denom, group.holonomy_order
-    per_coset = [(c.traces, res) for c, res in zip(group._holonomy, group._cache["shells"]["shells"][t])]
+    counts = residue_counts(group, t) if counts is None else counts
+    per_coset = [(c.traces, res) for c, res in zip(group._holonomy, counts)]
     row = []
     for p in range(group.n + 1):
-        counts: dict = {}
+        weighted: dict = {}
         for traces, residues in per_coset:
             for r, c in residues.items():
-                counts[r] = counts.get(r, 0) + traces[p] * c
-        total = flat._phase_sum(counts, d)
+                weighted[r] = weighted.get(r, 0) + traces[p] * c
+        total = flat._phase_sum(weighted, d)
         val, rest = divmod(total, order)
         if rest or val < 0:
             mu = Fraction(t, group._cache["shells"]["scale"])

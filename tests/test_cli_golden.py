@@ -16,7 +16,11 @@ among them) with a tau comparison of L(7;1,2,3) and L(7;1,2,4) at that cutoff,
 reads each family to k <= K, beyond the cutoff), and the csv spectra of three
 deep rows: L(5;1,2) at lambda <= 2000, L(7;1,2,3,1) at lambda <= 300 and
 L(10007;1,2,3) at lambda <= 2000, and the spectra of flat8_a and flat8_b at
-mu <= 16 (recorded from the dual-ball walk) and at mu <= 200, the list of
+mu <= 16 (recorded from the dual-ball walk) and at mu <= 200, flat4_m24 and
+klein_a with their origins moved to (1/5, 0, 0, 0) and (0, 1/5), so that
+D = 10 on a cubic frame and on the walk, each as `spectrum --p all` and
+`compare --mode spec|tau` against its fixture at mu <= 6, `compare --mode
+spec|tau` of klein_a/klein_b and flat4_m24/flat4_m25 at mu <= 20, the list of
 fixtures, and five hyperbolic dictionary entries, three of them at lambda = 0
 (n = 4, p = 2; n = 5, p = 2, with two Langlands terms; n = 4, p = 0).  Last
 come the exits of argparse itself, usage and help wrapped at 80 columns: no
@@ -35,6 +39,7 @@ import json
 import os
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -166,6 +171,28 @@ _DEEP = {
 # deep flat rows: (fixture, cutoff)
 _DEEP_FLAT = (("flat8_a", "16"), ("flat8_b", "16"), ("flat8_a", "200"), ("flat8_b", "200"))
 
+# fixtures with their origin moved to a rational point c, each translation b
+# turned into b + c - B^T c, so that D = 10: file name -> (fixture, c)
+_MOVED = {
+    "flat4_m24_moved.json": ("flat4_m24", ("1/5", "0", "0", "0")),
+    "klein_a_moved.json": ("klein_a", ("0", "1/5")),
+}
+
+# fixture pairs compared at a larger cutoff
+_FAR_PAIRS = (("klein_a", "klein_b"), ("flat4_m24", "flat4_m25"))
+
+
+def _moved(name, origin):
+    """The file of the fixture `name` with its origin moved to `origin`."""
+    group = flat.fixtures()[name]
+    c = [Fraction(x) for x in origin]
+    cosets = []
+    for b, t in group.cosets:
+        bt_c = [sum(row[i] * y for row, y in zip(b, c)) for i in range(len(c))]  # B^T c
+        moved = [x + y - z for x, y, z in zip(t, c, bt_c)]
+        cosets.append(([[str(x) for x in row] for row in b], [str(x) for x in moved]))
+    return _flat([[str(x) for x in row] for row in group.lattice.basis], *cosets)
+
 # hyperbolic dictionary entries: (n, p, lambda)
 _DICT = (("4", "2", "0"), ("5", "2", "0"), ("4", "0", "0"), ("5", "2", "3"), ("3", "0", "-1"))
 
@@ -225,6 +252,14 @@ def cases():
         out.append((argv, {file: data}))
     for name, cutoff in _DEEP_FLAT:
         out.append((["spectrum", f"fixture:{name}", "--p", "all", "--cutoff", cutoff], {}))
+    for file, (name, origin) in _MOVED.items():
+        files = {file: _moved(name, origin)}
+        out.append((["spectrum", file, "--p", "all", "--cutoff", "6"], files))
+        for mode in ("spec", "tau"):
+            out.append((["compare", file, f"fixture:{name}", "--cutoff", "6", "--mode", mode], files))
+    for a, b in _FAR_PAIRS:
+        for mode in ("spec", "tau"):
+            out.append((["compare", f"fixture:{a}", f"fixture:{b}", "--cutoff", "20", "--mode", mode], {}))
     out.append((["fixtures"], {}))
     for n, p, lam in _DICT:
         out.append((["dict", "--n", n, "--p", p, "--lambda", lam], {}))

@@ -258,32 +258,64 @@ def test_fixtures_are_built_without_a_matrix_product(monkeypatch):
 # ---------------------------------------------------------------- phase sums
 
 
-def test_phase_sum_at_identity_counts_the_shell():
+def _flat8_a_both_ways() -> tuple[BieberbachGroup, BieberbachGroup]:
+    """flat8_a (D = 4, integer phase sums) and the same group with its origin
+    moved (D = 68, residue counts); a phase sum over vectors fixed by B does
+    not see the move, as <v, c - B^T c> = <v - B v, c> = 0."""
+    from curvspec import flat
+
     g = fixtures()["flat8_a"]
-    ident_index = next(
-        i for i, (b, _) in enumerate(g.cosets) if b == rl.identity(8)
-    )
-    assert e_mu_gamma(g, ident_index, 1) == pytest.approx(16)
-    assert e_mu_gamma(g, ident_index, 2) == pytest.approx(112)
+    moved = oracles.far_origin(g)
+    assert g._denom in flat._TWO_COS and moved._denom not in flat._TWO_COS
+    return g, moved
+
+
+def test_phase_sum_at_identity_counts_the_shell():
+    for g in _flat8_a_both_ways():
+        ident_index = next(
+            i for i, (b, _) in enumerate(g.cosets) if b == rl.identity(8)
+        )
+        assert e_mu_gamma(g, ident_index, 1) == pytest.approx(16)
+        assert e_mu_gamma(g, ident_index, 2) == pytest.approx(112)
 
 
 def test_phase_sums_of_the_order_four_holonomy():
-    g = fixtures()["flat8_a"]
-    # identify cosets by the order of their rotation part
-    by_order = {}
-    for i, (b, _) in enumerate(g.cosets):
-        power, order = b, 1
-        while power != rl.identity(8):
-            power = rl.mat_mul(power, b)
-            order += 1
-        by_order.setdefault(order, []).append(i)
-    (gen_a, gen_b) = by_order[4]
-    (square,) = by_order[2]
-    vals = sorted(
-        (round(e_mu_gamma(g, i, 1).real) for i in (gen_a, gen_b))
-    )
-    assert vals == [2, 2]
-    assert e_mu_gamma(g, square, 1) == pytest.approx(4)
+    for g in _flat8_a_both_ways():
+        # identify cosets by the order of their rotation part
+        by_order = {}
+        for i, (b, _) in enumerate(g.cosets):
+            power, order = b, 1
+            while power != rl.identity(8):
+                power = rl.mat_mul(power, b)
+                order += 1
+            by_order.setdefault(order, []).append(i)
+        (gen_a, gen_b) = by_order[4]
+        (square,) = by_order[2]
+        vals = sorted(
+            (round(e_mu_gamma(g, i, 1).real) for i in (gen_a, gen_b))
+        )
+        assert vals == [2, 2]
+        assert e_mu_gamma(g, square, 1) == pytest.approx(4)
+
+
+@pytest.mark.parametrize("name", sorted(fixtures()))
+def test_integer_phase_sums_equal_the_residue_count_sums(name):
+    # every fixture has D = 2 or 4, so e_mu_gamma reads each coset's exact
+    # integer: it equals the residue counts' sum of roots of unity, with no
+    # imaginary part at all
+    import cmath
+
+    from curvspec import flat
+
+    group = fixtures()[name]
+    sh = flat._group_shells(group, 3)
+    assert group._denom in flat._TWO_COS and len(sh) > 1
+    for t, mu in zip(sh._numerators(), sh):
+        by_counts = oracles.residue_counts(group, t)
+        for index, counts in enumerate(by_counts):
+            phase = e_mu_gamma(group, index, mu)
+            expected = sum(c * cmath.exp(-2j * cmath.pi * r / group._denom) for r, c in counts.items())
+            assert abs(phase - expected) <= 1e-9 and phase.imag == 0
 
 
 # ---------------------------------------------------------------- multiplicity
@@ -1010,7 +1042,8 @@ def test_d_lambda_beyond_the_walk_extends_it_once(monkeypatch):
 def test_damaged_phase_sum_names_mu_and_degree(monkeypatch):
     from curvspec import flat
 
-    # one phase sum of the degree vectors gives every degree of a row
+    # with the origin moved, D = 34 and one phase sum of the degree vectors
+    # gives every degree of a row
     real = flat._phase_vector
 
     def damaged(vectors, d, size):
@@ -1018,13 +1051,22 @@ def test_damaged_phase_sum_names_mu_and_degree(monkeypatch):
         return [x + (p == 1) for p, x in enumerate(total)]  # wrong in degree 1 only
 
     monkeypatch.setattr(flat, "_phase_vector", damaged)
-    ka, _ = klein_pair()
+    ka = oracles.far_origin(klein_pair()[0])
+    assert ka._denom not in flat._TWO_COS
     with pytest.raises(IntegralityError, match=r"at mu=1/4, p=1 is not"):
         d_lambda(ka, 0, Fraction(1, 4))
     assert ka._cache["rows"] == {}
     monkeypatch.setattr(flat, "_phase_vector", lambda *args: [-2 * x for x in real(*args)])
     with pytest.raises(IntegralityError, match=r"at mu=1/4, p=0 is not a nonnegative integer"):
-        spectrum(klein_pair()[0], 2, 1)
+        spectrum(oracles.far_origin(klein_pair()[0]), 2, 1)
+    # at D = 2 the shell holds each coset's phase sum: the identity's, made
+    # odd, leaves degree 0 off the integers first
+    ka = klein_pair()[0]
+    flat._group_shells(ka, 1)
+    monkeypatch.setitem(ka._cache["shells"]["shells"], 1, [1, 0])
+    with pytest.raises(IntegralityError, match=r"multiplicity 1/2 at mu=1/4, p=0 is not"):
+        d_lambda(ka, 2, Fraction(1, 4))
+    assert ka._cache["rows"] == {}
 
 
 # ---------------------------------------------------------------- cubic frames
@@ -1478,21 +1520,43 @@ def test_cycle_type_traces_match_the_matrix(data):
 
 @pytest.mark.parametrize("name", sorted(fixtures()))
 def test_degree_vector_rows_equal_the_per_degree_rows(name):
+    # the fixtures have D = 2 or 4, so their rows come from integer phase
+    # sums; re-presented with a moved origin, D leaves {1, 2, 3, 4, 6} and
+    # the rows come from residue counts.  The oracle counts the residues
+    # again in both cases, on a frame and on the walk alike.
     from curvspec import flat
 
     rng = random.Random(name)
     base = fixtures()[name]
     for seed in range(2):
-        moved = _re_present(base, rng) if seed else base
+        moved = oracles.far_origin(_re_present(base, rng)) if seed else base
         fresh = BieberbachGroup(Lattice(moved.lattice.basis), moved.cosets)
         walked = _on_basis(Lattice(moved.lattice.basis), moved.cosets)
         assert type(walked._coords) is _OnBasis and (type(fresh._coords) is _OnBasis) == name.startswith("klein")
+        assert all((g._denom in flat._TWO_COS) == (not seed) for g in (fresh, walked))
         for g in (fresh, walked):
             for cutoff in (6, 1):
                 shells_up_to = [t for t in flat._group_shells(g, cutoff)._numerators() if t]
                 assert shells_up_to
                 for t in shells_up_to:
                     assert flat._row(g, t) == oracles.row_by_degree(g, t)
+
+
+def test_rows_at_denominator_three_equal_the_per_degree_rows():
+    # Z^4 with a 3-cycle of the first three axes gliding by 1/3 along the
+    # last: D = 3, whose phase sums no fixture reaches, equal to the residue
+    # counts' rows on the frame and on the walk
+    from curvspec import flat
+
+    third = Fraction(1, 3)
+    rots = [(0, 1, 2, 3), (1, 2, 0, 3), (2, 0, 1, 3)]
+    cosets = tuple((_frame_matrix(r), (0, 0, 0, k * third)) for k, r in enumerate(rots))
+    for g in (BieberbachGroup(Lattice(rl.identity(4)), cosets), _on_basis(Lattice(rl.identity(4)), cosets)):
+        assert g._denom == 3
+        shells_up_to = [t for t in flat._group_shells(g, 6)._numerators() if t]
+        assert [flat._row(g, t) for t in shells_up_to[:2]] == [(2, 10, 16, 10, 2), (8, 32, 48, 32, 8)]
+        for t in shells_up_to:
+            assert flat._row(g, t) == oracles.row_by_degree(g, t)
 
 
 def _outcome(row, group, t):
@@ -1505,19 +1569,29 @@ def _outcome(row, group, t):
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
 @given(data=st.data())
 def test_anomalous_counts_are_refused_as_the_per_degree_rows_refuse_them(data):
-    # residue counts drawn at random, most of them not Galois invariant or
-    # with totals that are not multiples of |F|: the row, or the first
-    # refusal with its degree and message, is the one of a phase sum per degree
+    # damaged shells: at D = 2 or 4 each coset's phase sum drawn at random;
+    # with a moved origin, D outside {1, 2, 3, 4, 6}, residue counts drawn at
+    # random, most of them not Galois invariant or with totals that are not
+    # multiples of |F|.  The row, or the first refusal with its degree and
+    # message, is the one of a phase sum per degree
     from curvspec import flat
 
     name = data.draw(st.sampled_from(("klein_a", "flat4_m24", "flat8_a", "flat8_c")))
     group = fixtures()[name]
-    if data.draw(st.booleans()):  # a moved origin makes D larger
-        group = _re_present(group, random.Random(data.draw(st.integers(0, 2**32))))
+    moved = data.draw(st.booleans())
+    if moved:
+        group = oracles.far_origin(_re_present(group, random.Random(data.draw(st.integers(0, 2**32)))))
     d = group._denom
-    counts = []
+    assert (d in flat._TWO_COS) != moved
+    counts, shell = [], []
     for _ in group._holonomy:
-        if data.draw(st.booleans()):
+        if not moved:
+            # the phase sum phi as counts: phi at residue 0, or -phi at each
+            # r != 0, whose roots of unity sum to -1
+            phi = data.draw(st.integers(-6, 6))
+            shell.append(phi)
+            counts.append({0: phi} if phi >= 0 else dict.fromkeys(range(1, d), -phi))
+        elif data.draw(st.booleans()):
             per_class = {g: data.draw(st.integers(0, 3)) for g in range(1, d + 1) if d % g == 0}
             per_coset = {r: per_class[math.gcd(r, d)] for r in range(d)}
             counts.append({r: c for r, c in per_coset.items() if c})
@@ -1525,12 +1599,12 @@ def test_anomalous_counts_are_refused_as_the_per_degree_rows_refuse_them(data):
             keys = st.integers(0, d - 1)
             counts.append(data.draw(st.dictionaries(keys, st.integers(1, 4), max_size=6)))
     if not any(counts):
-        counts[0] = {0: 1}
+        counts[0] = {0: 1}  # only drawn counts can all be empty
     fresh = BieberbachGroup(group.lattice, group.cosets)
     flat._group_shells(fresh, 1)  # the ball that names mu in a message
     with pytest.MonkeyPatch.context() as m:
-        m.setitem(fresh._cache["shells"]["shells"], 1, counts)
-        expected = _outcome(oracles.row_by_degree, fresh, 1)
+        m.setitem(fresh._cache["shells"]["shells"], 1, counts if moved else shell)
+        expected = _outcome(lambda g, t: oracles.row_by_degree(g, t, counts), fresh, 1)
         assert _outcome(flat._row, fresh, 1) == expected
     assert (1 in fresh._cache["rows"]) == (type(expected) is tuple)
 
@@ -1583,11 +1657,13 @@ def test_one_comparison_table_answers_every_degree_order_and_cutoff(monkeypatch)
         for g, partner in ((g1, g2), (g2, g1)):
             assert list(g._cache["pairs"]) == [id(partner)] and len(g._cache["pairs"][id(partner)]) == 2
     # a damaged row still raises from compare when the Betti numbers differ,
-    # and tau_equivalent answers such a pair without reading a row
+    # and tau_equivalent answers such a pair without reading a row; the
+    # Klein bottle's origin is moved so that its rows are phase sums of
+    # residue counts
     real = flat._phase_vector
     monkeypatch.setattr(flat, "_phase_vector", lambda *args: [-1 - x for x in real(*args)])
-    torus, kb = _torus(2), klein_pair()[1]
-    assert betti(torus, 1) != betti(kb, 1)
+    torus, kb = _torus(2), oracles.far_origin(klein_pair()[1])
+    assert betti(torus, 1) != betti(kb, 1) and kb._denom not in flat._TWO_COS
     assert tau_equivalent(torus, kb, 1, 4) is False and torus._cache["pairs"] == {}
     with pytest.raises(IntegralityError, match="is not a nonnegative integer"):
         compare(torus, kb, 1, 4)

@@ -1,10 +1,11 @@
 """The comparison shared by the flat and spherical spectra."""
 
+import itertools
 from fractions import Fraction
 
 from curvspec import flat, spectra, spherical
 from curvspec.spectra import ComparisonResult
-from oracles import first_difference
+from oracles import far_origin, first_difference
 
 
 def test_both_geometries_share_one_comparison_result():
@@ -55,10 +56,15 @@ _BALL = {"mu", "scale", "shells", "keys"}
 
 def test_every_cache_key_names_a_section():
     # a flat group keeps its ball, rows and comparison tables under their
-    # names, on the walk (Klein) and on the frame (flat4) alike
+    # names, on the walk (Klein) and on the frame (flat4) alike, its shells
+    # holding integer phase sums (the fixtures, D = 2) or, with its origin
+    # moved (D = 34), residue counts
     table = flat.fixtures()
-    for a, b in (("klein_a", "klein_b"), ("flat4_a", "flat4_b")):
+    pairs = (("klein_a", "klein_b"), ("flat4_a", "flat4_b"))
+    for (a, b), moved in itertools.product(pairs, (False, True)):
         g1, g2 = (flat.BieberbachGroup(table[x].lattice, table[x].cosets) for x in (a, b))
+        g1 = far_origin(g1) if moved else g1
+        assert (g1._denom in flat._TWO_COS) != moved
         for p in range(g1.n + 1):
             flat.spectrum(g1, p, 3)
             flat.compare(g1, g2, p, 3)

@@ -137,6 +137,16 @@ def test_k_from_lambda_examples():
     assert k_from_lambda(3, 0, 8) is None
 
 
+def test_k_from_lambda_reads_lambda_as_an_exact_number():
+    # an integral value of any exact type reads as its int; any other value
+    # is in no family
+    for lam in (Fraction(8), 8.0):
+        assert k_from_lambda(3, 1, lam) == 2
+    for lam in (Fraction(17, 2), 8.5, Fraction(1, 3)):
+        assert k_from_lambda(3, 1, lam) is None
+    assert k_from_lambda(5, 2, Fraction(-1)) is None
+
+
 def test_k_from_lambda_inverts_the_family():
     for n in (3, 5, 7):
         for p in range(1, n + 1):
