@@ -38,17 +38,19 @@ identities the exterior traces.
 On both, translations are residue vectors modulo their common denominator D,
 so each phase <v, b> is a residue r mod D.  A group's `_cache` has three
 sections.  "shells" is its ball, from the theta products on a frame and from
-the walk otherwise; "rows" holds one row (d_0, ..., d_n) per shell, each
-entry |F|^-1 sum_cosets tr Lambda^p(B) Phi, Phi = sum_v exp(2 pi i <v, b>)
-over the fixed vectors v, real as v and -v pair up.  When D divides 4 or 6,
-2 cos(2 pi r / D) is an integer (`_TWO_COS`), so Phi is one, and each shell
-holds every coset's Phi.  For other D it holds each coset's counts C_r of
-the residues r, which must depend on gcd(r, D) alone (Galois invariance), so
-Moebius values sum them in integers; when D divides 4 or 6 each class
-gcd(r, D) is {r, -r} and that check would hold for any input.  "pairs"
-holds the tables in which `spectra` compares the rows telescoped into
-principal-series pieces.  Fractions are built only for results that leave
-the module: spectrum entries and the values of `shells`, a lazy mapping that
+the walk otherwise.  When D divides 4 or 6, 2 cos(2 pi r / D) is an integer
+(`_TWO_COS`), so each shell holds every coset's Phi = sum_v exp(2 pi i
+<v, b>) over the fixed vectors v, an integer as v and -v pair up.  For other
+D it holds each coset's counts C_r of the residues r, from one theta-table
+loop over the +cycles on a frame.  "rows" holds one row of principal-series
+pieces (P_0, ..., P_{n+1}) per shell, telescoped by P_{p+1} = d_p - P_p out
+of the form multiplicities d_p = |F|^-1 sum_cosets tr Lambda^p(B) Phi.  For
+other D each degree takes one phase sum of its weighted counts, which must
+depend on gcd(r, D) alone (Galois invariance), so Moebius values sum them in
+integers; when D divides 4 or 6 each class gcd(r, D) is {r, -r} and that
+check would hold for any input.  "pairs" holds the tables in which `spectra`
+compares the rows.  Fractions are built only for results that leave the
+module: spectrum entries and the values of `shells`, a lazy mapping that
 converts a shell to ambient vectors when read.
 """
 
@@ -619,7 +621,7 @@ class BieberbachGroup:
     cosets: tuple[tuple[rl.Mat, rl.Vec], ...]
     name: str = ""
     # "shells": the group's ball (see _extended), each shell holding every
-    # coset's residue counts; "rows": {t: (d_0, ..., d_n)} (see _row);
+    # coset's residue counts; "rows": {t: (P_0, ..., P_{n+1})} (see _row);
     # "pairs": the comparison tables of `spectra.answer`
     _cache: dict = field(init=False, compare=False, repr=False)
     # the coordinates the cosets were validated on, which also read the shells
@@ -752,24 +754,20 @@ def _theta_table(cycles, d: int, m: int) -> list[dict[int, int]]:
     """[{r: C_r} for e = 0..m]: the counts of the residues r = D <v, b> mod D
     over the dual vectors v of squared norm c e fixed by one rotation, as the
     q^e coefficients of the product over its +cycles C of the one-dimensional
-    theta series sum_x q^(|C| x^2) z^(x beta_C), with z^D = 1.  A cycle with
-    beta_C = 0 moves no residue, so those multiply as a plain integer series
-    (see _theta_series); only the others go through the counts {(e, r): C}."""
-    plain, moved = _theta_series([(length, 0) for length, beta in cycles if not beta], 1, m), {(0, 0): 1}
-    for length, beta in (cycle for cycle in cycles if cycle[1]):
+    theta series sum_x q^(|C| x^2) z^(x beta_C), with z^D = 1, kept as the
+    counts {(e, r): C}."""
+    counts = {(0, 0): 1}
+    for length, beta in cycles:
         k, out = math.isqrt(m // length), {}
-        for (e, r), c in moved.items():
+        for (e, r), c in counts.items():
             for x in range(-k, k + 1):
                 if e + length * x * x <= m:
                     key = (e + length * x * x, (r + x * beta) % d)
                     out[key] = out.get(key, 0) + c
-        moved = out
+        counts = out
     table = [{} for _ in range(m + 1)]
-    for (e, r), x in moved.items():
-        for a in range(m - e + 1):
-            if plain[a]:
-                target = table[a + e]
-                target[r] = target.get(r, 0) + plain[a] * x
+    for (e, r), c in counts.items():
+        table[e][r] = c
     return table
 
 
@@ -853,56 +851,46 @@ def betti(group: BieberbachGroup, p: int) -> int:
     return val
 
 
-def _phase_vector(vectors: dict[int, list[int]], d: int, size: int) -> list[int] | None:
-    """sum_r V_r exp(2 pi i r / d), entry by entry, for integer vectors V_r
-    of the given size: as `_phase_sum`, mu(d/g) V_g summed over the classes
-    g | d, or None when the vectors are not constant on each class gcd(r, d)
-    (as a function supported on multiples of g0 is constant on the classes
-    mod d exactly when it is mod d / g0, no entry needs its own reduction)."""
-    total = [0] * size
-    for r, g, m in _gcd_classes(d):
-        v = vectors.get(r % d)
-        if v != vectors.get(g % d):
-            return None
-        if m and v:
-            total = [x + m * y for x, y in zip(total, v)]
-    return total
-
-
 def _row(group: BieberbachGroup, t: int) -> tuple[int, ...]:
-    """(d_0, ..., d_n) at the shell t > 0 of the group's ball, cached per
-    group: sum_cosets Phi (tr Lambda^0(B), ..., tr Lambda^n(B)) / |F| from
-    each coset's phase sum Phi when D is a key of _TWO_COS, which needs no
-    Galois-invariance check (see the module docstring); else one exact phase
-    sum of the vectors V_r = sum_cosets C_r (tr Lambda^0(B), ...) of the
-    residue counts.  Anomalies are named degree by degree, in increasing p,
-    as one phase sum per degree would meet them."""
+    """The pieces (P_0, ..., P_{n+1}) at the shell t > 0 of the group's ball,
+    cached per group.  The form multiplicities d_p = |F|^-1 sum_cosets
+    tr Lambda^p(B) Phi come from each coset's phase sum Phi when D is a key
+    of _TWO_COS, which needs no Galois-invariance check (see the module
+    docstring), else from one exact phase sum per degree of the residue
+    counts weighted by tr Lambda^p(B), which refuses counts that are not
+    Galois invariant.  The first d_p that is not a nonnegative integer is
+    refused; then P_0 = 0 and P_{p+1} = d_p - P_p = n_sigma(p), every piece
+    nonnegative and the top one, sum_p (-1)^(n-p) d_p, zero."""
     row = group._cache["rows"].get(t)
     if row is None:
         ball, d, order = group._cache["shells"], group._denom, len(group._holonomy)
-        vectors: dict[int, list[int]] = {}
-        zeros = total = [0] * (group.n + 1)
+        totals = zeros = [0] * (group.n + 1)
         if d in _TWO_COS:
             for coset, phase in zip(group._holonomy, ball["shells"][t]):
                 if phase:
-                    total = [y + phase * x for x, y in zip(coset.traces, total)]
+                    totals = [y + phase * x for x, y in zip(coset.traces, totals)]
         else:
+            vectors = {}
             for coset, residues in zip(group._holonomy, ball["shells"][t]):
                 for r, c in residues.items():
                     vectors[r] = [y + c * x for x, y in zip(coset.traces, vectors.get(r, zeros))]
-            total = _phase_vector(vectors, d, len(zeros))
-        row = None if total is None else tuple(map(order.__rfloordiv__, total))
-        # every remainder is 0 exactly when the quotients sum to sum(total) / |F|
-        if total is None or min(row) < 0 or order * sum(row) != sum(total):
-            for p in range(len(zeros)):
-                # _phase_sum raises on counts that are not Galois invariant
-                x = total[p] if total else _phase_sum({r: v[p] for r, v in vectors.items()}, d)
-                if x % order or x < 0:
-                    raise IntegralityError(
-                        f"multiplicity {Fraction(x, order)} at mu={Fraction(t, ball['scale'])}, "
-                        f"p={p} is not a nonnegative integer"
-                    )
-        group._cache["rows"][t] = row
+            # lazily, so that a degree is refused before a later one is summed
+            totals = (_phase_sum({r: v[p] for r, v in vectors.items()}, d) for p in range(len(zeros)))
+        pieces = [0]
+        for p, x in enumerate(totals):
+            if x % order or x < 0:
+                raise IntegralityError(
+                    f"multiplicity {Fraction(x, order)} at mu={Fraction(t, ball['scale'])}, "
+                    f"p={p} is not a nonnegative integer"
+                )
+            pieces.append(x // order - pieces[-1])
+        if low := next((x for x in pieces if x < 0), 0):
+            raise IntegralityError(f"telescoped multiplicity {low} is negative")
+        if pieces[-1]:
+            raise IntegralityError(
+                f"top telescoped multiplicity {pieces[-1]} at mu={Fraction(t, ball['scale'])} is not 0"
+            )
+        row = group._cache["rows"][t] = tuple(pieces)
     return row
 
 
@@ -917,7 +905,7 @@ def d_lambda(group: BieberbachGroup, p: int, mu) -> int:
     if mu == 0:
         return betti(group, p)
     t = _group_shells(group, mu)._key(mu)
-    return 0 if t is None else _row(group, t)[p]
+    return 0 if t is None else sum(_row(group, t)[p : p + 2])
 
 
 @dataclass(frozen=True)
@@ -936,28 +924,10 @@ def spectrum(group: BieberbachGroup, p: int, mu_max) -> FlatSpectrum:
     sh = _group_shells(group, mu_max)
     for t, mu in zip(sh._numerators(), sh):
         if t:
-            d = _row(group, t)[p]
+            d = sum(_row(group, t)[p : p + 2])
             if d:
                 entries[mu] = d
     return FlatSpectrum(group.n, p, mu_max, entries)
-
-
-def _telescoped(group: BieberbachGroup, t: int) -> tuple[int, ...]:
-    """(P_0, ..., P_{n+1}) at the shell t > 0, telescoped from P_0 = 0 by
-    P_{p+1} = d(p) - P_p = n_sigma(p); every piece must be nonnegative and the
-    top one, sum_p (-1)^(n-p) d(p), zero."""
-    pieces = [0]
-    for x in _row(group, t):
-        now = x - pieces[-1]
-        if now < 0:
-            raise IntegralityError(f"telescoped multiplicity {now} is negative")
-        pieces.append(now)
-    if pieces[-1]:
-        scale = group._cache["shells"]["scale"]
-        raise IntegralityError(
-            f"top telescoped multiplicity {pieces[-1]} at mu={Fraction(t, scale)} is not 0"
-        )
-    return tuple(pieces)
 
 
 def _pieces(group: BieberbachGroup, mu_max) -> tuple[int, dict, tuple]:
@@ -966,7 +936,7 @@ def _pieces(group: BieberbachGroup, mu_max) -> tuple[int, dict, tuple]:
     sh, zero = _group_shells(group, mu_max), group._betti
     if set(map(type, zero)) != {int}:  # `betti` refuses a fraction by name
         zero = tuple(betti(group, p) for p in range(group.n + 1))
-    return sh._scale, {t: _telescoped(group, t) for t in sh._numerators() if t}, zero
+    return sh._scale, {t: _row(group, t) for t in sh._numerators() if t}, zero
 
 
 def compare(g1: BieberbachGroup, g2: BieberbachGroup, p: int, mu_max) -> ComparisonResult:
@@ -983,7 +953,7 @@ def n_sigma_multiplicity(group: BieberbachGroup, p: int, mu) -> int:
     if not 0 <= p <= group.n:
         raise ValueError("degree out of range")
     t = _group_shells(group, mu)._key(mu)
-    return 0 if t is None else _telescoped(group, t)[p + 1]
+    return 0 if t is None else _row(group, t)[p + 1]
 
 
 def tau_equivalent(g1: BieberbachGroup, g2: BieberbachGroup, p: int, mu_max) -> bool:

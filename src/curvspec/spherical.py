@@ -212,10 +212,13 @@ def eigenvalue_family(n: int, p: int, lam_max: int) -> list[tuple[int, int]]:
 
 
 def k_from_lambda(n: int, p: int, lam) -> int | None:
-    """Invert the family equation; None when lam is not in the family.  lam is
-    read through Fraction, as `flat.d_lambda` reads mu: only an integer is."""
+    """Invert the equation of the family p, 0 <= p <= n + 1; None when lam is
+    not in it.  lam is read through Fraction, as `flat.d_lambda` reads mu:
+    only an integer is."""
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
+    if not 0 <= p <= n + 1:
+        raise ValueError("family index out of range")
     if p in (0, n + 1):
         return None
     lam = Fraction(lam)
@@ -479,7 +482,9 @@ def casimir_collision_scan(
     Supported mu: entries at most 2 (no collisions expected), or 3e_1 (which
     does collide, with shared value 2n(n+1) appearing once k reaches 2m).
     """
-    mu = tuple(int(x) for x in mu)
+    mu = tuple(mu)
+    if any(type(x) is not int for x in mu):
+        raise ValueError("mu entries must be ints")
     if m < 2 or len(mu) != m - 1:
         raise ValueError("mu must be a weight of the lower-rank group (m-1 slots)")
     if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)) or mu[-1] < 0:

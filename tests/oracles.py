@@ -187,6 +187,23 @@ def row_by_degree(group, t: int, counts=None) -> tuple:
     return tuple(row)
 
 
+def pieces_by_degree(group, t: int, counts=None) -> tuple:
+    """(P_0, ..., P_{n+1}) of a flat group at its shell t > 0: the row of
+    `row_by_degree` telescoped from P_0 = 0 by P_{p+1} = d_p - P_p, raising
+    the library's IntegralityError at the first negative piece, then at a
+    nonzero top piece."""
+    pieces = [0]
+    for x in row_by_degree(group, t, counts):
+        now = x - pieces[-1]
+        if now < 0:
+            raise IntegralityError(f"telescoped multiplicity {now} is negative")
+        pieces.append(now)
+    if pieces[-1]:
+        mu = Fraction(t, group._cache["shells"]["scale"])
+        raise IntegralityError(f"top telescoped multiplicity {pieces[-1]} at mu={mu} is not 0")
+    return tuple(pieces)
+
+
 def n_gamma_by_weights(group, label) -> int:
     """n_Gamma of a label on the lens group L(N; q), one weight at a time: the
     weights mu of the full weight table (Freudenthal multiplicities along

@@ -987,28 +987,45 @@ def test_d_lambda_off_the_dual_lattice_is_zero():
     assert ka._cache["rows"] == {}
 
 
-def test_negative_telescoped_multiplicity_is_refused(monkeypatch):
-    from curvspec import flat
+def _with_traces(group: BieberbachGroup, traces: tuple) -> BieberbachGroup:
+    """The group with every coset's exterior traces damaged to `traces` after
+    validation: the phase sums of a Klein bottle's shells at mu = 1/4 and 1
+    add to 2, so those shells have the form multiplicities `traces`."""
+    damaged = tuple(c._replace(traces=traces) for c in group._holonomy)
+    object.__setattr__(group, "_holonomy", damaged)
+    return group
 
-    monkeypatch.setattr(flat, "_row", lambda group, t: (3, 1, 0))  # n_sigma(1) = 1 - 3
+
+def test_negative_telescoped_multiplicity_is_refused():
+    # the row (3, 1, 0): n_sigma(1) = 1 - 3
     ka, kb = klein_pair()
+    _with_traces(ka, (3, 1, 0))
     with pytest.raises(IntegralityError, match="telescoped multiplicity -2 is negative"):
         n_sigma_multiplicity(ka, 1, 1)
     with pytest.raises(IntegralityError, match="telescoped multiplicity -2 is negative"):
         tau_equivalent(ka, kb, 1, 1)
+    assert ka._cache["rows"] == {}
 
 
-def test_nonzero_top_telescoped_multiplicity_is_refused(monkeypatch):
-    from curvspec import flat
+def test_spectrum_and_d_lambda_refuse_a_negative_telescoped_piece():
+    # d(1) = P_1 + P_2 = 3 - 2 would pass as a multiplicity of 1
+    for read in (lambda g: spectrum(g, 1, 1), lambda g: d_lambda(g, 1, 1)):
+        ka = _with_traces(klein_pair()[0], (3, 1, 0))
+        with pytest.raises(IntegralityError, match="telescoped multiplicity -2 is negative"):
+            read(ka)
+        assert ka._cache["rows"] == {}
 
+
+def test_nonzero_top_telescoped_multiplicity_is_refused():
     # P_3 = 1 - 1 + 1: the alternating sum of a row must vanish
-    monkeypatch.setattr(flat, "_row", lambda group, t: (1, 1, 1))
     ka, kb = klein_pair()
+    _with_traces(ka, (1, 1, 1))
     with pytest.raises(IntegralityError, match=r"top telescoped multiplicity 1 at mu=1 is not 0"):
         n_sigma_multiplicity(ka, 0, 1)
     for call in (compare, tau_equivalent):
         with pytest.raises(IntegralityError, match=r"at mu=1/4 is not 0"):
             call(ka, kb, 0, 1)
+    assert ka._cache["rows"] == {}
 
 
 def test_d_lambda_beyond_the_walk_extends_it_once(monkeypatch):
@@ -1042,21 +1059,17 @@ def test_d_lambda_beyond_the_walk_extends_it_once(monkeypatch):
 def test_damaged_phase_sum_names_mu_and_degree(monkeypatch):
     from curvspec import flat
 
-    # with the origin moved, D = 34 and one phase sum of the degree vectors
-    # gives every degree of a row
-    real = flat._phase_vector
-
-    def damaged(vectors, d, size):
-        total = real(vectors, d, size)
-        return [x + (p == 1) for p, x in enumerate(total)]  # wrong in degree 1 only
-
-    monkeypatch.setattr(flat, "_phase_vector", damaged)
+    # with the origin moved, D = 34 and each degree of a row takes one phase
+    # sum, in increasing degree
+    real, degrees = flat._phase_sum, itertools.cycle(range(3))
+    # wrong in degree 1 only
+    monkeypatch.setattr(flat, "_phase_sum", lambda counts, d: real(counts, d) + (next(degrees) == 1))
     ka = oracles.far_origin(klein_pair()[0])
     assert ka._denom not in flat._TWO_COS
     with pytest.raises(IntegralityError, match=r"at mu=1/4, p=1 is not"):
         d_lambda(ka, 0, Fraction(1, 4))
     assert ka._cache["rows"] == {}
-    monkeypatch.setattr(flat, "_phase_vector", lambda *args: [-2 * x for x in real(*args)])
+    monkeypatch.setattr(flat, "_phase_sum", lambda counts, d: -2 * real(counts, d))
     with pytest.raises(IntegralityError, match=r"at mu=1/4, p=0 is not a nonnegative integer"):
         spectrum(oracles.far_origin(klein_pair()[0]), 2, 1)
     # at D = 2 the shell holds each coset's phase sum: the identity's, made
@@ -1110,11 +1123,17 @@ _NOT_KLEIN = sorted(name for name in fixtures() if not name.startswith("klein"))
 @settings(derandomize=True, max_examples=3, deadline=None, database=None, phases=_NO_SHRINK)
 @given(c=st.sampled_from(_DILATIONS), seed=st.integers(0, 2**32))
 def test_theta_rows_equal_the_walk_rows(name, c, seed):
+    # the far-origin group has D outside {1, 2, 3, 4, 6}: its frame rows come
+    # from _theta_table's residue counts, its walk rows from _residue_counts
+    from curvspec import flat
+
     group = fixtures()[name]
     moved = _dilate(_re_present(group, random.Random(seed)), c)
-    assert type(group._coords) is type(moved._coords) is _OnFrame
+    far = oracles.far_origin(moved)
+    assert type(group._coords) is type(moved._coords) is type(far._coords) is _OnFrame
+    assert far._denom not in flat._TWO_COS
     cutoff = Fraction(6 if group.n == 8 else 12)
-    for g, mu_max in ((group, cutoff), (moved, cutoff / (c * c))):
+    for g, mu_max in ((group, cutoff), (moved, cutoff / (c * c)), (far, cutoff / (c * c))):
         theta, walk = _rows_on_both_paths(g, mu_max)
         assert theta == walk and len(theta) >= 6
         twin = _on_basis(g.lattice, g.cosets)
@@ -1523,7 +1542,8 @@ def test_degree_vector_rows_equal_the_per_degree_rows(name):
     # the fixtures have D = 2 or 4, so their rows come from integer phase
     # sums; re-presented with a moved origin, D leaves {1, 2, 3, 4, 6} and
     # the rows come from residue counts.  The oracle counts the residues
-    # again in both cases, on a frame and on the walk alike.
+    # again in both cases, on a frame and on the walk alike, and telescopes
+    # its form multiplicities into the pieces.
     from curvspec import flat
 
     rng = random.Random(name)
@@ -1539,7 +1559,7 @@ def test_degree_vector_rows_equal_the_per_degree_rows(name):
                 shells_up_to = [t for t in flat._group_shells(g, cutoff)._numerators() if t]
                 assert shells_up_to
                 for t in shells_up_to:
-                    assert flat._row(g, t) == oracles.row_by_degree(g, t)
+                    assert flat._row(g, t) == oracles.pieces_by_degree(g, t)
 
 
 def test_rows_at_denominator_three_equal_the_per_degree_rows():
@@ -1554,9 +1574,10 @@ def test_rows_at_denominator_three_equal_the_per_degree_rows():
     for g in (BieberbachGroup(Lattice(rl.identity(4)), cosets), _on_basis(Lattice(rl.identity(4)), cosets)):
         assert g._denom == 3
         shells_up_to = [t for t in flat._group_shells(g, 6)._numerators() if t]
-        assert [flat._row(g, t) for t in shells_up_to[:2]] == [(2, 10, 16, 10, 2), (8, 32, 48, 32, 8)]
+        # the form multiplicities (2, 10, 16, 10, 2) and (8, 32, 48, 32, 8)
+        assert [flat._row(g, t) for t in shells_up_to[:2]] == [(0, 2, 8, 8, 2, 0), (0, 8, 24, 24, 8, 0)]
         for t in shells_up_to:
-            assert flat._row(g, t) == oracles.row_by_degree(g, t)
+            assert flat._row(g, t) == oracles.pieces_by_degree(g, t)
 
 
 def _outcome(row, group, t):
@@ -1572,8 +1593,9 @@ def test_anomalous_counts_are_refused_as_the_per_degree_rows_refuse_them(data):
     # damaged shells: at D = 2 or 4 each coset's phase sum drawn at random;
     # with a moved origin, D outside {1, 2, 3, 4, 6}, residue counts drawn at
     # random, most of them not Galois invariant or with totals that are not
-    # multiples of |F|.  The row, or the first refusal with its degree and
-    # message, is the one of a phase sum per degree
+    # multiples of |F|.  The pieces, or the first refusal with its degree and
+    # message, are those of a phase sum per degree telescoped, a negative or
+    # a nonzero top piece refused after every degree
     from curvspec import flat
 
     name = data.draw(st.sampled_from(("klein_a", "flat4_m24", "flat8_a", "flat8_c")))
@@ -1604,7 +1626,7 @@ def test_anomalous_counts_are_refused_as_the_per_degree_rows_refuse_them(data):
     flat._group_shells(fresh, 1)  # the ball that names mu in a message
     with pytest.MonkeyPatch.context() as m:
         m.setitem(fresh._cache["shells"]["shells"], 1, counts if moved else shell)
-        expected = _outcome(lambda g, t: oracles.row_by_degree(g, t, counts), fresh, 1)
+        expected = _outcome(lambda g, t: oracles.pieces_by_degree(g, t, counts), fresh, 1)
         assert _outcome(flat._row, fresh, 1) == expected
     assert (1 in fresh._cache["rows"]) == (type(expected) is tuple)
 
@@ -1660,8 +1682,8 @@ def test_one_comparison_table_answers_every_degree_order_and_cutoff(monkeypatch)
     # and tau_equivalent answers such a pair without reading a row; the
     # Klein bottle's origin is moved so that its rows are phase sums of
     # residue counts
-    real = flat._phase_vector
-    monkeypatch.setattr(flat, "_phase_vector", lambda *args: [-1 - x for x in real(*args)])
+    real = flat._phase_sum
+    monkeypatch.setattr(flat, "_phase_sum", lambda counts, d: -1 - real(counts, d))
     torus, kb = _torus(2), oracles.far_origin(klein_pair()[1])
     assert betti(torus, 1) != betti(kb, 1) and kb._denom not in flat._TWO_COS
     assert tau_equivalent(torus, kb, 1, 4) is False and torus._cache["pairs"] == {}

@@ -137,6 +137,14 @@ def test_k_from_lambda_examples():
     assert k_from_lambda(3, 0, 8) is None
 
 
+def test_k_from_lambda_refuses_a_family_that_does_not_exist():
+    # the families of S^3 are p = 0..4; 0 and 4 are empty
+    assert k_from_lambda(3, 4, 0) is None
+    for p in (-1, 5, 7):
+        with pytest.raises(ValueError, match="family index out of range"):
+            k_from_lambda(3, p, 0)
+
+
 def test_k_from_lambda_reads_lambda_as_an_exact_number():
     # an integral value of any exact type reads as its int; any other value
     # is in no family
@@ -702,6 +710,13 @@ def test_collision_scan_rejects_unsupported_weights():
         casimir_collision_scan(3, (3, 1), 10)
     with pytest.raises(ValueError):
         casimir_collision_scan(3, (1, 2), 10)
+
+
+def test_collision_scan_refuses_entries_that_are_not_ints():
+    for mu in ((2.5, 0), (Fraction(5, 2), 0), ("2", 0), (True, 0), (2.0, 0)):
+        with pytest.raises(ValueError, match="mu entries must be ints"):
+            casimir_collision_scan(3, mu, 10)
+    assert casimir_collision_scan(3, iter((2, 0)), 10) == casimir_collision_scan(3, (2, 0), 10) == []
 
 
 def test_shuffled_elements_give_the_lens_space_spectra():
