@@ -5,17 +5,19 @@ rotations has its p-form spectrum determined by two one-parameter families of
 highest weights: eigenvalues k^2 + k(n-1) + (p-1)(n-p) (n = 2m-1), with
 multiplicities given by the dimensions of the group invariants in the
 corresponding representations.  Every such group is a lens group L(N; q),
-stored as those integers (an element list is checked plane by plane on its
-residues mod N and normalised to them), so each of those dimensions is an
-exact count of weights mu in the congruence lattice L = {mu : <mu, q> = 0
-mod N}.  A family label is an integer combination of polynomials times
-exterior powers on C^(2m) (see `n_gamma`), so the multiplicity of its weights
-is a closed form M(r, l) in the 1-norm r and the number l of zero
-coordinates, and the count is sum M(r, l) N_L(r, l), N_L counted by a
-residue DP sized once per cutoff for every family.  A group keeps one table
-per label shape q = min(j, n+1-j), which families j and n+1-j both read, in
-the section "families" of its `_cache`; "lattice" holds the counts N_L once
-made, "labels" n_gamma by label, and "pairs" the tables of `spectra.answer`.
+stored as those integers (an element list is read through the table of the
+angles r/N spelled by str(Fraction), kept for the last 32 orders, checked
+plane by plane on its residues mod N and normalised to them), so each of those
+dimensions is an exact count of weights mu in the congruence lattice
+L = {mu : <mu, q> = 0 mod N}.  A family label is an integer combination of
+polynomials times exterior powers on C^(2m) (see `n_gamma`), so the
+multiplicity of its weights is a closed form M(r, l) in the 1-norm r and the
+number l of zero coordinates, and the count is sum M(r, l) N_L(r, l), N_L
+counted by a residue DP sized once per cutoff for every family.  A group keeps
+one table per label shape q = min(j, n+1-j), which families j and n+1-j both
+read, in the section "families" of its `_cache`; "lattice" holds the counts
+N_L once made, "labels" n_gamma by label, and "pairs" the tables of
+`spectra.answer`.
 """
 
 from __future__ import annotations
@@ -34,13 +36,13 @@ from .ratlinalg import _rational_pair
 from .spectra import ComparisonResult
 
 
-def _integer(x) -> int:
+def _integer(x, what: str = "lens parameter", error: type = InvariantViolation) -> int:
     if not isinstance(x, bool):
         try:
             return index(x)
         except TypeError:
             pass
-    raise InvariantViolation(f"lens parameter {x!r} is not an integer")
+    raise error(f"{what} {x!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -71,13 +73,23 @@ class LensElements:
             yield RotationElement(tuple(Fraction(t * qj % self.order, self.order) for qj in self.q))
 
 
+@lru_cache(maxsize=32)
+def _canonical_residues(big_n: int) -> dict[str, int]:
+    """{str(Fraction(r, N)): r for r < N}, as the CLI and `LensElements`
+    spell angles, built with no Fraction; only copied, never written."""
+    return {f"{r // (g := gcd(r, big_n))}/{big_n // g}" if r else "0": r for r in range(big_n)}
+
+
 class _Residues(dict):
     """Angle -> its value a/b as the residue a N/b mod N when that is an
-    integer, else as a/b mod 1; equal values are equal angles.  A pair (a, b)
-    or a string (read by `_rational_pair`) is read once and stored; an int is
-    not stored, since True would find it."""
+    integer, else as a/b mod 1; equal values are equal angles.  A copy of
+    `_canonical_residues(N)` (32 orders kept: at most 32 N_max keys) reads a
+    str(Fraction) spelling; any other pair (a, b) or string (read by
+    `_rational_pair`) is read once and stored; an int is not, as True would
+    find it."""
 
     def __init__(self, big_n: int):
+        super().__init__(_canonical_residues(big_n))
         self.big_n = big_n
 
     def __missing__(self, x):
@@ -197,7 +209,7 @@ def eigenvalue_family(n: int, p: int, lam_max: int) -> list[tuple[int, int]]:
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
-    if not 0 <= p <= n + 1:
+    if not 0 <= _integer(p, "family index", ValueError) <= n + 1:
         raise ValueError("family index out of range")
     if p in (0, n + 1):
         return []
@@ -217,7 +229,7 @@ def k_from_lambda(n: int, p: int, lam) -> int | None:
     only an integer is."""
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
-    if not 0 <= p <= n + 1:
+    if not 0 <= _integer(p, "family index", ValueError) <= n + 1:
         raise ValueError("family index out of range")
     if p in (0, n + 1):
         return None
@@ -240,10 +252,10 @@ def family_label(m: int, j: int, k: int) -> IrrepLabelO:
     k, then min(j, n+1-j) - 1 ones.  The twist is forced except when the
     weight fills every slot, where the two mirror weights fuse (delta = 0)."""
     n = 2 * m - 1
-    if not 1 <= j <= n:
+    if not 1 <= _integer(j, "family index", ValueError) <= n:
         raise ValueError("family index out of range")
     q = min(j, n + 1 - j)
-    if k < 0 or (k == 0 and q > 1):
+    if _integer(k, "k", ValueError) < 0 or (k == 0 and q > 1):
         raise ValueError("k out of range for this family")
     weight = (k,) + (1,) * (q - 1) + (0,) * (m - q)
     delta = 0 if (q == m and weight[-1] > 0) else 1
@@ -417,24 +429,30 @@ def p_spectrum(group: SphericalGroup, p: int, lam_max: int) -> Spectrum:
     eigenvalue 0 of the constant functions and top forms."""
     n, top = group.n, floor(lam_max)
     entries = {0: 1} if p in (0, n) else {}
-    for closed in (True, False):
-        entries.update(half_spectrum(group, p, closed, top))
+    for half in _halves(group, p, top, (True, False)):
+        entries.update(half)
     return Spectrum(n, p, lam_max, dict(sorted(entries.items())))
 
 
 def half_spectrum(group: SphericalGroup, p: int, closed: bool, lam_max: int) -> dict[int, int]:
     """Positive spectrum restricted to closed (differential in the kernel) or
-    coclosed p-forms, read from the group's table for the family (see
-    `_family_counts`); the coclosed half at degree p is the closed half at p+1."""
+    coclosed p-forms; the coclosed half at degree p is the closed half at p+1."""
+    return next(_halves(group, p, lam_max, (closed,)))
+
+
+def _halves(group: SphericalGroup, p: int, lam_max, sides: tuple):
+    """The closed (True) or coclosed (False) halves at degree p for `sides`,
+    read off one `_families` lookup and the tables of `_family_counts`."""
     n = group.n
     if not 0 <= p <= n:
         raise ValueError("form degree out of range")
-    j = p if closed else p + 1
     # eigenvalues are integers: lam <= lam_max exactly when lam <= floor(lam_max)
     families, radius = _families(n, floor(lam_max))
-    family, q = families[j], min(j, n + 1 - j)
-    counts = _family_counts(group, q, family[-1][0], radius) if family else []
-    return {lam: counts[k] for k, lam in family if k and counts[k]}
+    for closed in sides:
+        j = p if closed else p + 1
+        family, q = families[j], min(j, n + 1 - j)
+        counts = _family_counts(group, q, family[-1][0], radius) if family else []
+        yield {lam: counts[k] for k, lam in family if k and counts[k]}
 
 
 def _pieces(group: SphericalGroup, scope: tuple) -> tuple[int, dict, tuple]:

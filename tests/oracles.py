@@ -5,7 +5,8 @@ them), the full-table closure check, the residue counts of a flat shell
 counted again and the one-degree-at-a-time row of a flat group, the
 per-weight count of the spherical multiplicities n_Gamma, the prefix-shell
 count of the lens lattice, the element-by-element check of a spherical
-element list and the eigenvalue-by-eigenvalue comparison of two spectra."""
+element list, the angle reader that parses every distinct angle of such a
+list and the eigenvalue-by-eigenvalue comparison of two spectra."""
 
 import math
 from fractions import Fraction
@@ -15,7 +16,7 @@ from typing import Sequence
 from curvspec import flat, liealg
 from curvspec.errors import IntegralityError, InvariantViolation
 from curvspec.liealg import RotationElement
-from curvspec.ratlinalg import Mat, Vec, _hnf_rows, as_vec, identity
+from curvspec.ratlinalg import Mat, Vec, _hnf_rows, _rational_pair, as_vec, identity
 from curvspec.spectra import ComparisonResult
 
 
@@ -260,6 +261,26 @@ def _shell(q: tuple, r: int):
     for a in range(-r, r + 1):
         for s, zeros in _shell(tuple(head), r - abs(a)):
             yield s + a * last, zeros + (a == 0)
+
+
+class ResiduesByParsing(dict):
+    """The angle reader of `spherical.SphericalGroup` with no table of
+    canonical spellings: angle -> the residue a N/b mod N when that is an
+    integer, else a/b mod 1, each pair (a, b) or string parsed by
+    `_rational_pair` on its first read and stored; an int is never stored."""
+
+    def __init__(self, big_n: int):
+        self.big_n = big_n
+
+    def __missing__(self, x):
+        if type(x) is tuple and (len(x) != 2 or set(map(type, x)) != {int} or not x[1]):
+            raise ValueError(f"bad rational {x!r}")
+        a, b = x if type(x) is tuple else _rational_pair(x)
+        big_n = self.big_n
+        r = a * big_n // b % big_n if a * big_n % b == 0 else Fraction(a, b) % 1
+        if type(x) in (str, tuple):
+            self[x] = r
+        return r
 
 
 def lens_data_by_elements(m: int, elements) -> tuple:

@@ -33,6 +33,7 @@ from curvspec.spherical import (
     trivial_group,
 )
 from oracles import (
+    ResiduesByParsing,
     lattice_counts_by_prefix_shells,
     lens_data_by_elements,
     n_gamma_by_weights,
@@ -160,6 +161,24 @@ def test_k_from_lambda_inverts_the_family():
         for p in range(1, n + 1):
             for k, lam in eigenvalue_family(n, p, 500):
                 assert k_from_lambda(n, p, lam) == k
+
+
+def test_family_helpers_refuse_an_index_or_k_that_is_not_an_int():
+    # a float, a bool or any other non-integer is refused by name, not read
+    # as a family that does not exist or passed on to isqrt
+    for bad in (1.5, 2.0, True, False, Fraction(2), "2", None):
+        for call in (
+            lambda: eigenvalue_family(3, bad, 10),
+            lambda: k_from_lambda(3, bad, 9),
+            lambda: family_label(2, bad, 2),
+        ):
+            with pytest.raises(ValueError, match=f"^family index {re.escape(repr(bad))} is not"):
+                call()
+        with pytest.raises(ValueError, match=f"^k {re.escape(repr(bad))} is not an integer$"):
+            family_label(2, 2, bad)
+    # the same index and k as ints are read
+    assert k_from_lambda(3, 2, 9) == 2
+    assert family_label(2, 1, 2) == IrrepLabelO((2, 0), 1)
 
 
 def test_family_disjointness_small():
@@ -600,7 +619,7 @@ def test_half_spectrum_example_on_round_sphere():
 def test_negative_cutoffs_are_refused_as_on_flat_groups():
     g1, g2 = lens_space(7, [1, 2]), lens_space(7, [1, 3])
     for p in range(g1.n + 1):
-        for cutoff in (-1, Fraction(-1, 2), -3):
+        for cutoff in (-1, Fraction(-1, 2), -0.5, -3):
             for call in (
                 lambda: compare(g1, g2, p, cutoff),
                 lambda: tau_equivalent(g1, g2, p, cutoff),
@@ -610,6 +629,36 @@ def test_negative_cutoffs_are_refused_as_on_flat_groups():
             ):
                 with pytest.raises(ValueError, match="cutoff must be nonnegative"):
                     call()
+
+
+def test_p_spectrum_keeps_its_refusals_in_order():
+    g = lens_space(7, [1, 2, 3])
+    # the degree is checked before the cutoff
+    for p in (-1, g.n + 1):
+        for cutoff in (-1, Fraction(-1, 2), -0.5, 10):
+            with pytest.raises(ValueError, match="form degree out of range"):
+                p_spectrum(g, p, cutoff)
+    # (a negative cutoff at an in-range degree: test_negative_cutoffs_are_refused_as_on_flat_groups)
+    for p in range(g.n + 1):
+        # eigenvalues are integers: equal floors give equal spectra
+        at = [p_spectrum(g, p, c) for c in (12, Fraction(12), 12.0)]
+        assert at[0] == at[1] == at[2] and at[0].entries
+        for c in (Fraction(25, 2), 12.5):
+            assert p_spectrum(g, p, c).entries == at[0].entries
+
+
+def test_p_spectrum_reads_its_families_once(monkeypatch):
+    # one family lookup per degree, and no half_spectrum call in between
+    g, looked = lens_space(7, [1, 2, 3]), []
+    halves = [
+        {**half_spectrum(g, p, True, 40), **half_spectrum(g, p, False, 40)} for p in range(g.n + 1)
+    ]
+    families = spherical._families
+    monkeypatch.setattr(spherical, "_families", lambda *a: looked.append(a) or families(*a))
+    monkeypatch.setattr(spherical, "half_spectrum", lambda *a: pytest.fail("half_spectrum called"))
+    for p, half in enumerate(halves):
+        assert p_spectrum(g, p, Fraction(81, 2)).entries == {**({0: 1} if p in (0, g.n) else {}), **half}
+    assert looked == [(g.n, 40)] * (g.n + 1)
 
 
 def test_compare_group_with_itself():
@@ -840,15 +889,82 @@ def test_n_gamma_reads_the_memo_before_validating(monkeypatch):
 
 
 def test_cli_element_list_reads_each_distinct_angle_once():
+    # an angle spelled the way str(Fraction) writes it is one lookup in the
+    # order's table; every other spelling is parsed once per group
     big_n, q = 89, (1, 2, 3)
-    data = {
-        "space": "spherical",
-        "elements": [{"angles": [f"{t * x % big_n}/{big_n}" for x in q]} for t in range(big_n)],
-    }
-    distinct = {a for e in data["elements"] for a in e["angles"]}
-    assert len(distinct) == big_n < 3 * big_n
+
+    def data(spell):
+        rows = [{"angles": [spell(t * x % big_n) for x in q]} for t in range(big_n)]
+        return {"space": "spherical", "elements": rows}
+
     reads = {ratlinalg._rational_pair.__code__}
-    assert _calls_during(reads, cli._group_from_description, data) == big_n
+    as_written = data(lambda r: f"{r}/{big_n}")
+    distinct = {a for e in as_written["elements"] for a in e["angles"]}
+    assert len(distinct) == big_n < 3 * big_n
+    # "0/89" is its one angle that str(Fraction) spells otherwise
+    assert distinct - {str(Fraction(r, big_n)) for r in range(big_n)} == {f"0/{big_n}"}
+    assert _calls_during(reads, cli._group_from_description, as_written) == 1
+    canonical = data(lambda r: str(Fraction(r, big_n)))
+    assert _calls_during(reads, cli._group_from_description, canonical) == 0
+    doubled = data(lambda r: f"{2 * r}/{2 * big_n}")
+    assert _calls_during(reads, cli._group_from_description, doubled) == big_n
+    for spelled in (as_written, canonical, doubled):
+        assert cli._group_from_description(spelled)[1].elements == LensElements(big_n, q)
+
+
+_READER_ENTRIES = (
+    "2/14", " 1/7", "-1/7", "0.25", "0/7", "1/0", "", "x", "1/2/3", " ", "3/",
+    (1, 7), (2, 14), (-1, 7), (1, 0), (1,), (1, 2, 3), (True, 7), (1, 7.0),
+    0, 1, -3, True, False, 0.25, 1.0, float("nan"), None,
+)
+
+
+@st.composite
+def _angle_rows(draw):
+    big_n = draw(st.integers(1, 60))
+    canonical = st.integers(0, big_n - 1).map(lambda r: str(Fraction(r, big_n)))
+    entry = st.one_of(
+        canonical,
+        st.sampled_from(_READER_ENTRIES),
+        st.tuples(st.integers(-2 * big_n, 2 * big_n), st.integers(-2 * big_n, 2 * big_n)),
+        st.integers(-2 * big_n, 2 * big_n),
+        st.floats(),
+        st.text(max_size=4),
+    )
+    width = draw(st.integers(2, 3))
+    row = st.lists(entry, min_size=width, max_size=width)
+    return big_n, draw(st.lists(row, min_size=big_n, max_size=big_n))
+
+
+def _read(reader, x):
+    try:
+        r = reader[x]
+    except Exception as exc:  # the refusal itself is compared
+        return "refused", type(exc), str(exc)
+    return "read", type(r), r
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(_angle_rows())
+@example((7, [[x, "1/7"] for x in _READER_ENTRIES[:7]]))
+@example((7, [[x, "0"] for x in _READER_ENTRIES[7:14]]))
+@example((14, [[x, x] for x in _READER_ENTRIES[14:28]]))
+def test_angle_reader_equals_the_parsing_reader(case):
+    # the table of canonical spellings changes no residue and no refusal:
+    # entry by entry, both readers read the same value or refuse with the
+    # same exception; a group read with misses leaves the table as it was
+    big_n, rows = case
+    table = spherical._canonical_residues(big_n)
+    before = dict(table)
+    assert before == {str(Fraction(r, big_n)): r for r in range(big_n)}
+    new, old = spherical._Residues(big_n), ResiduesByParsing(big_n)
+    entries = [x for row in rows for x in row]
+    assert [_read(new, x) for x in entries] == [_read(old, x) for x in entries]
+    try:
+        SphericalGroup(len(rows[0]), rows)
+    except (ValueError, InvariantViolation):
+        pass
+    assert spherical._canonical_residues(big_n) is table and table == before
 
 
 @st.composite
